@@ -50,10 +50,16 @@ class InteractionMap:
     def set(self, key: Rect, op: LocalOp) -> None:
         if op.support != key:
             raise ValueError(f"entry support {op.support} does not match key {key}")
-        if op_norm(op) <= PRUNE_THRESHOLD:
-            self.entries.pop(key, None)
-        else:
+        # ||A|| <= ||A||_F <= sqrt(n) ||A||: the SVD runs only when the
+        # Frobenius norm leaves the decision open
+        fro = float(np.linalg.norm(op.matrix))
+        keep = fro > PRUNE_THRESHOLD and (
+            fro > PRUNE_THRESHOLD * np.sqrt(op.dim) or op_norm(op) > PRUNE_THRESHOLD
+        )
+        if keep:
             self.entries[key] = op
+        else:
+            self.entries.pop(key, None)
 
     def get(self, key: Rect) -> LocalOp | None:
         return self.entries.get(key)
@@ -255,7 +261,7 @@ def apply_step(
         g_gap=ops.gap,
         e0=ops.e0,
         e0_cross=e0_cross,
-        s_norm=op_norm(ops.s_total),
+        s_norm=ops.s_norm,
         v1_norm=ops.v1_norm,
         tail_bound=ops.tail_bound,
         tail_certified=ops.tail_certified,

@@ -13,17 +13,28 @@ The order-j coefficients are the nested-commutator composition sums
 evaluated through a two-table dynamic program over (chain length, order).
 The outermost commutator index is r_1; all parts are at most j-1, so each
 order only consumes generators already built.
+
+The vacuum projection of the step rectangle is the rank-one E_00, so every
+generator is rank two: S_j = x_j e0^+ - e0 x_j^+ with x_j orthogonal to e0,
+and only the vectors x_j are kept. A commutator [S_r, T] needs only T x_r,
+x_r^+ T, T e0 and e0^+ T, and each of its terms has e0 or x_r on one side.
+So every table entry T vanishes between vectors orthogonal to
+K = span(e0, x_1, .., x_{j_max-1}) and is stored as a border
+T = Q R + L Q^+ against an orthonormal basis Q of K, with row block R and
+column block L of width at most j_max. Columns of Q not yet built are zero,
+and so are the matching rows of R and columns of L, so an entry keeps its
+meaning as the basis grows. Per order the only O(n^2) work is one matvec
+with G and one with V; every commutator costs O(n j_max).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from .geometry import Rect
@@ -34,6 +45,9 @@ GAP_WARN = 0.25
 INNER_OD_TOL = 1e-9
 GP_MINUS_TOL = 1e-10
 EMPIRICAL_TAIL_SAFETY = 2.0
+# a generator vector whose part outside the basis built so far is at most
+# this fraction of its norm lies in that span to rounding and adds no column
+BASIS_DEPENDENCE_TOL = 1e-14
 
 
 class ConvergenceError(RuntimeError):
@@ -106,26 +120,50 @@ def majorants(v1_norm: float, j_max: int) -> MajorantSeries:
     return MajorantSeries(a=a, b=b, v1_norm=v1_norm, radius_lower_bound=a / (4 * v1_norm))
 
 
+Border = tuple[np.ndarray, np.ndarray]
+
+
 @dataclass
 class StepOperators:
-    """Everything produced by one local block-diagonalization step."""
+    """Everything produced by one local block-diagonalization step.
+
+    ``generators`` holds the vectors x_j of S_j = x_j e0^+ - e0 x_j^+, and
+    ``v_borders`` the coefficients v_j for j >= 2 as borders (R, L) with
+    v_j = Q R + L Q^+ for Q = ``basis``; v_1 is ``v1`` itself.
+    """
 
     rect: Rect
     g: LocalOp
+    v1: LocalOp
     e0: float
-    s_terms: list[np.ndarray]
-    v_terms: list[np.ndarray]
+    generators: list[np.ndarray]
+    basis: np.ndarray
+    v_borders: list[Border]
     s_total: LocalOp
     v_diag_total: LocalOp
     tail_bound: float
     tail_certified: bool
     gap: float
     v1_norm: float
-    term_norms: list[float] = field(default_factory=list)
-    majorant: MajorantSeries | None = None
-    unitary: np.ndarray | None = None
-    od_residual: float = 0.0
-    spectrum_drift: float = 0.0
+    s_norm: float
+    term_norms: list[float]
+    majorant: MajorantSeries | None
+    unitary: np.ndarray
+    od_residual: float
+    spectrum_drift: float
+
+    def dense_terms(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The generators S_j and the coefficients v_j as dense matrices."""
+        s_terms = []
+        for x in self.generators:
+            s = np.zeros((x.size, x.size), dtype=complex)
+            s[:, 0] = x
+            s[0, :] -= x.conj()
+            s_terms.append(s)
+        v_terms = [self.v1.matrix] + [
+            _border_dense(b, self.basis) for b in self.v_borders
+        ]
+        return s_terms, v_terms
 
 
 def _commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -226,6 +264,120 @@ def _series_tail(
     return tail, False
 
 
+def generator_exponential(x: np.ndarray) -> np.ndarray:
+    """exp(S) for the rank-two S = x e0^+ - e0 x^+ (x[0] = 0), in closed form.
+
+    S^2 = -(x x^+ + theta^2 E_00) and S^3 = -theta^2 S with theta = ||x||, so
+    exp(S) = I + (sin theta/theta) S + ((1 - cos theta)/theta^2) S^2
+    (Rodrigues). Both coefficients are evaluated through sinc, which stays
+    exact down to theta = 0.
+    """
+    x = np.asarray(x, dtype=complex)
+    if x[0] != 0:
+        raise ValueError("generator vector must be orthogonal to the vacuum")
+    theta = float(np.linalg.norm(x))
+    a = np.sinc(theta / np.pi)
+    b = 0.5 * np.sinc(theta / (2 * np.pi)) ** 2
+    u = np.eye(x.size, dtype=complex)
+    u[:, 0] += a * x
+    u[0, :] -= a * x.conj()
+    u -= b * np.outer(x, x.conj())
+    u[0, 0] -= b * theta**2
+    return u
+
+
+def _rotate(h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """u h u^+ for Hermitian h and u = exp(x e0^+ - e0 x^+), in O(n^2).
+
+    u - I = P U^+ with U = [e0, x/theta] and P = U z for the plane rotation
+    z = [[cos theta - 1, -sin theta], [sin theta, cos theta - 1]], so
+    u h u^+ = h + P (K^+ + M P^+) + K P^+ with K = h U and M = U^+ K.
+    """
+    theta = float(np.linalg.norm(x))
+    basis = np.zeros((x.size, 2), dtype=complex)
+    basis[0, 0] = 1.0
+    if theta > 0:
+        basis[:, 1] = x / theta
+    cos, sin = np.cos(theta), np.sin(theta)
+    p = basis @ np.array([[cos - 1.0, -sin], [sin, cos - 1.0]])
+    k = h @ basis
+    m = basis.conj().T @ k
+    return h + p @ (k.conj().T + m @ p.conj().T) + k @ p.conj().T
+
+
+def _ad_dense(a: np.ndarray, ax: np.ndarray, c: np.ndarray) -> Border:
+    """[S, A] for Hermitian A and S = x e0^+ - e0 x^+ with x = Q c, from A x.
+
+    [S, A] = x (e0^+ A) - e0 (x^+ A) - (A x) e0^+ + (A e0) x^+, where x^+ A is
+    the conjugate of A x, so the column terms go to R and the row terms to L.
+    """
+    r = c[:, None] * a[0]
+    r[0] -= ax.conj()
+    l = a[:, 0][:, None] * c.conj()
+    l[:, 0] -= ax
+    return r, l
+
+
+def _ad_sum(
+    r_b: np.ndarray,
+    l_b: np.ndarray,
+    x_b: np.ndarray,
+    c_b: np.ndarray,
+    q: np.ndarray,
+    qh: np.ndarray,
+) -> Border:
+    """sum_i [S_i, T_i] for borders T_i = Q R_i + L_i Q^+ stacked along the
+    first axis, and S_i = x_i e0^+ - e0 x_i^+ with x_i = Q c_i.
+
+    Each term is x_i (e0^+ T_i) - e0 (x_i^+ T_i) - (T_i x_i) e0^+ + (T_i e0) x_i^+.
+    Row 0 of Q is the first unit vector (its first column is e0, the others
+    are orthogonal to e0), so e0^+ T_i = R_i[0] + L_i[0] Q^+ and
+    T_i e0 = Q R_i[:, 0] + L_i[:, 0]; x_i^+ T_i and T_i x_i enter only summed.
+    """
+    cb = c_b.conj()
+    r = c_b.T @ r_b[:, 0] + (c_b.T @ l_b[:, 0]) @ qh
+    r[0] -= np.einsum("kw,kwn->n", cb, r_b) + np.einsum("kn,knw->w", x_b.conj(), l_b) @ qh
+    l = q @ (r_b[:, :, 0].T @ cb) + l_b[:, :, 0].T @ cb
+    l[:, 0] -= q @ np.einsum("kwn,kn->w", r_b, x_b) + np.einsum("knw,kw->n", l_b, c_b)
+    return r, l
+
+
+def _border_dense(b: Border, q: np.ndarray) -> np.ndarray:
+    r, l = b
+    qw = q[:, : r.shape[0]]
+    return qw @ r + l @ qw.conj().T
+
+
+def _border_norm(b: Border, q: np.ndarray) -> float:
+    """Operator norm of Q R + L Q^+ = [Q, L] [R^+, Q]^+: the thin QR of both
+    factors, then the SVD of the product of their small triangular parts."""
+    r, l = b
+    qw = q[:, : r.shape[0]]
+    ra = np.linalg.qr(np.hstack([qw, l]), mode="r")
+    rb = np.linalg.qr(np.hstack([r.conj().T, qw]), mode="r")
+    return float(np.linalg.norm(ra @ rb.conj().T, 2))
+
+
+def _extend_basis(
+    q: np.ndarray, qh: np.ndarray, width: int, x: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Coordinates c of x in the basis Q (x = Q c), after adding the part of
+    x orthogonal to the built columns as a new column (two Gram-Schmidt
+    passes) unless it is negligible or the basis already spans the space."""
+    c = qh @ x
+    y = x - q @ c
+    d = qh @ y
+    c += d
+    y -= q @ d
+    nrm = float(np.linalg.norm(y))
+    if width < q.shape[1] and nrm > BASIS_DEPENDENCE_TOL * np.linalg.norm(x):
+        q[:, width] = y / nrm
+        qh[width] = q[:, width].conj()
+        c[width] = nrm
+        width += 1
+    return c, width
+
+
 def lie_schwinger_series(
     J: Rect,
     g: LocalOp,
@@ -239,101 +391,113 @@ def lie_schwinger_series(
         raise ValueError("j_max must be >= 1")
     if g.matrix.shape != v1.matrix.shape:
         raise ValueError("g and v1 must live on the same support")
-    gap = check_g_gap(g, e0, J)
+    G = g.matrix
+    V = v1.matrix
+    dim = G.shape[0]
+    w, U = np.linalg.eigh(G[1:, 1:])
+    gap = float(w[0] - e0)
     if gap < GAP_WARN:
         warnings.warn(
             f"gap degradation on {J}: excited block starts {gap:.3g} above the "
             "vacuum energy"
         )
-    G = g.matrix
-    dim = G.shape[0]
-    sub = G[1:, 1:]
-    w, U = np.linalg.eigh(sub)
-    inv = U @ np.diag(1.0 / (w - e0)) @ U.conj().T
-    resolvent = np.zeros((dim, dim), dtype=complex)
-    resolvent[1:, 1:] = inv
+    Uh = U.conj().T
+    denom = w - e0
 
     v1_norm = op_norm(v1)
     maj = majorants(v1_norm, j_max) if v1_norm > 0 else None
 
-    s_terms: list[np.ndarray] = []
-    v_terms: list[np.ndarray] = []
-    term_norms: list[float] = []
-    # chain tables: g_tab[p, m] (v_tab[p, m]) holds the sum over compositions
-    # r_1+..+r_p = m of ad S_{r_1}(.. ad S_{r_p}(G)) (of v1), r_1 outermost
-    g_tab: dict[tuple[int, int], np.ndarray] = {}
-    v_tab: dict[tuple[int, int], np.ndarray] = {(0, 0): v1.matrix}
+    # basis of span(e0, x_1, .., x_{j_max-1}); unbuilt columns stay zero
+    width_max = min(dim, j_max)
+    Q = np.zeros((dim, width_max), dtype=complex)
+    Qh = np.zeros((width_max, dim), dtype=complex)
+    Q[0, 0] = Qh[0, 0] = 1.0
+    width = 1
+    xs = np.zeros((j_max, dim), dtype=complex)  # row r-1 holds x_r
+    cs = np.zeros((j_max, width_max), dtype=complex)  # x_r = Q c_r
 
-    def g_chain(p: int, m: int) -> np.ndarray:
-        if p == 1:
-            return _commutator(s_terms[m - 1], G)
-        if (p, m) not in g_tab:
-            acc = np.zeros((dim, dim), dtype=complex)
-            for r in range(1, m - p + 2):
-                acc += _commutator(s_terms[r - 1], g_chain(p - 1, m - r))
-            g_tab[(p, m)] = acc
-        return g_tab[(p, m)]
+    # chain tables: [p, m] holds the border (R, L) of the sum over
+    # compositions r_1+..+r_p = m of ad S_{r_1}(.. ad S_{r_p}(A)), r_1
+    # outermost, for A = G (g_*) and A = V (v_*)
+    size = (j_max + 1, j_max + 1)
+    g_r = np.zeros(size + (width_max, dim), dtype=complex)
+    g_l = np.zeros(size + (dim, width_max), dtype=complex)
+    v_r = np.zeros_like(g_r)
+    v_l = np.zeros_like(g_l)
 
-    def v_chain(p: int, m: int) -> np.ndarray:
-        if p == 0:
-            return v_tab[(0, 0)] if m == 0 else np.zeros((dim, dim), dtype=complex)
-        if (p, m) not in v_tab:
-            acc = np.zeros((dim, dim), dtype=complex)
-            for r in range(1, m - p + 2):
-                acc += _commutator(s_terms[r - 1], v_chain(p - 1, m - r))
-            v_tab[(p, m)] = acc
-        return v_tab[(p, m)]
+    def chain(tab_r: np.ndarray, tab_l: np.ndarray, p: int, m: int) -> None:
+        # outermost parts r = k..1 meet the inner chains of order p-1..m-1
+        k = m - p + 1
+        inner = slice(p - 1, m)
+        tab_r[p, m], tab_l[p, m] = _ad_sum(
+            tab_r[p - 1, inner], tab_l[p - 1, inner], xs[k - 1 :: -1], cs[k - 1 :: -1], Q, Qh
+        )
 
-    v_diag = np.zeros((dim, dim), dtype=complex)
-    s_total = np.zeros((dim, dim), dtype=complex)
-    fact = [factorial(p) for p in range(j_max + 1)]
+    inv_fact = np.array([1.0 / factorial(p) for p in range(j_max + 1)])
+    v_borders: list[Border] = []
+    term_norms = [v1_norm]
+    rest_r = np.zeros((width_max, dim), dtype=complex)  # sum_{j>=2} t^{j-1} v_j
+    rest_l = np.zeros((dim, width_max), dtype=complex)
+    X = np.zeros(dim, dtype=complex)  # sum_j t^j x_j
     for j in range(1, j_max + 1):
         if j == 1:
-            vj = v1.matrix.copy()
+            col = V[:, 0]
         else:
-            vj = np.zeros((dim, dim), dtype=complex)
+            for p in range(2, j):
+                chain(v_r, v_l, p, j - 1)
             for p in range(2, j + 1):
-                vj += g_chain(p, j) / fact[p]
-            for p in range(1, j):
-                vj += v_chain(p, j - 1) / fact[p]
-        v_terms.append(vj)
-        term_norms.append(float(np.linalg.norm(vj, 2)))
-        x = np.zeros((dim, dim), dtype=complex)
-        x[:, 0] = resolvent @ vj[:, 0]
-        sj = x - x.conj().T
-        s_terms.append(sj)
-        v_diag += t ** (j - 1) * diag_part(vj)
-        s_total += t**j * sj
-    g_tab.clear()
-    v_tab.clear()
+                chain(g_r, g_l, p, j)
+            vr = np.tensordot(inv_fact[2 : j + 1], g_r[2 : j + 1, j], 1)
+            vr += np.tensordot(inv_fact[1:j], v_r[1:j, j - 1], 1)
+            vl = np.tensordot(inv_fact[2 : j + 1], g_l[2 : j + 1, j], 1)
+            vl += np.tensordot(inv_fact[1:j], v_l[1:j, j - 1], 1)
+            vj = (vr[:width], vl[:, :width])
+            v_borders.append(vj)
+            term_norms.append(_border_norm(vj, Q))
+            rest_r += t ** (j - 1) * vr
+            rest_l += t ** (j - 1) * vl
+            col = Q[:, :width] @ vj[0][:, 0] + vj[1][:, 0]  # v_j e0
+        x = xs[j - 1]
+        x[1:] = U @ ((Uh @ col[1:]) / denom)
+        X += t**j * x
+        if j < j_max:
+            cs[j - 1], width = _extend_basis(Q, Qh, width, x)
+            # the two dense products of this order
+            g_r[1, j], g_l[1, j] = _ad_dense(G, G @ x, cs[j - 1])
+            v_r[1, j], v_l[1, j] = _ad_dense(V, V @ x, cs[j - 1])
 
     if maj is not None:
         tail_bound, certified = _series_tail(term_norms, t, maj, j_max)
     else:
         tail_bound, certified = 0.0, True
 
-    unitary = expm(s_total)
-    local = G + t * v1.matrix
-    conj = unitary @ local @ unitary.conj().T
-    od_res = offdiag_norm(conj)
+    v_diag = diag_part(V + _border_dense((rest_r, rest_l), Q))
+    s_total = np.zeros((dim, dim), dtype=complex)
+    s_total[:, 0] = X
+    s_total[0, :] -= X.conj()
+    local = G + t * V
+    conj = _rotate(local, X)
     drift = float(
         np.max(np.abs(np.linalg.eigvalsh(conj) - np.linalg.eigvalsh(local)))
     )
     return StepOperators(
         rect=J,
         g=g,
+        v1=v1,
         e0=e0,
-        s_terms=s_terms,
-        v_terms=v_terms,
+        generators=list(xs),
+        basis=Q[:, :width].copy(),
+        v_borders=v_borders,
         s_total=LocalOp(J, s_total, v1.M),
         v_diag_total=LocalOp(J, v_diag, v1.M),
         tail_bound=tail_bound,
         tail_certified=certified,
         gap=gap,
         v1_norm=v1_norm,
+        s_norm=float(np.linalg.norm(X)),
         term_norms=term_norms,
         majorant=maj,
-        unitary=unitary,
-        od_residual=od_res,
+        unitary=generator_exponential(X),
+        od_residual=offdiag_norm(conj),
         spectrum_drift=drift,
     )

@@ -127,7 +127,10 @@ def offdiag_part(matrix: np.ndarray) -> np.ndarray:
 
 
 def offdiag_norm(matrix: np.ndarray) -> float:
-    return float(np.linalg.norm(offdiag_part(matrix), 2))
+    """Operator norm of the off-block part c e0^+ + e0 r (c, r^+ orthogonal
+    to e0). Its Gram matrix is ||c||^2 E_00 + r^+ r, so the norm is exactly
+    max(||c||, ||r||)."""
+    return float(max(np.linalg.norm(matrix[1:, 0]), np.linalg.norm(matrix[0, 1:])))
 
 
 def op_norm(op: LocalOp | np.ndarray) -> float:

@@ -1,10 +1,18 @@
 """Flow driver: step application, recombination, consistency, full runs."""
 
+import dataclasses
+from math import factorial
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from gapflow import flow
 from gapflow.flow import (
+    PRUNE_THRESHOLD,
     InteractionMap,
+    StepRecord,
     apply_step,
     assemble_hamiltonian,
     consistency_check,
@@ -15,13 +23,22 @@ from gapflow.flow import (
 )
 from gapflow.geometry import LatticeSpec, Rect, compare_step, enumerate_steps
 from gapflow.model import ModelSpec, build_hamiltonian, default_onsite, random_model
-from gapflow.schwinger import GapError
+from gapflow.schwinger import (
+    GapError,
+    _commutator,
+    _series_tail,
+    check_g_gap,
+    majorants,
+)
 from gapflow.tensor import (
     LocalOp,
     SiteSpace,
+    diag_part,
     embed,
     hermitian_spectrum,
     offdiag_norm,
+    offdiag_part,
+    op_norm,
     projector_minus,
     projector_plus,
 )
@@ -46,6 +63,31 @@ class TestInteractionMap:
         imap = InteractionMap()
         with pytest.raises(ValueError, match="does not match"):
             imap.set(Rect((1,), (1,)), LocalOp(Rect((1,), (2,)), np.eye(4), 2))
+
+    @pytest.mark.parametrize(
+        "mat, svd",
+        [
+            # Frobenius norm just below the threshold: pruned without an SVD
+            pytest.param(np.diag([1 - 1e-9, 0, 0, 0]), False, id="below threshold"),
+            # Frobenius norm just above it: the SVD decides, either way
+            pytest.param(np.diag([0.5 + 1e-9, 0.5, 0.5, 0.5]), True, id="above threshold, spread"),
+            pytest.param(np.diag([1 + 1e-9, 0, 0, 0]), True, id="above threshold, rank one"),
+            # just below sqrt(n) times the threshold the SVD still decides;
+            # just above it the entry is kept without one
+            pytest.param(np.diag([1 - 1e-9] * 4), True, id="below sqrt(n) bound"),
+            pytest.param(np.diag([1 + 1e-9] * 4), False, id="above sqrt(n) bound"),
+        ],
+    )
+    def test_prune_bounds(self, monkeypatch, mat, svd):
+        edge = Rect((1,), (1,))
+        op = LocalOp(edge, PRUNE_THRESHOLD * mat, 2)
+        keep = np.linalg.norm(op.matrix, 2) > PRUNE_THRESHOLD
+        calls = []
+        monkeypatch.setattr(flow, "op_norm", lambda a: calls.append(1) or op_norm(a))
+        imap = InteractionMap()
+        imap.set(edge, op)
+        assert (edge in imap) == keep
+        assert bool(calls) == svd
 
 
 class TestApplyStep:
@@ -251,6 +293,109 @@ class TestRunFlow:
         w0 = hermitian_spectrum(build_hamiltonian(spec))
         w1 = hermitian_spectrum(assemble_hamiltonian(state, spec))
         assert np.max(np.abs(w0 - w1)) < 1e-8
+
+
+def dense_step_series(J, g, e0, v1, t, j_max=12):
+    """The step series with dense n x n chain tables, a dense resolvent and
+    expm: the reference path for whole flows."""
+    G = g.matrix
+    dim = G.shape[0]
+    gap = check_g_gap(g, e0, J)
+    w, U = np.linalg.eigh(G[1:, 1:])
+    resolvent = np.zeros((dim, dim), dtype=complex)
+    resolvent[1:, 1:] = U @ np.diag(1.0 / (w - e0)) @ U.conj().T
+    v1_norm = op_norm(v1)
+    maj = majorants(v1_norm, j_max) if v1_norm > 0 else None
+    s_terms, term_norms = [], []
+    g_tab, v_tab = {}, {}
+
+    def g_chain(p, m):
+        if p == 1:
+            return _commutator(s_terms[m - 1], G)
+        if (p, m) not in g_tab:
+            g_tab[(p, m)] = sum(
+                _commutator(s_terms[r - 1], g_chain(p - 1, m - r)) for r in range(1, m - p + 2)
+            )
+        return g_tab[(p, m)]
+
+    def v_chain(p, m):
+        if p == 0:
+            return v1.matrix if m == 0 else np.zeros((dim, dim), dtype=complex)
+        if (p, m) not in v_tab:
+            v_tab[(p, m)] = sum(
+                _commutator(s_terms[r - 1], v_chain(p - 1, m - r)) for r in range(1, m - p + 2)
+            )
+        return v_tab[(p, m)]
+
+    v_diag = np.zeros((dim, dim), dtype=complex)
+    s_total = np.zeros((dim, dim), dtype=complex)
+    for j in range(1, j_max + 1):
+        vj = v1.matrix.copy() if j == 1 else np.zeros((dim, dim), dtype=complex)
+        for p in range(2, j + 1):
+            vj += g_chain(p, j) / factorial(p)
+        for p in range(1, j):
+            vj += v_chain(p, j - 1) / factorial(p)
+        term_norms.append(float(np.linalg.norm(vj, 2)))
+        x = np.zeros((dim, dim), dtype=complex)
+        x[:, 0] = resolvent @ vj[:, 0]
+        s_terms.append(x - x.conj().T)
+        v_diag += t ** (j - 1) * diag_part(vj)
+        s_total += t**j * s_terms[-1]
+    tail_bound, certified = (
+        _series_tail(term_norms, t, maj, j_max) if maj is not None else (0.0, True)
+    )
+    unitary = expm(s_total)
+    local = G + t * v1.matrix
+    conj = unitary @ local @ unitary.conj().T
+    return SimpleNamespace(
+        e0=e0,
+        gap=gap,
+        v1_norm=v1_norm,
+        s_norm=op_norm(s_total),
+        tail_bound=tail_bound,
+        tail_certified=certified,
+        term_norms=term_norms,
+        majorant=maj,
+        s_total=LocalOp(J, s_total, v1.M),
+        v_diag_total=LocalOp(J, v_diag, v1.M),
+        unitary=unitary,
+        od_residual=float(np.linalg.norm(offdiag_part(conj), 2)),
+        spectrum_drift=float(
+            np.max(np.abs(np.linalg.eigvalsh(conj) - np.linalg.eigvalsh(local)))
+        ),
+    )
+
+
+def assert_close(got, want, tol=1e-12):
+    if isinstance(want, LocalOp):
+        assert got.support == want.support
+        got, want = got.matrix, want.matrix
+    if isinstance(want, (float, list, np.ndarray)):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+        assert np.max(np.abs(got - want), initial=0.0) <= tol * scale
+    else:
+        assert got == want
+
+
+class TestDensePathAgreement:
+    @pytest.mark.parametrize("d, N, t", [(1, 6, 0.05), (3, 2, 0.02)])
+    def test_flow_matches_dense_series(self, monkeypatch, d, N, t):
+        spec = random_model(LatticeSpec(d, N), 2, t, seed=1)
+        fast = run_flow(spec, check_consistency="every-step")
+        monkeypatch.setattr(flow, "lie_schwinger_series", dense_step_series)
+        dense = run_flow(spec, check_consistency="every-step")
+        assert (fast.status, fast.failures) == (dense.status, dense.failures)
+        assert len(fast.history) == len(dense.history)
+        for a, b in zip(fast.history, dense.history):
+            for f in dataclasses.fields(StepRecord):
+                assert_close(getattr(a, f.name), getattr(b, f.name))
+        assert fast.interactions.entries.keys() == dense.interactions.entries.keys()
+        for key, op in dense.interactions.items():
+            assert_close(fast.interactions.get(key), op)
+        for (ra, sa), (rb, sb) in zip(fast.generator_log, dense.generator_log):
+            assert_close(sa, sb)
 
 
 class TestRegimes:

@@ -4,6 +4,8 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from gapflow.geometry import LatticeSpec, Rect
@@ -14,11 +16,19 @@ from gapflow.schwinger import (
     adjoint_power,
     assemble_g,
     check_g_gap,
+    generator_exponential,
     lie_schwinger_series,
     majorant_constant,
     majorants,
 )
-from gapflow.tensor import LocalOp, SiteSpace, offdiag_norm, offdiag_part, op_norm
+from gapflow.tensor import (
+    LocalOp,
+    SiteSpace,
+    diag_part,
+    offdiag_norm,
+    offdiag_part,
+    op_norm,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -125,6 +135,63 @@ def composition_sum_vj(G, V, S, j):
     return acc
 
 
+def dense_series_oracle(G, V, e0, t, j_max):
+    """The step series with dense matrices throughout: every v_j as the
+    literal composition sum, x_j from a dense resolvent, exp(S) from expm
+    and the off-block norm from an SVD."""
+    dim = G.shape[0]
+    w, U = np.linalg.eigh(G[1:, 1:])
+    resolvent = np.zeros((dim, dim), dtype=complex)
+    resolvent[1:, 1:] = U @ np.diag(1.0 / (w - e0)) @ U.conj().T
+    S, v_terms = {}, []
+    for j in range(1, j_max + 1):
+        vj = composition_sum_vj(G, V, S, j)
+        v_terms.append(vj)
+        x = np.zeros((dim, dim), dtype=complex)
+        x[:, 0] = resolvent @ vj[:, 0]
+        S[j] = x - x.conj().T
+    s_total = sum(t**j * S[j] for j in S)
+    local = G + t * V
+    u = expm(s_total)
+    conj = u @ local @ u.conj().T
+    return {
+        "s_terms": [S[j] for j in sorted(S)],
+        "v_terms": v_terms,
+        "term_norms": [np.linalg.norm(vj, 2) for vj in v_terms],
+        "v_diag_total": sum(t ** (j - 1) * diag_part(vj) for j, vj in enumerate(v_terms, 1)),
+        "od_residual": np.linalg.norm(offdiag_part(conj), 2),
+        "spectrum_drift": np.max(
+            np.abs(np.linalg.eigvalsh(conj) - np.linalg.eigvalsh(local))
+        ),
+    }
+
+
+def gapped_step(M, n_sites, e0, seed):
+    """A random already-diagonal G that fixes the vacuum with energy e0 and
+    has its excited block at least 1/2 above it, and a unit-norm Hermitian
+    potential on the same rectangle."""
+    rng = np.random.default_rng(seed)
+    rect = Rect((n_sites - 1,), (1,))
+    dim = M**n_sites
+    raw = rng.standard_normal((dim - 1, dim - 1)) + 1j * rng.standard_normal((dim - 1, dim - 1))
+    basis, _ = np.linalg.qr(raw)
+    levels = e0 + rng.uniform(0.5, 3.0, dim - 1)
+    G = np.zeros((dim, dim), dtype=complex)
+    G[0, 0] = e0
+    G[1:, 1:] = basis @ np.diag(levels) @ basis.conj().T
+    G = (G + G.conj().T) / 2
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    V = (raw + raw.conj().T) / 2
+    V /= np.linalg.norm(V, 2)
+    return rect, LocalOp(rect, G, M), LocalOp(rect, V, M)
+
+
+def relative_gap(got, want):
+    return np.linalg.norm(np.asarray(got) - np.asarray(want), 2) / max(
+        1.0, np.linalg.norm(np.asarray(want), 2)
+    )
+
+
 class TestSeries:
     def test_block_diagonal_input_passes_through(self):
         v = np.diag([0.3, -0.2, 0.5, 0.1])
@@ -140,18 +207,19 @@ class TestSeries:
         expected = np.zeros((4, 4), dtype=complex)
         expected[3, 0] = 0.5
         expected[0, 3] = -0.5
-        assert np.linalg.norm(ops.s_terms[0] - expected, 2) < 1e-14
+        assert np.linalg.norm(ops.dense_terms()[0][0] - expected, 2) < 1e-14
 
     def test_terms_match_composition_sum_oracle(self):
         ops, g, e0, v1 = edge_series(0.05, seed=7, j_max=8)
-        S = {r + 1: ops.s_terms[r] for r in range(len(ops.s_terms))}
+        s_terms, v_terms = ops.dense_terms()
+        S = {r + 1: s for r, s in enumerate(s_terms)}
         for j in range(1, 9):
             expected = composition_sum_vj(g.matrix, v1.matrix, S, j)
-            assert np.linalg.norm(expected - ops.v_terms[j - 1], 2) < 1e-12
+            assert np.linalg.norm(expected - v_terms[j - 1], 2) < 1e-12
 
     def test_generators_strictly_offdiagonal(self):
         ops, *_ = edge_series(0.05, seed=8)
-        for sj in ops.s_terms:
+        for sj in ops.dense_terms()[0]:
             assert np.linalg.norm(sj - offdiag_part(sj), 2) < 1e-15
 
     def test_anti_hermitian_total(self):
@@ -162,7 +230,7 @@ class TestSeries:
     def test_generator_norm_vs_term_norm(self):
         ops, *_ = edge_series(0.05, seed=10)
         assert ops.gap >= 0.5
-        for sj, vj in zip(ops.s_terms, ops.v_terms):
+        for sj, vj in zip(*ops.dense_terms()):
             assert np.linalg.norm(sj, 2) <= 4 * np.linalg.norm(vj, 2) + 1e-14
 
     def test_conjugation_block_diagonalizes(self):
@@ -191,14 +259,87 @@ class TestSeries:
         for seed in range(20):
             t = 0.05
             ops, *_ = edge_series(t, seed=seed, j_max=10)
-            rest = sum(
-                t**j * ops.s_terms[j - 1] for j in range(2, len(ops.s_terms) + 1)
-            )
+            s_terms = ops.dense_terms()[0]
+            rest = sum(t**j * s_terms[j - 1] for j in range(2, len(s_terms) + 1))
             assert np.linalg.norm(rest, 2) <= C_REF * t**2 * ops.v1_norm**2
 
     def test_diverging_coupling_raises(self):
         with pytest.raises(ConvergenceError, match="convergence"):
             edge_series(3.0, seed=14, j_max=12)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]),
+        e0=st.floats(-1.0, 1.0),
+        t=st.one_of(st.just(0.0), st.floats(-0.9, 0.9)),
+        j_max=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_oracle(self, shape, e0, t, j_max, seed):
+        # t is drawn in units of the certified radius, so every draw has a
+        # tail certificate; the series itself does not depend on t
+        M, n_sites = shape
+        rect, g, v1 = gapped_step(M, n_sites, e0, seed)
+        t *= majorants(1.0, 1).radius_lower_bound
+        ops = lie_schwinger_series(rect, g, e0, v1, t, j_max=j_max)
+        want = dense_series_oracle(g.matrix, v1.matrix, e0, t, j_max)
+        s_terms, v_terms = ops.dense_terms()
+        assert len(s_terms) == len(v_terms) == len(ops.term_norms) == j_max
+        for got, ref in zip(s_terms, want["s_terms"]):
+            assert relative_gap(got, ref) < 1e-12
+        for got, ref in zip(v_terms, want["v_terms"]):
+            assert relative_gap(got, ref) < 1e-12
+        for got, ref in zip(ops.term_norms, want["term_norms"]):
+            assert abs(got - ref) < 1e-12 * max(1.0, ref)
+        assert relative_gap(ops.v_diag_total.matrix, want["v_diag_total"]) < 1e-12
+        assert abs(ops.od_residual - want["od_residual"]) < 1e-12
+        assert abs(ops.spectrum_drift - want["spectrum_drift"]) < 1e-12
+        # the stored basis is orthonormal, starts at e0 and spans every generator
+        Q = ops.basis
+        assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1]), 2) < 1e-13
+        assert np.array_equal(Q[:, 0], np.eye(Q.shape[0])[:, 0])
+        assert Q.shape[1] <= min(Q.shape[0], j_max)
+        for x in ops.generators[:-1]:
+            assert np.linalg.norm(x - Q @ (Q.conj().T @ x)) <= 1e-13 * max(1.0, np.linalg.norm(x))
+
+    def test_borders_vanish_off_the_generator_span(self):
+        # P v_j P = 0 for P the projection off span(e0, x_1, .., x_{j-1})
+        rect, g, v1 = gapped_step(2, 4, 0.0, seed=5)
+        ops = lie_schwinger_series(rect, g, 0.0, v1, 0.005, j_max=8)
+        _, v_terms = ops.dense_terms()
+        for j in range(2, 9):
+            Q = ops.basis[:, :j]
+            P = np.eye(Q.shape[0]) - Q @ Q.conj().T
+            vj = v_terms[j - 1]
+            assert np.linalg.norm(P @ vj @ P, 2) < 1e-14 * np.linalg.norm(vj, 2)
+
+    def test_s_norm_and_unitary(self):
+        ops, *_ = edge_series(0.05, seed=15)
+        s = ops.s_total.matrix
+        assert ops.s_norm == pytest.approx(np.linalg.norm(s, 2), rel=1e-13)
+        assert np.linalg.norm(ops.unitary - expm(s), 2) < 1e-14
+
+
+class TestGeneratorExponential:
+    @pytest.mark.parametrize("theta", [0.0, 1e-9, 0.7, 1.3])
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_matches_expm(self, theta, M):
+        rng = np.random.default_rng(int(theta * 1e3) + M)
+        dim = M**2
+        x = np.zeros(dim, dtype=complex)
+        x[1:] = rng.standard_normal(dim - 1) + 1j * rng.standard_normal(dim - 1)
+        x *= theta / np.linalg.norm(x)
+        s = np.zeros((dim, dim), dtype=complex)
+        s[:, 0] = x
+        s[0, :] -= x.conj()
+        u = generator_exponential(x)
+        assert np.linalg.norm(u - expm(s), 2) < 1e-15
+        assert np.linalg.norm(u @ u.conj().T - np.eye(dim), 2) < 1e-14
+
+    def test_rejects_vacuum_component(self):
+        with pytest.raises(ValueError, match="orthogonal to the vacuum"):
+            generator_exponential(np.array([0.1, 0.2, 0.0, 0.0]))
 
 
 class TestMajorants:

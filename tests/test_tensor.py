@@ -10,6 +10,8 @@ from gapflow.tensor import (
     embed,
     hermitian_spectrum,
     identity_op,
+    offdiag_norm,
+    offdiag_part,
     op_norm,
     projector_minus,
     projector_plus,
@@ -181,3 +183,23 @@ class TestNormsAndSpectra:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
             LocalOp(Rect((1,), (1,)), np.eye(3), 2)
+
+
+class TestOffdiagNorm:
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_matches_svd_of_offblock_part(self, M):
+        rng = np.random.default_rng(40 + M)
+        for n_sites in (1, 2, 3):
+            dim = M**n_sites
+            for side in ("both", "column", "row"):
+                mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                mat *= 10.0 ** rng.uniform(-6, 3)
+                if side == "column":
+                    mat[0, 1:] = 0.0
+                elif side == "row":
+                    mat[1:, 0] = 0.0
+                svd = np.linalg.norm(offdiag_part(mat), 2)
+                assert abs(offdiag_norm(mat) - svd) <= 1e-12 * svd
+
+    def test_block_diagonal_is_zero(self):
+        assert offdiag_norm(np.diag([1.0, 2.0, 3.0, 4.0])) == 0.0
