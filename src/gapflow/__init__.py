@@ -3,7 +3,6 @@
 from .geometry import (
     LatticeSpec,
     Rect,
-    circumference,
     compare_step,
     count_shapes,
     enumerate_steps,
@@ -36,7 +35,6 @@ from .schwinger import (
 )
 from .flow import (
     FlowState,
-    InteractionMap,
     Tolerances,
     apply_step,
     assemble_hamiltonian,

@@ -46,7 +46,6 @@ _TOP_KEYS = {
     "onsite",
     "potentials",
     "j_max",
-    "n_max",
     "tolerances",
     "checks",
     "output",
@@ -71,7 +70,6 @@ class RunConfig:
     onsite: str | list = "default"
     potentials: str | list = "random"
     j_max: int = 12
-    n_max: int = 20  # reserved for a truncated commutator-series fallback
     tolerances: Tolerances = field(default_factory=Tolerances)
     consistency_mode: str = "auto"
     run_inequalities: bool = False
@@ -138,7 +136,6 @@ def parse_config(path: str) -> RunConfig:
         onsite=onsite,
         potentials=potentials,
         j_max=int(raw.get("j_max", 12)),
-        n_max=int(raw.get("n_max", 20)),
         tolerances=tol,
         consistency_mode=mode,
         run_inequalities=bool(checks.get("inequalities", False)),

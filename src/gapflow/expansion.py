@@ -15,10 +15,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .flow import FlowState
 from .geometry import LatticeSpec, Rect, enumerate_steps, g_set, minimal_rectangle
+from .schwinger import generator_exponential
 from .tensor import LocalOp, embed, op_norm
 
 BRANCH_PRUNE_NORM = 1e-14
@@ -30,7 +30,8 @@ class Branch:
 
     ``labels`` are the generator rectangles, outermost application first
     (strictly descending in the flow order); ``leaf`` is the support of the
-    potential the commutator maps act on.
+    potential the commutator maps act on. ``norm`` is the operator norm of
+    ``op``, taken once when the branch is made.
     """
 
     labels: tuple[Rect, ...]
@@ -38,6 +39,7 @@ class Branch:
     leaf_kind: str  # "diagonalized" or "initial"
     leaf_norm: float
     op: LocalOp
+    norm: float
 
     @property
     def rects(self) -> tuple[Rect, ...]:
@@ -248,10 +250,11 @@ class _Expander:
         self.steps = enumerate_steps(lat)
         self.initial_map = state.initial_map
         self.case_b = {rec.rect: rec.case_b_value for rec in state.history}
-        self.generators = {rect: s for rect, s in state.generator_log}
+        self.generators = dict(state.generator_log)
+        self.M = state.spec.M
         self.depth_limit = depth_limit
         self.memo: dict[tuple[int, Rect], list[Branch]] = {}
-        self.unitaries: dict[Rect, np.ndarray] = {}
+        self.unitaries: dict[Rect, LocalOp] = {}
         self.measured_c = 0.0
         self.t = state.spec.t
         self.v1_norms = {
@@ -261,13 +264,14 @@ class _Expander:
 
     def unitary_on(self, label: Rect, common: Rect) -> np.ndarray:
         if label not in self.unitaries:
-            self.unitaries[label] = expm(self.generators[label].matrix)
-        u = self.unitaries[label]
-        M = self.generators[label].M
-        return embed(LocalOp(label, u, M), common).matrix
+            u = generator_exponential(self.generators[label])
+            self.unitaries[label] = LocalOp(label, u, self.M)
+        return embed(self.unitaries[label], common).matrix
 
-    def apply_a(self, label: Rect, x: LocalOp) -> LocalOp | None:
-        """Commutator series of the step generator applied to x; None if zero."""
+    def apply_a(self, label: Rect, sub: Branch) -> Branch | None:
+        """The branch one level up: the commutator series of the step
+        generator applied to the branch operator; None if that is zero."""
+        x = sub.op
         if label not in self.generators:
             return None
         if not label.overlaps(x.support):
@@ -280,10 +284,16 @@ class _Expander:
         nrm = op_norm(result)
         if nrm <= BRANCH_PRUNE_NORM:
             return None
-        denom = self.t * self.v1_norms.get(label, 0.0) * op_norm(x)
+        denom = self.t * self.v1_norms.get(label, 0.0) * sub.norm
         if denom > 0:
             self.measured_c = max(self.measured_c, nrm / denom)
-        return result
+        return Branch((label,) + sub.labels, sub.leaf, sub.leaf_kind, sub.leaf_norm, result, nrm)
+
+    def leaf(self, support: Rect, kind: str, op: LocalOp | None) -> list[Branch]:
+        if op is None:
+            return []
+        nrm = op_norm(op)
+        return [Branch((), support, kind, nrm, op, nrm)]
 
     def expand(self, level: int, support: Rect, depth: int) -> list[Branch]:
         if self.depth_limit is not None and depth > self.depth_limit:
@@ -295,19 +305,13 @@ class _Expander:
         if memoize and key in self.memo:
             return self.memo[key]
         if level < 0:
-            op = self.initial_map.get(support)
-            out = [] if op is None else [Branch((), support, "initial", op_norm(op), op)]
+            out = self.leaf(support, "initial", self.initial_map.get(support))
             if memoize:
                 self.memo[key] = out
             return out
         step = self.steps[level]
         if step == support:
-            op = self.case_b.get(step)
-            out = (
-                []
-                if op is None
-                else [Branch((), support, "diagonalized", op_norm(op), op)]
-            )
+            out = self.leaf(support, "diagonalized", self.case_b.get(step))
             if memoize:
                 self.memo[key] = out
             return out
@@ -316,18 +320,9 @@ class _Expander:
             members = g_set(step, support, self.lat) | {support}
             for member in sorted(members, key=lambda r: (r.k, r.q)):
                 for sub in self.expand(level - 1, member, depth + 1):
-                    new_op = self.apply_a(step, sub.op)
-                    if new_op is None:
-                        continue
-                    out.append(
-                        Branch(
-                            (step,) + sub.labels,
-                            sub.leaf,
-                            sub.leaf_kind,
-                            sub.leaf_norm,
-                            new_op,
-                        )
-                    )
+                    branch = self.apply_a(step, sub)
+                    if branch is not None:
+                        out.append(branch)
         if memoize:
             self.memo[key] = out
         return out
@@ -392,7 +387,7 @@ def weighted_branch_sum(
     lhs = 0.0
     rhs = 0.0
     for b in expansion.branches:
-        lhs += op_norm(b.op)
+        lhs += b.norm
         w = b.leaf_norm
         for label in b.labels:
             w *= cc * t * v1_norms[label]

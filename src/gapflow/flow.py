@@ -10,7 +10,7 @@ together with the step rectangle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .schwinger import (
     StepOperators,
     assemble_g,
     check_g_gap,
+    generator_exponential,
     lie_schwinger_series,
 )
 from .tensor import LocalOp, embed, op_norm
@@ -34,54 +35,31 @@ from .tensor import LocalOp, embed, op_norm
 PRUNE_THRESHOLD = 1e-14
 
 
-class InteractionMap:
-    """Association rectangle -> stored potential; absence means zero.
-
-    Entries with norm below the prune threshold are dropped on insertion.
-    Updates return new maps; entry matrices are shared, never mutated.
-    """
-
-    def __init__(self, entries: dict[Rect, LocalOp] | None = None):
-        self.entries: dict[Rect, LocalOp] = {}
-        if entries:
-            for key, op in entries.items():
-                self.set(key, op)
-
-    def set(self, key: Rect, op: LocalOp) -> None:
-        if op.support != key:
-            raise ValueError(f"entry support {op.support} does not match key {key}")
-        # ||A|| <= ||A||_F <= sqrt(n) ||A||: the SVD runs only when the
-        # Frobenius norm leaves the decision open
-        fro = float(np.linalg.norm(op.matrix))
-        keep = fro > PRUNE_THRESHOLD and (
-            fro > PRUNE_THRESHOLD * np.sqrt(op.dim) or op_norm(op) > PRUNE_THRESHOLD
-        )
-        if keep:
-            self.entries[key] = op
-        else:
-            self.entries.pop(key, None)
-
-    def get(self, key: Rect) -> LocalOp | None:
-        return self.entries.get(key)
-
-    def items(self):
-        return self.entries.items()
-
-    def copy(self) -> "InteractionMap":
-        new = InteractionMap()
-        new.entries = dict(self.entries)
-        return new
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, key: Rect) -> bool:
-        return key in self.entries
+def set_entry(interactions: dict[Rect, LocalOp], key: Rect, op: LocalOp) -> None:
+    """Store ``op`` under ``key`` in an interaction map (rectangle -> stored
+    potential; absence means zero), or drop the key if ``op``'s norm is
+    below the prune threshold. Entry matrices are shared, never mutated."""
+    if op.support != key:
+        raise ValueError(f"entry support {op.support} does not match key {key}")
+    # ||A|| <= ||A||_F <= sqrt(n) ||A||: the SVD runs only when the
+    # Frobenius norm leaves the decision open
+    fro = float(np.linalg.norm(op.matrix))
+    keep = fro > PRUNE_THRESHOLD and (
+        fro > PRUNE_THRESHOLD * np.sqrt(op.dim) or op_norm(op) > PRUNE_THRESHOLD
+    )
+    if keep:
+        interactions[key] = op
+    else:
+        interactions.pop(key, None)
 
 
 @dataclass
 class StepRecord:
-    """Per-step diagnostics and the data needed to replay the step later."""
+    """Per-step diagnostics and the data needed to replay the step later.
+
+    A skipped step (no stored potential on its rectangle) keeps the zero
+    defaults of the series fields.
+    """
 
     index: int
     rect: Rect
@@ -89,13 +67,13 @@ class StepRecord:
     g_gap: float
     e0: float
     e0_cross: float
-    s_norm: float
-    v1_norm: float
-    tail_bound: float
-    tail_certified: bool
-    od_residual: float
-    spectrum_drift: float
     regime: str
+    s_norm: float = 0.0
+    v1_norm: float = 0.0
+    tail_bound: float = 0.0
+    tail_certified: bool = True
+    od_residual: float = 0.0
+    spectrum_drift: float = 0.0
     term_norms: list[float] = field(default_factory=list)
     majorant_b: list[float] = field(default_factory=list)
     case_b_value: LocalOp | None = None
@@ -105,27 +83,33 @@ class StepRecord:
 
 @dataclass
 class FlowState:
-    """Flow progress: last completed step, current map, generators, diagnostics."""
+    """Flow progress: last completed step, current map, generators, diagnostics.
+
+    ``generator_log`` holds, per non-skipped step, the step rectangle and
+    the vector X of its generator S = X e0^+ - e0 X^+.
+    """
 
     spec: ModelSpec
     step: Rect
-    interactions: InteractionMap
-    generator_log: list[tuple[Rect, LocalOp]] = field(default_factory=list)
+    interactions: dict[Rect, LocalOp]
+    generator_log: list[tuple[Rect, np.ndarray]] = field(default_factory=list)
     history: list[StepRecord] = field(default_factory=list)
-    map_snapshots: list[InteractionMap] | None = None
-    initial_map: InteractionMap | None = None
+    map_snapshots: list[dict[Rect, LocalOp]] | None = None
+    initial_map: dict[Rect, LocalOp] | None = None
     status: str = "running"
     failures: list[str] = field(default_factory=list)
 
 
 def initial_state(spec: ModelSpec, keep_history: bool = False) -> FlowState:
-    imap = InteractionMap(initial_interactions(spec))
+    imap: dict[Rect, LocalOp] = {}
+    for key, op in initial_interactions(spec).items():
+        set_entry(imap, key, op)
     return FlowState(
         spec=spec,
         step=initial_step(spec.lat),
         interactions=imap,
         map_snapshots=[] if keep_history else None,
-        initial_map=imap.copy(),
+        initial_map=dict(imap),
     )
 
 
@@ -145,7 +129,7 @@ def regime_of(J_step: Rect, J_target: Rect) -> str:
     return "R2"
 
 
-def _vacuum_cross_energy(J: Rect, interactions: InteractionMap, t: float) -> float:
+def _vacuum_cross_energy(J: Rect, interactions: dict[Rect, LocalOp], t: float) -> float:
     """Independent vacuum energy: t times the summed vacuum expectations of
     every strictly smaller stored potential (on-site terms contribute zero)."""
     total = 0.0
@@ -155,81 +139,19 @@ def _vacuum_cross_energy(J: Rect, interactions: InteractionMap, t: float) -> flo
     return t * total
 
 
-def apply_step(
-    state: FlowState,
-    J: Rect,
-    spec: ModelSpec,
-    j_max: int = 12,
-    force: bool = False,
-) -> tuple[FlowState, StepOperators | None]:
-    """Advance the flow by the single step labelled ``J``."""
-    from .geometry import successor
-
-    expected = successor(state.step, spec.lat)
-    if expected != J:
-        raise ValueError(f"steps must run in order: expected {expected}, got {J}")
-    index = len(state.history)
-    regime = regime_of(J, spec.lat.full_rect())
-
-    v1 = state.interactions.get(J)
-    if v1 is None:
-        # nothing to rotate, but the inductive gap claim still concerns this
-        # step's local operator
-        g, e0 = assemble_g(J, dict(state.interactions.items()), spec.t)
-        gap = check_g_gap(g, e0, J)
-        if gap < GAP_FLOOR and not force:
-            raise GapError(
-                f"gap of the local operator on {J} is {gap:.6g} < {GAP_FLOOR}; "
-                "the inductive gap hypothesis fails at this coupling"
-            )
-        record = StepRecord(
-            index=index,
-            rect=J,
-            circumference=J.circumference,
-            g_gap=gap,
-            e0=e0,
-            e0_cross=_vacuum_cross_energy(J, state.interactions, spec.t),
-            s_norm=0.0,
-            v1_norm=0.0,
-            tail_bound=0.0,
-            tail_certified=True,
-            od_residual=0.0,
-            spectrum_drift=0.0,
-            regime=regime,
-            skipped=True,
-        )
-        new_state = FlowState(
-            spec=spec,
-            step=J,
-            interactions=state.interactions,
-            generator_log=list(state.generator_log),
-            history=state.history + [record],
-            map_snapshots=state.map_snapshots,
-            initial_map=state.initial_map,
-            status=state.status,
-            failures=list(state.failures),
-        )
-        if new_state.map_snapshots is not None:
-            new_state.map_snapshots.append(new_state.interactions.copy())
-        return new_state, None
-
-    g, e0 = assemble_g(J, dict(state.interactions.items()), spec.t)
-    e0_cross = _vacuum_cross_energy(J, state.interactions, spec.t)
-    ops = lie_schwinger_series(J, g, e0, v1, spec.t, j_max=j_max)
-    if ops.gap < GAP_FLOOR and not force:
-        raise GapError(
-            f"gap of the local operator on {J} is {ops.gap:.6g} < {GAP_FLOOR}; "
-            "the inductive gap hypothesis fails at this coupling"
-        )
-
-    new_map = state.interactions.copy()
-    new_map.set(J, ops.v_diag_total)
+def _transform_map(
+    interactions: dict[Rect, LocalOp], J: Rect, ops: StepOperators
+) -> dict[Rect, LocalOp]:
+    """The map after the step on ``J``, as described in the module docstring."""
+    M = ops.v1.M
+    new_map = dict(interactions)
+    set_entry(new_map, J, ops.v_diag_total)
 
     # every target strictly containing the step rectangle gets conjugated;
     # overlapping non-nested entries feed their commutator series into the
     # minimal rectangle they span together with the step rectangle
     contributions: dict[Rect, np.ndarray] = {}
-    for key, op in state.interactions.items():
+    for key, op in interactions.items():
         if key == J or not key.overlaps(J):
             continue
         if key.contains(J) or J.contains(key):
@@ -240,51 +162,88 @@ def apply_step(
         contributions[target] += x
 
     targets = set(contributions)
-    targets.update(
-        key for key, _ in state.interactions.items() if key.contains(J) and key != J
-    )
+    targets.update(key for key in interactions if key.contains(J) and key != J)
+    u_step = LocalOp(J, generator_exponential(ops.generator), M)
     for target in targets:
-        u = embed(LocalOp(J, ops.unitary, v1.M), target).matrix
-        old = state.interactions.get(target)
+        u = embed(u_step, target).matrix
+        old = interactions.get(target)
         base = embed(old, target).matrix if old is not None else None
         extra = contributions.get(target)
         y = (base if base is not None else 0) + (extra if extra is not None else 0)
         new_val = u @ y @ u.conj().T
         if extra is not None:
             new_val = new_val - extra
-        new_map.set(target, LocalOp(target, new_val, v1.M))
+        set_entry(new_map, target, LocalOp(target, new_val, M))
+    return new_map
 
+
+def apply_step(
+    state: FlowState,
+    J: Rect,
+    spec: ModelSpec,
+    j_max: int = 12,
+    force: bool = False,
+) -> tuple[FlowState, StepOperators | None]:
+    """Advance the flow by the single step labelled ``J``.
+
+    A step with no stored potential on ``J`` rotates nothing and returns
+    ``None`` for its operators, but its gap is still checked: the inductive
+    gap claim concerns the step's local operator either way.
+    """
+    from .geometry import successor
+
+    expected = successor(state.step, spec.lat)
+    if expected != J:
+        raise ValueError(f"steps must run in order: expected {expected}, got {J}")
+
+    v1 = state.interactions.get(J)
+    g, e0 = assemble_g(J, state.interactions, spec.t)
+    e0_cross = _vacuum_cross_energy(J, state.interactions, spec.t)
+    ops = None if v1 is None else lie_schwinger_series(J, g, e0, v1, spec.t, j_max=j_max)
+    gap = check_g_gap(g, e0, J) if ops is None else ops.gap
+    if gap < GAP_FLOOR and not force:
+        raise GapError(
+            f"gap of the local operator on {J} is {gap:.6g} < {GAP_FLOOR}; "
+            "the inductive gap hypothesis fails at this coupling"
+        )
+
+    series, logged, interactions = {}, [], state.interactions
+    if ops is not None:
+        series = dict(
+            s_norm=ops.s_norm,
+            v1_norm=ops.v1_norm,
+            tail_bound=ops.tail_bound,
+            tail_certified=ops.tail_certified,
+            od_residual=ops.od_residual,
+            spectrum_drift=ops.spectrum_drift,
+            term_norms=list(ops.term_norms),
+            majorant_b=list(ops.majorant.b[: len(ops.term_norms)]) if ops.majorant else [],
+            case_b_value=ops.v_diag_total,
+        )
+        interactions = _transform_map(state.interactions, J, ops)
+        logged = [(J, ops.generator)]
     record = StepRecord(
-        index=index,
+        index=len(state.history),
         rect=J,
         circumference=J.circumference,
-        g_gap=ops.gap,
-        e0=ops.e0,
+        g_gap=gap,
+        e0=e0,
         e0_cross=e0_cross,
-        s_norm=ops.s_norm,
-        v1_norm=ops.v1_norm,
-        tail_bound=ops.tail_bound,
-        tail_certified=ops.tail_certified,
-        od_residual=ops.od_residual,
-        spectrum_drift=ops.spectrum_drift,
-        regime=regime,
-        term_norms=list(ops.term_norms),
-        majorant_b=list(ops.majorant.b[: len(ops.term_norms)]) if ops.majorant else [],
-        case_b_value=ops.v_diag_total,
+        regime=regime_of(J, spec.lat.full_rect()),
+        skipped=ops is None,
+        **series,
     )
-    new_state = FlowState(
+    new_state = replace(
+        state,
         spec=spec,
         step=J,
-        interactions=new_map,
-        generator_log=state.generator_log + [(J, ops.s_total)],
+        interactions=interactions,
+        generator_log=state.generator_log + logged,
         history=state.history + [record],
-        map_snapshots=state.map_snapshots,
-        initial_map=state.initial_map,
-        status=state.status,
         failures=list(state.failures),
     )
     if new_state.map_snapshots is not None:
-        new_state.map_snapshots.append(new_map.copy())
+        new_state.map_snapshots.append(dict(interactions))
     return new_state, ops
 
 
@@ -305,20 +264,22 @@ def consistency_check(
     J: Rect,
     spec: ModelSpec,
 ) -> float:
-    """Norm distance between the recombined map and the honest conjugation."""
-    from scipy.linalg import expm
+    """Norm distance between the recombined map and the honest conjugation.
 
+    The honest conjugation applies exp(S_J) (x) I = exp(S_J (x) I), embedded
+    on the full lattice, to the whole previous operator, so it shares no
+    bookkeeping with the map update.
+    """
     assembled = assemble_hamiltonian(state_after, spec).matrix
     before = assemble_hamiltonian(state_before, spec).matrix
     if len(state_after.generator_log) == len(state_before.generator_log):
         # the step carried no potential, so nothing was conjugated
         return float(np.linalg.norm(assembled - before, 2))
-    rect, gen = state_after.generator_log[-1]
+    rect, x = state_after.generator_log[-1]
     if rect != J:
         raise ValueError(f"last generator belongs to {rect}, not to step {J}")
-    full = spec.lat.full_rect()
-    s_full = embed(gen, full).matrix
-    u = expm(s_full)
+    u_step = LocalOp(J, generator_exponential(x), spec.M)
+    u = embed(u_step, spec.lat.full_rect()).matrix
     conj = u @ before @ u.conj().T
     return float(np.linalg.norm(assembled - conj, 2))
 

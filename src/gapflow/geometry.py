@@ -67,6 +67,7 @@ class Rect:
 
     @property
     def circumference(self) -> int:
+        """Sum of the side lengths."""
         return sum(self.k)
 
     @property
@@ -102,11 +103,6 @@ class Rect:
             max(q1, q2) <= min(q1 + k1, q2 + k2)
             for k1, q1, k2, q2 in zip(self.k, self.q, other.k, other.q)
         )
-
-
-def circumference(r: Rect) -> int:
-    """Sum of the side lengths."""
-    return r.circumference
 
 
 def compare_step(a: Rect, b: Rect) -> int:

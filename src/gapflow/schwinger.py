@@ -128,8 +128,10 @@ class StepOperators:
     """Everything produced by one local block-diagonalization step.
 
     ``generators`` holds the vectors x_j of S_j = x_j e0^+ - e0 x_j^+, and
-    ``v_borders`` the coefficients v_j for j >= 2 as borders (R, L) with
-    v_j = Q R + L Q^+ for Q = ``basis``; v_1 is ``v1`` itself.
+    ``generator`` the vector X = sum_j t^j x_j of the step generator
+    S = X e0^+ - e0 X^+; ``generator_exponential(generator)`` is exp(S).
+    ``v_borders`` holds the coefficients v_j for j >= 2 as borders (R, L)
+    with v_j = Q R + L Q^+ for Q = ``basis``; v_1 is ``v1`` itself.
     """
 
     rect: Rect
@@ -137,9 +139,9 @@ class StepOperators:
     v1: LocalOp
     e0: float
     generators: list[np.ndarray]
+    generator: np.ndarray
     basis: np.ndarray
     v_borders: list[Border]
-    s_total: LocalOp
     v_diag_total: LocalOp
     tail_bound: float
     tail_certified: bool
@@ -148,7 +150,6 @@ class StepOperators:
     s_norm: float
     term_norms: list[float]
     majorant: MajorantSeries | None
-    unitary: np.ndarray
     od_residual: float
     spectrum_drift: float
 
@@ -472,9 +473,6 @@ def lie_schwinger_series(
         tail_bound, certified = 0.0, True
 
     v_diag = diag_part(V + _border_dense((rest_r, rest_l), Q))
-    s_total = np.zeros((dim, dim), dtype=complex)
-    s_total[:, 0] = X
-    s_total[0, :] -= X.conj()
     local = G + t * V
     conj = _rotate(local, X)
     drift = float(
@@ -486,9 +484,9 @@ def lie_schwinger_series(
         v1=v1,
         e0=e0,
         generators=list(xs),
+        generator=X,
         basis=Q[:, :width].copy(),
         v_borders=v_borders,
-        s_total=LocalOp(J, s_total, v1.M),
         v_diag_total=LocalOp(J, v_diag, v1.M),
         tail_bound=tail_bound,
         tail_certified=certified,
@@ -497,7 +495,6 @@ def lie_schwinger_series(
         s_norm=float(np.linalg.norm(X)),
         term_norms=term_norms,
         majorant=maj,
-        unitary=generator_exponential(X),
         od_residual=offdiag_norm(conj),
         spectrum_drift=drift,
     )

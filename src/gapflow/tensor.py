@@ -22,13 +22,10 @@ class SiteSpace:
     """On-site Hilbert space of dimension M with vacuum at basis index 0."""
 
     M: int
-    omega_index: int = 0
 
     def __post_init__(self) -> None:
         if self.M < 2:
             raise ValueError(f"on-site dimension must be >= 2, got {self.M}")
-        if self.omega_index != 0:
-            raise ValueError("vacuum is pinned at basis index 0")
 
 
 @dataclass

@@ -42,6 +42,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key 'foo'"):
             parse_config(write_config(tmp_path, {"d": 1, "N": 3, "t": 0.05, "foo": 1}))
 
+    def test_removed_n_max_key_refused(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"d": 1, "N": 3, "t": 0.05, "n_max": 20})
+        with pytest.raises(ConfigError, match="unknown key 'n_max'"):
+            parse_config(path)
+        assert main(["--config", path]) == 2
+        assert "unknown key 'n_max'" in capsys.readouterr().err
+
     def test_unknown_nested_key(self, tmp_path):
         payload = {"d": 1, "N": 3, "t": 0.05, "tolerances": {"spectre": 1e-8}}
         with pytest.raises(ConfigError, match="unknown key 'spectre'"):

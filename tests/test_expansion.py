@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gapflow import expansion
 from gapflow.expansion import (
     PathOfRects,
     branch_sum,
@@ -24,6 +25,7 @@ from gapflow.geometry import (
     enumerate_steps,
 )
 from gapflow.model import random_model
+from gapflow.tensor import op_norm
 
 class UnionFind:
     """Independent component-count oracle."""
@@ -157,6 +159,25 @@ class TestEnumerateBranches:
                 exp = enumerate_branches(spec.lat.full_rect(), root, state)
                 lhs, rhs = weighted_branch_sum(exp, spec.t, v1n)
                 assert lhs <= rhs + 1e-12
+
+    def test_each_branch_norm_taken_once(self, monkeypatch):
+        # every operator is normed once, when its branch is made; the
+        # expansion constant and the weighted sum read the stored norms
+        spec, state = flow_state(1, 4)
+        v1n = {r.rect: r.v1_norm for r in state.history if not r.skipped}
+        normed = []
+        monkeypatch.setattr(
+            expansion, "op_norm", lambda a: normed.append(a) or op_norm(a)
+        )
+        exp = enumerate_branches(spec.lat.full_rect(), enumerate_steps(spec.lat)[-1], state)
+        assert exp.branches
+        assert len({id(a) for a in normed}) == len(normed)
+        assert {id(b.op) for b in exp.branches} <= {id(a) for a in normed}
+        calls = len(normed)
+        lhs, _ = weighted_branch_sum(exp, spec.t, v1n)
+        assert len(normed) == calls
+        assert all(b.norm == op_norm(b.op) for b in exp.branches)
+        assert lhs == sum(op_norm(b.op) for b in exp.branches)
 
     def test_empty_expansion_weighs_zero(self):
         spec, state = flow_state(1, 4)

@@ -11,7 +11,6 @@ from scipy.linalg import expm
 from gapflow import flow
 from gapflow.flow import (
     PRUNE_THRESHOLD,
-    InteractionMap,
     StepRecord,
     apply_step,
     assemble_hamiltonian,
@@ -20,6 +19,7 @@ from gapflow.flow import (
     max_norm_by_circumference,
     regime_of,
     run_flow,
+    set_entry,
 )
 from gapflow.geometry import LatticeSpec, Rect, compare_step, enumerate_steps
 from gapflow.model import ModelSpec, build_hamiltonian, default_onsite, random_model
@@ -28,6 +28,7 @@ from gapflow.schwinger import (
     _commutator,
     _series_tail,
     check_g_gap,
+    generator_exponential,
     majorants,
 )
 from gapflow.tensor import (
@@ -54,15 +55,16 @@ def sxsx_chain(N, t):
 
 class TestInteractionMap:
     def test_prunes_tiny_entries(self):
-        imap = InteractionMap()
         edge = Rect((1,), (1,))
-        imap.set(edge, LocalOp(edge, 1e-15 * np.eye(4), 2))
+        imap = {edge: LocalOp(edge, np.eye(4), 2)}
+        set_entry(imap, edge, LocalOp(edge, 1e-15 * np.eye(4), 2))
         assert edge not in imap
 
     def test_support_mismatch_rejected(self):
-        imap = InteractionMap()
+        imap = {}
         with pytest.raises(ValueError, match="does not match"):
-            imap.set(Rect((1,), (1,)), LocalOp(Rect((1,), (2,)), np.eye(4), 2))
+            set_entry(imap, Rect((1,), (1,)), LocalOp(Rect((1,), (2,)), np.eye(4), 2))
+        assert imap == {}
 
     @pytest.mark.parametrize(
         "mat, svd",
@@ -84,8 +86,8 @@ class TestInteractionMap:
         keep = np.linalg.norm(op.matrix, 2) > PRUNE_THRESHOLD
         calls = []
         monkeypatch.setattr(flow, "op_norm", lambda a: calls.append(1) or op_norm(a))
-        imap = InteractionMap()
-        imap.set(edge, op)
+        imap = {}
+        set_entry(imap, edge, op)
         assert (edge in imap) == keep
         assert bool(calls) == svd
 
@@ -105,7 +107,7 @@ class TestApplyStep:
         state = initial_state(spec)
         new, ops = apply_step(state, Rect((1,), (1,)), spec)
         assert np.allclose(new.interactions.get(Rect((1,), (1,))).matrix, v)
-        assert np.linalg.norm(ops.s_total.matrix, 2) < 1e-15
+        assert np.linalg.norm(ops.generator) < 1e-15
         assert new.step == Rect((1,), (1,))
         # a vanishing generator leaves nothing for the conjugation to move
         assert consistency_check(state, new, Rect((1,), (1,)), spec) <= 1e-13
@@ -159,7 +161,7 @@ class TestApplyStep:
         state, _ = apply_step(state, Rect((1,), (1,)), spec)
         sabotage = Rect((1,), (2,))
         bad = np.diag([0.0, -12.0, -12.0, -12.0]).astype(complex)
-        state.interactions.entries[sabotage] = LocalOp(sabotage, bad, 2)
+        state.interactions[sabotage] = LocalOp(sabotage, bad, 2)
         state, _ = apply_step(state, sabotage, spec)
         with pytest.raises(GapError, match="inductive gap hypothesis"):
             apply_step(state, Rect((2,), (1,)), spec)
@@ -182,6 +184,34 @@ class TestAssembleAndConsistency:
             state, _ = apply_step(state, J, spec, j_max=12)
             res = consistency_check(prev, state, J, spec)
             assert res <= 1e-9
+
+    @pytest.mark.parametrize("d,N", [(1, 4), (2, 2)])
+    def test_closed_form_oracle_matches_expm(self, d, N):
+        # exp(S) (x) I from the logged vector against scipy's expm of the
+        # dense S embedded on the full lattice, and the residual built on each
+        spec = random_model(LatticeSpec(d, N), 2, 0.05, seed=24)
+        full = spec.lat.full_rect()
+        state = initial_state(spec)
+        checked = 0
+        for J in enumerate_steps(spec.lat):
+            prev = state
+            state, ops = apply_step(state, J, spec, j_max=12)
+            if ops is None:
+                continue
+            rect, x = state.generator_log[-1]
+            assert rect == J and x is ops.generator
+            s = np.zeros((x.size, x.size), dtype=complex)
+            s[:, 0] = x
+            s[0, :] -= x.conj()
+            u_ref = expm(embed(LocalOp(J, s, 2), full).matrix)
+            u = embed(LocalOp(J, generator_exponential(x), 2), full).matrix
+            assert np.linalg.norm(u - u_ref, 2) <= 1e-12
+            before = assemble_hamiltonian(prev, spec).matrix
+            after = assemble_hamiltonian(state, spec).matrix
+            ref = np.linalg.norm(after - u_ref @ before @ u_ref.conj().T, 2)
+            assert abs(consistency_check(prev, state, J, spec) - ref) <= 1e-12
+            checked += 1
+        assert checked == len(state.generator_log) > 0
 
     def test_final_block_diagonality(self):
         spec = random_model(LatticeSpec(1, 4), 2, 0.05, seed=25)
@@ -297,7 +327,8 @@ class TestRunFlow:
 
 def dense_step_series(J, g, e0, v1, t, j_max=12):
     """The step series with dense n x n chain tables, a dense resolvent and
-    expm: the reference path for whole flows."""
+    expm: the reference path for whole flows. The flow reads the generator
+    as its vector, column 0 of the dense S."""
     G = g.matrix
     dim = G.shape[0]
     gap = check_g_gap(g, e0, J)
@@ -356,9 +387,9 @@ def dense_step_series(J, g, e0, v1, t, j_max=12):
         tail_certified=certified,
         term_norms=term_norms,
         majorant=maj,
-        s_total=LocalOp(J, s_total, v1.M),
+        generator=s_total[:, 0],
+        v1=v1,
         v_diag_total=LocalOp(J, v_diag, v1.M),
-        unitary=unitary,
         od_residual=float(np.linalg.norm(offdiag_part(conj), 2)),
         spectrum_drift=float(
             np.max(np.abs(np.linalg.eigvalsh(conj) - np.linalg.eigvalsh(local)))
@@ -391,7 +422,7 @@ class TestDensePathAgreement:
         for a, b in zip(fast.history, dense.history):
             for f in dataclasses.fields(StepRecord):
                 assert_close(getattr(a, f.name), getattr(b, f.name))
-        assert fast.interactions.entries.keys() == dense.interactions.entries.keys()
+        assert fast.interactions.keys() == dense.interactions.keys()
         for key, op in dense.interactions.items():
             assert_close(fast.interactions.get(key), op)
         for (ra, sa), (rb, sb) in zip(fast.generator_log, dense.generator_log):

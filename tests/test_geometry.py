@@ -10,7 +10,6 @@ from gapflow.geometry import (
     LatticeSpec,
     Rect,
     all_rects,
-    circumference,
     compare_step,
     count_shapes,
     enumerate_steps,
@@ -47,9 +46,9 @@ class TestRect:
         assert r.n_sites == 4
 
     def test_circumference(self):
-        assert circumference(Rect((2, 3), (1, 1))) == 5
-        assert circumference(Rect((0, 0), (1, 1))) == 0
-        assert circumference(Rect((1, 0, 2), (1, 1, 1))) == 3
+        assert Rect((2, 3), (1, 1)).circumference == 5
+        assert Rect((0, 0), (1, 1)).circumference == 0
+        assert Rect((1, 0, 2), (1, 1, 1)).circumference == 3
 
     def test_containment_and_overlap(self):
         big = Rect((2, 2), (1, 1))

@@ -49,6 +49,14 @@ def edge_model(t, v=None, seed=None):
     return ModelSpec(LatticeSpec(1, 2), SiteSpace(2), default_onsite(2), [(EDGE, v)], t)
 
 
+def dense_generator(x):
+    """S = x e0^+ - e0 x^+ as a dense matrix."""
+    s = np.zeros((x.size, x.size), dtype=complex)
+    s[:, 0] = x
+    s[0, :] -= x.conj()
+    return s
+
+
 def edge_series(t, v=None, seed=None, j_max=10):
     spec = edge_model(t, v=v, seed=seed)
     entries = initial_interactions(spec)
@@ -196,7 +204,7 @@ class TestSeries:
     def test_block_diagonal_input_passes_through(self):
         v = np.diag([0.3, -0.2, 0.5, 0.1])
         ops, g, e0, v1 = edge_series(0.1, v=v)
-        assert op_norm(ops.s_total) < 1e-15
+        assert op_norm(dense_generator(ops.generator)) < 1e-15
         assert np.allclose(ops.v_diag_total.matrix, v)
         assert ops.tail_bound == 0.0 or ops.tail_certified
 
@@ -224,8 +232,12 @@ class TestSeries:
 
     def test_anti_hermitian_total(self):
         ops, *_ = edge_series(0.05, seed=9)
-        s = ops.s_total.matrix
+        s = dense_generator(ops.generator)
         assert np.linalg.norm(s + s.conj().T, 2) < 1e-12
+        # the step generator is the t-weighted sum of its orders
+        s_terms = ops.dense_terms()[0]
+        total = sum(0.05**j * sj for j, sj in enumerate(s_terms, start=1))
+        assert np.linalg.norm(s - total, 2) < 1e-15
 
     def test_generator_norm_vs_term_norm(self):
         ops, *_ = edge_series(0.05, seed=10)
@@ -236,7 +248,7 @@ class TestSeries:
     def test_conjugation_block_diagonalizes(self):
         for t in (0.02, 0.05):
             ops, g, e0, v1 = edge_series(t, seed=11, j_max=12)
-            u = expm(ops.s_total.matrix)
+            u = expm(dense_generator(ops.generator))
             conj = u @ (g.matrix + t * v1.matrix) @ u.conj().T
             assert offdiag_norm(conj) <= t * ops.tail_bound + 1e-13
 
@@ -316,9 +328,9 @@ class TestSeries:
 
     def test_s_norm_and_unitary(self):
         ops, *_ = edge_series(0.05, seed=15)
-        s = ops.s_total.matrix
+        s = dense_generator(ops.generator)
         assert ops.s_norm == pytest.approx(np.linalg.norm(s, 2), rel=1e-13)
-        assert np.linalg.norm(ops.unitary - expm(s), 2) < 1e-14
+        assert np.linalg.norm(generator_exponential(ops.generator) - expm(s), 2) < 1e-14
 
 
 class TestGeneratorExponential:

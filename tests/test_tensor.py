@@ -36,8 +36,6 @@ class TestSiteSpace:
     def test_validation(self):
         with pytest.raises(ValueError):
             SiteSpace(1)
-        with pytest.raises(ValueError):
-            SiteSpace(2, omega_index=1)
 
 
 class TestEmbed:

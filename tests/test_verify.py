@@ -1,13 +1,16 @@
 """End-of-run verification and the operator-inequality suite."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from gapflow.flow import run_flow
 from gapflow.geometry import LatticeSpec, Rect
 from gapflow.model import ModelSpec, default_onsite, random_model
-from gapflow.tensor import SiteSpace
+from gapflow.tensor import SiteSpace, embed, projector_plus
 from gapflow.verify import (
+    _shape_vectors,
     inequality_suite,
     model_fingerprint,
     norm_decay_audit,
@@ -122,3 +125,60 @@ class TestInequalitySuite:
     def test_m3_passes(self):
         rows = inequality_suite(LatticeSpec(1, 3), 3, max_sites=3)
         assert all(r["pass"] for r in rows)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_matches_dense_projector_oracle(self, d, M):
+        lat = LatticeSpec(d, 6)
+        assert inequality_suite(lat, M, max_sites=6) == dense_inequality_rows(lat, M, 6)
+
+
+def dense_inequality_rows(lat, M, max_sites):
+    """The suite's rows from embedded dense projectors. They are diagonal in
+    the product basis, so the smallest eigenvalue is the smallest diagonal
+    entry once the off-diagonal part is seen to vanish."""
+
+    def min_eig(mat):
+        assert not np.any(mat - np.diag(np.diag(mat)))
+        return float(np.min(np.diag(mat).real))
+
+    rows = []
+    for k in _shape_vectors(lat.d, max_sites):
+        J = Rect(k, (1,) * lat.d)
+        if not J.fits(lat):
+            continue
+        site_sum = sum(
+            embed(projector_plus(Rect((0,) * lat.d, s), M), J).matrix for s in J.sites()
+        )
+        low = min_eig(site_sum - projector_plus(J, M).matrix)
+        rows.append(
+            {
+                "check": "site-sum-dominates-complement",
+                "shape": list(k),
+                "min_eig": low,
+                "pass": low >= -1e-12,
+            }
+        )
+        for l in _shape_vectors(lat.d, max_sites):
+            if l == k or any(lj > kj for lj, kj in zip(l, k)):
+                continue
+            placements = [
+                Rect(l, q)
+                for q in product(*(range(1, kj - lj + 2) for kj, lj in zip(k, l)))
+                if Rect(l, q) != J
+            ]
+            if not placements:
+                continue
+            plus_sum = sum(embed(projector_plus(c, M), J).matrix for c in placements)
+            weight = (sum(l) + 1) ** lat.d
+            low = min_eig(weight * site_sum - plus_sum)
+            rows.append(
+                {
+                    "check": "weighted-site-sum-dominates-placements",
+                    "shape": list(l),
+                    "container": list(k),
+                    "min_eig": low,
+                    "pass": low >= -1e-12,
+                }
+            )
+    return rows
