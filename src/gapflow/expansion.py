@@ -18,7 +18,7 @@ import numpy as np
 
 from .flow import FlowState
 from .geometry import LatticeSpec, Rect, enumerate_steps, g_set, minimal_rectangle
-from .schwinger import generator_exponential
+from .schwinger import rotation_delta
 from .tensor import LocalOp, embed, op_norm
 
 BRANCH_PRUNE_NORM = 1e-14
@@ -36,7 +36,6 @@ class Branch:
 
     labels: tuple[Rect, ...]
     leaf: Rect
-    leaf_kind: str  # "diagonalized" or "initial"
     leaf_norm: float
     op: LocalOp
     norm: float
@@ -56,7 +55,6 @@ class BranchExpansion:
     target: Rect
     root_step: Rect
     branches: list[Branch]
-    complete: bool
     measured_c: float
     min_size_ratio: float | None  # empirical min of |R_b| * k / r over branches
 
@@ -243,7 +241,7 @@ def direction_count(s: int, s_prime: int, d: int, lat: LatticeSpec) -> int:
 class _Expander:
     """Backward unfolding of one stored potential through the flow history."""
 
-    def __init__(self, state: FlowState, lat: LatticeSpec, depth_limit: int | None):
+    def __init__(self, state: FlowState, lat: LatticeSpec):
         if state.initial_map is None:
             raise ValueError("flow state is missing its initial interaction map")
         self.lat = lat
@@ -251,22 +249,12 @@ class _Expander:
         self.initial_map = state.initial_map
         self.case_b = {rec.rect: rec.case_b_value for rec in state.history}
         self.generators = dict(state.generator_log)
-        self.M = state.spec.M
-        self.depth_limit = depth_limit
         self.memo: dict[tuple[int, Rect], list[Branch]] = {}
-        self.unitaries: dict[Rect, LocalOp] = {}
         self.measured_c = 0.0
         self.t = state.spec.t
         self.v1_norms = {
             rec.rect: rec.v1_norm for rec in state.history if not rec.skipped
         }
-        self.truncated = False
-
-    def unitary_on(self, label: Rect, common: Rect) -> np.ndarray:
-        if label not in self.unitaries:
-            u = generator_exponential(self.generators[label])
-            self.unitaries[label] = LocalOp(label, u, self.M)
-        return embed(self.unitaries[label], common).matrix
 
     def apply_a(self, label: Rect, sub: Branch) -> Branch | None:
         """The branch one level up: the commutator series of the step
@@ -277,9 +265,7 @@ class _Expander:
         if not label.overlaps(x.support):
             return None
         common = minimal_rectangle(label, x.support)
-        u = self.unitary_on(label, common)
-        xm = embed(x, common).matrix
-        out = u @ xm @ u.conj().T - xm
+        out = rotation_delta(embed(x, common), label, self.generators[label])
         result = LocalOp(common, out, x.M)
         nrm = op_norm(result)
         if nrm <= BRANCH_PRUNE_NORM:
@@ -287,44 +273,33 @@ class _Expander:
         denom = self.t * self.v1_norms.get(label, 0.0) * sub.norm
         if denom > 0:
             self.measured_c = max(self.measured_c, nrm / denom)
-        return Branch((label,) + sub.labels, sub.leaf, sub.leaf_kind, sub.leaf_norm, result, nrm)
+        return Branch((label,) + sub.labels, sub.leaf, sub.leaf_norm, result, nrm)
 
-    def leaf(self, support: Rect, kind: str, op: LocalOp | None) -> list[Branch]:
+    def leaf(self, support: Rect, op: LocalOp | None) -> list[Branch]:
         if op is None:
             return []
         nrm = op_norm(op)
-        return [Branch((), support, kind, nrm, op, nrm)]
+        return [Branch((), support, nrm, op, nrm)]
 
-    def expand(self, level: int, support: Rect, depth: int) -> list[Branch]:
-        if self.depth_limit is not None and depth > self.depth_limit:
-            self.truncated = True
-            return []
-        # subtree results are depth independent only without a cutoff
-        memoize = self.depth_limit is None
+    def expand(self, level: int, support: Rect) -> list[Branch]:
         key = (level, support)
-        if memoize and key in self.memo:
+        if key in self.memo:
             return self.memo[key]
         if level < 0:
-            out = self.leaf(support, "initial", self.initial_map.get(support))
-            if memoize:
-                self.memo[key] = out
-            return out
-        step = self.steps[level]
-        if step == support:
-            out = self.leaf(support, "diagonalized", self.case_b.get(step))
-            if memoize:
-                self.memo[key] = out
-            return out
-        out = list(self.expand(level - 1, support, depth + 1))
-        if support.contains(step) and step != support:
-            members = g_set(step, support, self.lat) | {support}
-            for member in sorted(members, key=lambda r: (r.k, r.q)):
-                for sub in self.expand(level - 1, member, depth + 1):
-                    branch = self.apply_a(step, sub)
-                    if branch is not None:
-                        out.append(branch)
-        if memoize:
-            self.memo[key] = out
+            out = self.leaf(support, self.initial_map.get(support))
+        elif self.steps[level] == support:
+            out = self.leaf(support, self.case_b.get(support))
+        else:
+            step = self.steps[level]
+            out = list(self.expand(level - 1, support))
+            if support.contains(step):
+                members = g_set(step, support, self.lat) | {support}
+                for member in sorted(members, key=lambda r: (r.k, r.q)):
+                    for sub in self.expand(level - 1, member):
+                        branch = self.apply_a(step, sub)
+                        if branch is not None:
+                            out.append(branch)
+        self.memo[key] = out
         return out
 
 
@@ -332,7 +307,6 @@ def enumerate_branches(
     target: Rect,
     root_step: Rect,
     flow_history: FlowState,
-    depth_limit: int | None = None,
 ) -> BranchExpansion:
     """All nonzero branches of the stored potential on ``target`` as of the
     completion of ``root_step``."""
@@ -345,8 +319,8 @@ def enumerate_branches(
     done = [rec.rect for rec in flow_history.history]
     if root_step not in done:
         raise ValueError(f"flow has not completed step {root_step}")
-    expander = _Expander(flow_history, lat, depth_limit)
-    branches = expander.expand(root_idx, target, 0)
+    expander = _Expander(flow_history, lat)
+    branches = expander.expand(root_idx, target)
     ratios = [
         len(b.rect_set) * root_step.circumference / target.circumference
         for b in branches
@@ -356,7 +330,6 @@ def enumerate_branches(
         target=target,
         root_step=root_step,
         branches=branches,
-        complete=not expander.truncated,
         measured_c=expander.measured_c,
         min_size_ratio=min(ratios) if ratios else None,
     )

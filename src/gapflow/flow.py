@@ -29,6 +29,7 @@ from .schwinger import (
     check_g_gap,
     generator_exponential,
     lie_schwinger_series,
+    rotation_delta,
 )
 from .tensor import LocalOp, embed, op_norm
 
@@ -149,30 +150,23 @@ def _transform_map(
 
     # every target strictly containing the step rectangle gets conjugated;
     # overlapping non-nested entries feed their commutator series into the
-    # minimal rectangle they span together with the step rectangle
-    contributions: dict[Rect, np.ndarray] = {}
+    # minimal rectangle they span together with the step rectangle, so each
+    # target becomes old + (u y u^+ - y) for y = old + those contributions
+    inputs = {
+        key: op.matrix for key, op in interactions.items() if key.contains(J) and key != J
+    }
     for key, op in interactions.items():
-        if key == J or not key.overlaps(J):
-            continue
-        if key.contains(J) or J.contains(key):
+        if not key.overlaps(J) or key.contains(J) or J.contains(key):
             continue
         target = minimal_rectangle(J, key)
         x = embed(op, target).matrix
-        contributions.setdefault(target, np.zeros_like(x))
-        contributions[target] += x
+        inputs[target] = inputs[target] + x if target in inputs else x
 
-    targets = set(contributions)
-    targets.update(key for key in interactions if key.contains(J) and key != J)
-    u_step = LocalOp(J, generator_exponential(ops.generator), M)
-    for target in targets:
-        u = embed(u_step, target).matrix
+    for target, y in inputs.items():
+        new_val = rotation_delta(LocalOp(target, y, M), J, ops.generator)
         old = interactions.get(target)
-        base = embed(old, target).matrix if old is not None else None
-        extra = contributions.get(target)
-        y = (base if base is not None else 0) + (extra if extra is not None else 0)
-        new_val = u @ y @ u.conj().T
-        if extra is not None:
-            new_val = new_val - extra
+        if old is not None:
+            new_val += old.matrix
         set_entry(new_map, target, LocalOp(target, new_val, M))
     return new_map
 
@@ -259,29 +253,32 @@ def assemble_hamiltonian(state: FlowState, spec: ModelSpec) -> LocalOp:
 
 
 def consistency_check(
-    state_before: FlowState,
+    before: LocalOp,
     state_after: FlowState,
     J: Rect,
     spec: ModelSpec,
-) -> float:
-    """Norm distance between the recombined map and the honest conjugation.
+) -> tuple[float, LocalOp]:
+    """Norm distance between the recombined map after the step on ``J`` and
+    the honest conjugation of ``before``, the full-lattice operator assembled
+    before that step. Also returns the operator assembled after the step,
+    which is the next step's ``before``.
 
     The honest conjugation applies exp(S_J) (x) I = exp(S_J (x) I), embedded
     on the full lattice, to the whole previous operator, so it shares no
     bookkeeping with the map update.
     """
-    assembled = assemble_hamiltonian(state_after, spec).matrix
-    before = assemble_hamiltonian(state_before, spec).matrix
-    if len(state_after.generator_log) == len(state_before.generator_log):
+    after = assemble_hamiltonian(state_after, spec)
+    rec = state_after.history[-1]
+    if rec.rect != J:
+        raise ValueError(f"last step of the flow is {rec.rect}, not {J}")
+    if rec.skipped:
         # the step carried no potential, so nothing was conjugated
-        return float(np.linalg.norm(assembled - before, 2))
-    rect, x = state_after.generator_log[-1]
-    if rect != J:
-        raise ValueError(f"last generator belongs to {rect}, not to step {J}")
+        return float(np.linalg.norm(after.matrix - before.matrix, 2)), after
+    _, x = state_after.generator_log[-1]
     u_step = LocalOp(J, generator_exponential(x), spec.M)
     u = embed(u_step, spec.lat.full_rect()).matrix
-    conj = u @ before @ u.conj().T
-    return float(np.linalg.norm(assembled - conj, 2))
+    conj = u @ before.matrix @ u.conj().T
+    return float(np.linalg.norm(after.matrix - conj, 2)), after
 
 
 @dataclass
@@ -313,14 +310,18 @@ def run_flow(
 
     state = initial_state(spec, keep_history=keep_history)
     steps = enumerate_steps(spec.lat)
+    # full-lattice operator before the next checked step; each check hands
+    # back the one it assembled after its step
+    before = None
     for i, J in enumerate(steps):
-        prev = state
-        state, _ = apply_step(state, J, spec, j_max=j_max, force=force)
         want_check = check_consistency == "every-step" or (
             check_consistency == "final" and i == len(steps) - 1
         )
+        if want_check and before is None:
+            before = assemble_hamiltonian(state, spec)
+        state, _ = apply_step(state, J, spec, j_max=j_max, force=force)
         if want_check:
-            residual = consistency_check(prev, state, J, spec)
+            residual, before = consistency_check(before, state, J, spec)
             state.history[-1].residual = residual
             if residual > tol.consistency:
                 if not force:

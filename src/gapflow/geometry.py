@@ -87,9 +87,6 @@ class Rect:
         ranges = [range(qj, qj + kj + 1) for qj, kj in zip(self.q, self.k)]
         return [tuple(c) for c in product(*ranges)]
 
-    def contains_site(self, site: tuple[int, ...]) -> bool:
-        return all(qj <= s <= qj + kj for s, qj, kj in zip(site, self.q, self.k))
-
     def contains(self, other: "Rect") -> bool:
         """True iff ``other`` is contained in self (not necessarily strictly)."""
         return all(

@@ -287,23 +287,49 @@ def generator_exponential(x: np.ndarray) -> np.ndarray:
     return u
 
 
-def _rotate(h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """u h u^+ for Hermitian h and u = exp(x e0^+ - e0 x^+), in O(n^2).
+def rotation_delta(op: LocalOp, J: Rect, x: np.ndarray) -> np.ndarray:
+    """u A u^+ - A for the Hermitian A = ``op`` and u = exp(S) (x) I, where
+    S = x e0^+ - e0 x^+ acts on the legs of J inside op's support, in O(n^2)
+    for the support dimension n.
 
-    u - I = P U^+ with U = [e0, x/theta] and P = U z for the plane rotation
-    z = [[cos theta - 1, -sin theta], [sin theta, cos theta - 1]], so
-    u h u^+ = h + P (K^+ + M P^+) + K P^+ with K = h U and M = U^+ K.
+    u - I = (P U^+) (x) I with U = [e0, x/theta] and P = U z for the plane
+    rotation z = [[cos theta - 1, -sin theta], [sin theta, cos theta - 1]].
+    With K = A (U (x) I) and C = K^+ + (1/2) (U^+ (x) I) K (P (x) I)^+, the
+    delta is W + W^+ for W = C^+ (P (x) I)^+. The legs of J are moved last,
+    so every product contracts them with one two-column matrix.
     """
+    if not op.support.contains(J):
+        raise ValueError(f"rectangle {J} not contained in {op.support}")
     theta = float(np.linalg.norm(x))
     basis = np.zeros((x.size, 2), dtype=complex)
     basis[0, 0] = 1.0
     if theta > 0:
         basis[:, 1] = x / theta
     cos, sin = np.cos(theta), np.sin(theta)
-    p = basis @ np.array([[cos - 1.0, -sin], [sin, cos - 1.0]])
-    k = h @ basis
-    m = basis.conj().T @ k
-    return h + p @ (k.conj().T + m @ p.conj().T) + k @ p.conj().T
+    ph = (basis @ np.array([[cos - 1.0, -sin], [sin, cos - 1.0]])).conj().T
+
+    sites = op.support.sites()
+    inner = set(J.sites())
+    n = len(sites)
+    perm = [i for i, s in enumerate(sites) if s not in inner]
+    perm += [i for i, s in enumerate(sites) if s in inner]
+    moved = perm != list(range(n))
+    legs = perm + [n + i for i in perm]
+    a = op.matrix
+    if moved:
+        a = a.reshape((op.M,) * 2 * n).transpose(legs).reshape(a.shape)
+
+    dim, dim_j = op.dim, x.size
+    rest = dim // dim_j
+    kh = (a.reshape(-1, dim_j) @ basis).reshape(dim, 2 * rest).conj().T
+    m = (kh.reshape(-1, dim_j) @ basis).reshape(-1, 2)
+    c = kh + 0.5 * (m @ ph).reshape(2 * rest, dim)
+    w = (c.conj().T.reshape(-1, 2) @ ph).reshape(dim, dim)
+    delta = w + w.conj().T
+    if moved:
+        back = np.argsort(legs).tolist()
+        delta = delta.reshape((op.M,) * 2 * n).transpose(back).reshape(dim, dim)
+    return delta
 
 
 def _ad_dense(a: np.ndarray, ax: np.ndarray, c: np.ndarray) -> Border:
@@ -474,7 +500,7 @@ def lie_schwinger_series(
 
     v_diag = diag_part(V + _border_dense((rest_r, rest_l), Q))
     local = G + t * V
-    conj = _rotate(local, X)
+    conj = local + rotation_delta(LocalOp(J, local, v1.M), J, X)
     drift = float(
         np.max(np.abs(np.linalg.eigvalsh(conj) - np.linalg.eigvalsh(local)))
     )

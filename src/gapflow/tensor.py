@@ -49,13 +49,6 @@ class LocalOp:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def norm(self) -> float:
-        return op_norm(self)
-
-    def is_hermitian(self, rtol: float = HERMITICITY_RTOL) -> bool:
-        scale = max(np.linalg.norm(self.matrix, 2), 1e-300)
-        return np.linalg.norm(self.matrix - self.matrix.conj().T, 2) <= rtol * scale
-
 
 def identity_op(support: Rect, M: int) -> LocalOp:
     return LocalOp(support, np.eye(M**support.n_sites, dtype=complex), M)

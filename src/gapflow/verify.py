@@ -122,8 +122,6 @@ def verify_main_theorem(
 
     if delta < gap_floor:
         failed.append(f"gap: transformed gap {delta:.9g} below 1/2")
-    if wt[1] - wt[0] < gap_floor:
-        failed.append(f"unique-ground: lowest spectral separation {wt[1]-wt[0]:.9g} below 1/2")
     if pvac_offblock > tol:
         failed.append(f"block-diagonal: vacuum off-block norm {pvac_offblock:.3g} above {tol:.1g}")
     if spectra_diff > tol:

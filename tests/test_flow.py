@@ -110,7 +110,8 @@ class TestApplyStep:
         assert np.linalg.norm(ops.generator) < 1e-15
         assert new.step == Rect((1,), (1,))
         # a vanishing generator leaves nothing for the conjugation to move
-        assert consistency_check(state, new, Rect((1,), (1,)), spec) <= 1e-13
+        before = assemble_hamiltonian(state, spec)
+        assert consistency_check(before, new, Rect((1,), (1,)), spec)[0] <= 1e-13
 
     def test_disjoint_entries_untouched(self):
         spec = sxsx_chain(4, 0.05)
@@ -179,10 +180,10 @@ class TestAssembleAndConsistency:
     def test_stepwise_consistency(self, d, N):
         spec = random_model(LatticeSpec(d, N), 2, 0.05, seed=24)
         state = initial_state(spec)
+        before = assemble_hamiltonian(state, spec)
         for J in enumerate_steps(spec.lat):
-            prev = state
             state, _ = apply_step(state, J, spec, j_max=12)
-            res = consistency_check(prev, state, J, spec)
+            res, before = consistency_check(before, state, J, spec)
             assert res <= 1e-9
 
     @pytest.mark.parametrize("d,N", [(1, 4), (2, 2)])
@@ -192,10 +193,14 @@ class TestAssembleAndConsistency:
         spec = random_model(LatticeSpec(d, N), 2, 0.05, seed=24)
         full = spec.lat.full_rect()
         state = initial_state(spec)
+        before = assemble_hamiltonian(state, spec)
         checked = 0
         for J in enumerate_steps(spec.lat):
-            prev = state
+            prev = before
             state, ops = apply_step(state, J, spec, j_max=12)
+            res, before = consistency_check(prev, state, J, spec)
+            # the check hands back the assembly after the step, for the next one
+            assert np.array_equal(before.matrix, assemble_hamiltonian(state, spec).matrix)
             if ops is None:
                 continue
             rect, x = state.generator_log[-1]
@@ -206,10 +211,8 @@ class TestAssembleAndConsistency:
             u_ref = expm(embed(LocalOp(J, s, 2), full).matrix)
             u = embed(LocalOp(J, generator_exponential(x), 2), full).matrix
             assert np.linalg.norm(u - u_ref, 2) <= 1e-12
-            before = assemble_hamiltonian(prev, spec).matrix
-            after = assemble_hamiltonian(state, spec).matrix
-            ref = np.linalg.norm(after - u_ref @ before @ u_ref.conj().T, 2)
-            assert abs(consistency_check(prev, state, J, spec) - ref) <= 1e-12
+            ref = np.linalg.norm(before.matrix - u_ref @ prev.matrix @ u_ref.conj().T, 2)
+            assert abs(res - ref) <= 1e-12
             checked += 1
         assert checked == len(state.generator_log) > 0
 

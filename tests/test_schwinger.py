@@ -20,11 +20,13 @@ from gapflow.schwinger import (
     lie_schwinger_series,
     majorant_constant,
     majorants,
+    rotation_delta,
 )
 from gapflow.tensor import (
     LocalOp,
     SiteSpace,
     diag_part,
+    embed,
     offdiag_norm,
     offdiag_part,
     op_norm,
@@ -352,6 +354,47 @@ class TestGeneratorExponential:
     def test_rejects_vacuum_component(self):
         with pytest.raises(ValueError, match="orthogonal to the vacuum"):
             generator_exponential(np.array([0.1, 0.2, 0.0, 0.0]))
+
+
+# per dimension: a support T and step rectangles J at a corner of T (its
+# legs interleaved with the rest for d >= 2), inside T, and J = T
+ROTATION_CASES = {
+    1: (Rect((3,), (1,)), {"corner": Rect((1,), (1,)), "inside": Rect((1,), (2,))}),
+    2: (Rect((2, 1), (1, 1)), {"corner": Rect((2, 0), (1, 2)), "inside": Rect((0, 1), (2, 1))}),
+    3: (
+        Rect((2, 1, 0), (1, 1, 1)),
+        {"corner": Rect((1, 0, 0), (1, 1, 1)), "inside": Rect((0, 1, 0), (2, 1, 1))},
+    ),
+}
+
+
+class TestRotationDelta:
+    @pytest.mark.parametrize("theta", [0.0, 1e-9, 0.7, 1.3])
+    @pytest.mark.parametrize("place", ["corner", "inside", "whole"])
+    @pytest.mark.parametrize("M", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_dense_conjugation(self, d, M, place, theta):
+        T, inner = ROTATION_CASES[d]
+        J = T if place == "whole" else inner[place]
+        rng = np.random.default_rng(100 * d + 10 * M + int(theta * 10))
+        dim, dim_j = M**T.n_sites, M**J.n_sites
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        a = LocalOp(T, (raw + raw.conj().T) / 2, M)
+        x = np.zeros(dim_j, dtype=complex)
+        x[1:] = rng.standard_normal(dim_j - 1) + 1j * rng.standard_normal(dim_j - 1)
+        x *= theta / np.linalg.norm(x)
+        delta = rotation_delta(a, J, x)
+        u = embed(LocalOp(J, generator_exponential(x), M), T).matrix
+        ref = u @ a.matrix @ u.conj().T - a.matrix
+        assert np.linalg.norm(delta - ref) <= 1e-12 * np.linalg.norm(a.matrix)
+        assert np.array_equal(delta, delta.conj().T)
+        if theta == 0.0:
+            assert not delta.any()
+
+    def test_rejects_outside_rectangle(self):
+        a = LocalOp(EDGE, np.eye(4), 2)
+        with pytest.raises(ValueError, match="not contained"):
+            rotation_delta(a, Rect((1,), (2,)), np.zeros(4))
 
 
 class TestMajorants:

@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from gapflow.flow import run_flow
+from gapflow.flow import initial_state, run_flow
 from gapflow.geometry import LatticeSpec, Rect
 from gapflow.model import ModelSpec, default_onsite, random_model
 from gapflow.tensor import SiteSpace, embed, projector_plus
@@ -60,6 +60,16 @@ class TestVerifyMainTheorem:
         assert not report.passed()
         assert any(clause.startswith("step-gap") for clause in report.failed_clauses)
         assert any(clause.startswith("gap:") for clause in report.failed_clauses)
+
+    def test_gap_shortfall_fails_one_clause(self):
+        # the unflowed operator at coupling 0.6 has its lowest two levels
+        # closer than 1/2; that shortfall is one failed clause, not two
+        spec = sxsx_chain(3, 0.6)
+        report = verify_main_theorem(initial_state(spec), spec)
+        delta = report.final["delta"]
+        assert delta < 0.5
+        shortfall = [c for c in report.failed_clauses if f"{delta:.9g}" in c]
+        assert len(shortfall) == 1 and shortfall[0].startswith("gap:")
 
     def test_report_deterministic(self):
         spec_a = random_model(LatticeSpec(1, 3), 2, 0.05, seed=51)
