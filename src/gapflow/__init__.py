@@ -14,12 +14,10 @@ from .geometry import (
 from .tensor import (
     LocalOp,
     SiteSpace,
+    add_embedded,
     embed,
     hermitian_spectrum,
     op_norm,
-    projector_minus,
-    projector_plus,
-    vacuum_projector,
 )
 from .model import ModelSpec, build_hamiltonian, initial_interactions, random_model
 from .schwinger import (
@@ -27,7 +25,6 @@ from .schwinger import (
     GapError,
     MajorantSeries,
     StepOperators,
-    adjoint_power,
     assemble_g,
     check_g_gap,
     lie_schwinger_series,

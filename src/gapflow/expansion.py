@@ -19,7 +19,7 @@ import numpy as np
 from .flow import FlowState
 from .geometry import LatticeSpec, Rect, enumerate_steps, g_set, minimal_rectangle
 from .schwinger import rotation_delta
-from .tensor import LocalOp, embed, op_norm
+from .tensor import LocalOp, add_embedded, embed, op_norm
 
 BRANCH_PRUNE_NORM = 1e-14
 
@@ -340,7 +340,7 @@ def branch_sum(expansion: BranchExpansion, M: int) -> LocalOp:
     dim = M**expansion.target.n_sites
     total = np.zeros((dim, dim), dtype=complex)
     for b in expansion.branches:
-        total += embed(b.op, expansion.target).matrix
+        add_embedded(total, b.op, expansion.target)
     return LocalOp(expansion.target, total, M)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LatticeSpec, Rect, all_rects
-from .tensor import LocalOp, SiteSpace, embed
+from .tensor import LocalOp, SiteSpace, add_embedded
 
 ONSITE_TOL = 1e-12
 
@@ -101,9 +101,9 @@ def build_hamiltonian(spec: ModelSpec) -> LocalOp:
     dim = spec.M**spec.lat.n_sites
     total = np.zeros((dim, dim), dtype=complex)
     for coord in spec.lat.sites():
-        total += embed(spec.onsite_op(coord), full).matrix
+        add_embedded(total, spec.onsite_op(coord), full)
     for J, mat in spec.potentials:
-        total += spec.t * embed(LocalOp(J, mat, spec.M), full).matrix
+        add_embedded(total, LocalOp(J, mat, spec.M), full, spec.t)
     return LocalOp(full, total, spec.M)
 
 

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .geometry import Rect
-from .tensor import LocalOp, diag_part, offdiag_norm, op_norm
+from .tensor import LocalOp, add_embedded, diag_part, offdiag_norm, op_norm, permute_legs
 
 GAP_FLOOR = 0.5
 GAP_WARN = 0.25
@@ -167,31 +167,11 @@ class StepOperators:
         return s_terms, v_terms
 
 
-def _commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return A @ B - B @ A
-
-
-def adjoint_power(A: LocalOp | np.ndarray, B: LocalOp | np.ndarray, n: int) -> np.ndarray:
-    """Iterated commutator: n = 1 gives [A, B]."""
-    if n < 1:
-        raise ValueError("adjoint power needs n >= 1")
-    a = A.matrix if isinstance(A, LocalOp) else np.asarray(A)
-    b = B.matrix if isinstance(B, LocalOp) else np.asarray(B)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    out = b
-    for _ in range(n):
-        out = _commutator(a, out)
-    return out
-
-
 def assemble_g(
     J: Rect, interactions: dict[Rect, LocalOp], t: float
 ) -> tuple[LocalOp, float]:
     """Already-diagonal local operator on J: on-site terms plus every strictly
     smaller stored potential, with its vacuum energy."""
-    from .tensor import embed  # local import to keep module init light
-
     inner = [(key, op) for key, op in interactions.items() if J.contains(key) and key != J]
     if not inner:
         raise ValueError(f"no on-site terms found inside {J}; interaction map is incomplete")
@@ -206,9 +186,9 @@ def assemble_g(
                     f"inner potential on {key} not yet diagonalized "
                     f"(off-block norm {od:.3g})"
                 )
-            total += t * embed(op, J).matrix
+            add_embedded(total, op, J, t)
         else:
-            total += embed(op, J).matrix
+            add_embedded(total, op, J)
     e0 = float(total[0, 0].real)
     col = total[:, 0].copy()
     col[0] -= e0
@@ -308,28 +288,14 @@ def rotation_delta(op: LocalOp, J: Rect, x: np.ndarray) -> np.ndarray:
     cos, sin = np.cos(theta), np.sin(theta)
     ph = (basis @ np.array([[cos - 1.0, -sin], [sin, cos - 1.0]])).conj().T
 
-    sites = op.support.sites()
-    inner = set(J.sites())
-    n = len(sites)
-    perm = [i for i, s in enumerate(sites) if s not in inner]
-    perm += [i for i, s in enumerate(sites) if s in inner]
-    moved = perm != list(range(n))
-    legs = perm + [n + i for i in perm]
-    a = op.matrix
-    if moved:
-        a = a.reshape((op.M,) * 2 * n).transpose(legs).reshape(a.shape)
-
+    a = permute_legs(op.matrix, op.support, J, op.M)
     dim, dim_j = op.dim, x.size
     rest = dim // dim_j
     kh = (a.reshape(-1, dim_j) @ basis).reshape(dim, 2 * rest).conj().T
     m = (kh.reshape(-1, dim_j) @ basis).reshape(-1, 2)
     c = kh + 0.5 * (m @ ph).reshape(2 * rest, dim)
     w = (c.conj().T.reshape(-1, 2) @ ph).reshape(dim, dim)
-    delta = w + w.conj().T
-    if moved:
-        back = np.argsort(legs).tolist()
-        delta = delta.reshape((op.M,) * 2 * n).transpose(back).reshape(dim, dim)
-    return delta
+    return permute_legs(w + w.conj().T, op.support, J, op.M, back=True)
 
 
 def _ad_dense(a: np.ndarray, ax: np.ndarray, c: np.ndarray) -> Border:

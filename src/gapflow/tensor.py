@@ -4,15 +4,21 @@ Local operators are dense complex matrices on the tensor factor of their
 support rectangle, with sites ordered lexicographically by coordinate. The
 all-vacuum basis vector of any support is index 0 (vacuum = on-site basis
 state 0), so the local vacuum projector is the elementary matrix E_00.
+
+An operator on n sites is also read as its (M,)*2n tensor: n row legs, then
+n column legs, one per site. Embedding and conjugation work on those legs,
+so no Kronecker product or embedded n x n unitary is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from string import ascii_letters
 
 import numpy as np
 
-from .geometry import LatticeSpec, Rect
+from .geometry import Rect
 
 HERMITICITY_RTOL = 1e-10
 
@@ -50,54 +56,104 @@ class LocalOp:
         return self.matrix.shape[0]
 
 
-def identity_op(support: Rect, M: int) -> LocalOp:
-    return LocalOp(support, np.eye(M**support.n_sites, dtype=complex), M)
+@lru_cache(maxsize=4096)
+def _embed_subscripts(support: Rect, into: Rect) -> str:
+    """einsum subscripts taking the leg tensor of an operator on ``into`` to
+    a view ordered (other sites, ``support``'s row legs, its column legs),
+    where each other site's row and column leg are one diagonal index."""
+    sites = into.sites()
+    pos = {site: i for i, site in enumerate(sites)}
+    own = [pos[site] for site in support.sites()]
+    rest = sorted(set(range(len(sites))) - set(own))
+    rows = ascii_letters[: len(sites)]
+    cols = list(rows)
+    for i in own:
+        cols[i] = ascii_letters[len(sites) + i]
+    out = [rows[i] for i in rest] + [rows[i] for i in own] + [cols[i] for i in own]
+    return f"{rows}{''.join(cols)}->{''.join(out)}"
 
 
-def _embed_matrix(
-    matrix: np.ndarray, src_sites: list, dst_sites: list, M: int
-) -> np.ndarray:
-    """Tensor ``matrix`` with identities and reorder to dst site order."""
-    n_src, n_dst = len(src_sites), len(dst_sites)
-    extra = [s for s in dst_sites if s not in set(src_sites)]
-    big = np.kron(matrix, np.eye(M ** len(extra), dtype=complex))
-    # big is in site order src_sites + extra; permute axes to dst order
-    concat = src_sites + extra
-    pos = {site: i for i, site in enumerate(concat)}
-    perm = [pos[site] for site in dst_sites]
-    tens = big.reshape((M,) * (2 * n_dst))
-    tens = np.transpose(tens, perm + [n_dst + p for p in perm])
-    return np.ascontiguousarray(tens.reshape(M**n_dst, M**n_dst))
+def add_embedded(total: np.ndarray, op: LocalOp, into: Rect, coeff: complex = 1.0) -> None:
+    """total += coeff (op (x) I), in place, for the C-contiguous matrix
+    ``total`` of an operator on ``into`` (canonical site order).
+
+    The sum goes through a writable einsum diagonal view of ``total``'s leg
+    tensor, so it costs O(n_op n) for the dimensions n_op of ``op`` and n of
+    ``total``, and forms no temporary of ``total``'s size.
+    """
+    if not into.contains(op.support):
+        raise ValueError(f"support {op.support} not contained in {into}")
+    if not total.flags.c_contiguous:
+        raise ValueError("the destination must be C-contiguous to add through a view")
+    legs = total.reshape((op.M,) * (2 * into.n_sites))
+    view = np.einsum(_embed_subscripts(op.support, into), legs)
+    view += coeff * op.matrix.reshape((op.M,) * (2 * op.support.n_sites))
 
 
 def embed(op: LocalOp, into: Rect) -> LocalOp:
     """Extend ``op`` by identity onto a containing rectangle, in canonical order."""
-    if not into.contains(op.support):
-        raise ValueError(f"support {op.support} not contained in {into}")
     if into == op.support:
         return op
-    mat = _embed_matrix(op.matrix, op.support.sites(), into.sites(), op.M)
-    return LocalOp(into, mat, op.M)
+    dim = op.M**into.n_sites
+    total = np.zeros((dim, dim), dtype=complex)
+    add_embedded(total, op, into)
+    return LocalOp(into, total, op.M)
 
 
-def projector_minus(J: Rect, M: int) -> LocalOp:
-    """Projection onto the all-vacuum vector of ``J``'s local space."""
-    dim = M**J.n_sites
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[0, 0] = 1.0
-    return LocalOp(J, mat, M)
+_Transpose = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def projector_plus(J: Rect, M: int) -> LocalOp:
-    """Complement of the all-vacuum projection on ``J``'s local space."""
-    dim = M**J.n_sites
-    mat = np.eye(dim, dtype=complex)
-    mat[0, 0] = 0.0
-    return LocalOp(J, mat, M)
+@lru_cache(maxsize=4096)
+def _leg_order(support: Rect, J: Rect, M: int) -> tuple[_Transpose, _Transpose]:
+    """Tensor shape and axis order that move J's legs after the other legs
+    of ``support``, on the row side and on the column side, and the pair
+    that moves them back. Runs of legs that stay adjacent and in order
+    share one axis, so the transpose moves as few axes as possible."""
+    sites = support.sites()
+    inner = set(J.sites())
+    perm = [i for i, s in enumerate(sites) if s not in inner]
+    perm += [i for i, s in enumerate(sites) if s in inner]
+    runs = [[perm[0]]]
+    for i in perm[1:]:
+        if i == runs[-1][-1] + 1:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    starts = sorted(run[0] for run in runs)
+    sizes = {run[0]: M ** len(run) for run in runs}
+    order = [starts.index(run[0]) for run in runs]
+    shape = tuple(sizes[s] for s in starts) * 2
+    axes = tuple(order + [len(runs) + i for i in order])
+    back = tuple(int(a) for a in np.argsort(axes))
+    return (shape, axes), (tuple(shape[a] for a in axes), back)
 
 
-def vacuum_projector(lat: LatticeSpec, M: int) -> LocalOp:
-    return projector_minus(lat.full_rect(), M)
+def permute_legs(
+    matrix: np.ndarray, support: Rect, J: Rect, M: int, back: bool = False
+) -> np.ndarray:
+    """``matrix`` on ``support`` with J's legs moved last on both sides, so
+    that J's factor is the fastest index of each; ``back=True`` undoes it.
+    Returns ``matrix`` itself when J's legs already come last."""
+    forward, backward = _leg_order(support, J, M)
+    shape, axes = backward if back else forward
+    if len(axes) == 2:
+        return matrix
+    return matrix.reshape(shape).transpose(axes).reshape(matrix.shape)
+
+
+def conjugate_on_legs(op: LocalOp, J: Rect, u: np.ndarray) -> np.ndarray:
+    """(u (x) I) A (u (x) I)^+ for A = ``op`` and a dense ``u`` on J's legs.
+
+    J's legs are contracted with u on each side, at O(n^2 n_J) for the
+    support dimension n; u is never embedded.
+    """
+    if not op.support.contains(J):
+        raise ValueError(f"rectangle {J} not contained in {op.support}")
+    dim, dim_j = op.dim, u.shape[0]
+    a = permute_legs(op.matrix, op.support, J, op.M)
+    right = (a.reshape(-1, dim_j) @ u.conj().T).reshape(dim // dim_j, dim_j, dim)
+    both = (u @ right).reshape(dim, dim)
+    return permute_legs(both, op.support, J, op.M, back=True)
 
 
 def diag_part(matrix: np.ndarray) -> np.ndarray:
@@ -105,14 +161,6 @@ def diag_part(matrix: np.ndarray) -> np.ndarray:
     out = matrix.copy()
     out[0, 1:] = 0.0
     out[1:, 0] = 0.0
-    return out
-
-
-def offdiag_part(matrix: np.ndarray) -> np.ndarray:
-    """Block-off-diagonal part w.r.t. (vacuum, complement)."""
-    out = np.zeros_like(matrix)
-    out[0, 1:] = matrix[0, 1:]
-    out[1:, 0] = matrix[1:, 0]
     return out
 
 
@@ -130,9 +178,14 @@ def op_norm(op: LocalOp | np.ndarray) -> float:
 
 
 def hermitian_spectrum(op: LocalOp | np.ndarray) -> np.ndarray:
-    """All eigenvalues of a Hermitian operator, ascending."""
+    """All eigenvalues of a Hermitian operator, ascending.
+
+    The Hermiticity test is in Frobenius norms: ||A - A^+||_F bounds the
+    2-norm from above and ||A||_F / sqrt(n) bounds it from below, so this
+    refuses every matrix the 2-norm test ||A - A^+|| > rtol ||A|| refuses.
+    """
     mat = op.matrix if isinstance(op, LocalOp) else np.asarray(op, dtype=complex)
-    scale = max(np.linalg.norm(mat, 2), 1e-300)
-    if np.linalg.norm(mat - mat.conj().T, 2) > HERMITICITY_RTOL * scale:
+    scale = max(np.linalg.norm(mat) / np.sqrt(mat.shape[0]), 1e-300)
+    if np.linalg.norm(mat - mat.conj().T) > HERMITICITY_RTOL * scale:
         raise ValueError("operator is not Hermitian within tolerance")
     return np.linalg.eigvalsh(mat)

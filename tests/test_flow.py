@@ -1,8 +1,6 @@
 """Flow driver: step application, recombination, consistency, full runs."""
 
 import dataclasses
-from math import factorial
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,23 +21,13 @@ from gapflow.flow import (
 )
 from gapflow.geometry import LatticeSpec, Rect, compare_step, enumerate_steps
 from gapflow.model import ModelSpec, build_hamiltonian, default_onsite, random_model
-from gapflow.schwinger import (
-    GapError,
-    _commutator,
-    _series_tail,
-    check_g_gap,
-    generator_exponential,
-    majorants,
-)
-from gapflow.tensor import (
-    LocalOp,
-    SiteSpace,
-    diag_part,
-    embed,
-    hermitian_spectrum,
-    offdiag_norm,
-    offdiag_part,
-    op_norm,
+from gapflow.schwinger import GapError, generator_exponential
+from gapflow.tensor import LocalOp, SiteSpace, embed, hermitian_spectrum, offdiag_norm, op_norm
+
+from oracles import (
+    dense_generator,
+    dense_step_series,
+    kron_embed,
     projector_minus,
     projector_plus,
 )
@@ -205,13 +193,10 @@ class TestAssembleAndConsistency:
                 continue
             rect, x = state.generator_log[-1]
             assert rect == J and x is ops.generator
-            s = np.zeros((x.size, x.size), dtype=complex)
-            s[:, 0] = x
-            s[0, :] -= x.conj()
-            u_ref = expm(embed(LocalOp(J, s, 2), full).matrix)
-            u = embed(LocalOp(J, generator_exponential(x), 2), full).matrix
+            u_ref = expm(kron_embed(LocalOp(J, dense_generator(x), 2), full).matrix)
+            u = kron_embed(LocalOp(J, generator_exponential(x), 2), full).matrix
             assert np.linalg.norm(u - u_ref, 2) <= 1e-12
-            ref = np.linalg.norm(before.matrix - u_ref @ prev.matrix @ u_ref.conj().T, 2)
+            ref = np.linalg.norm(before.matrix - u_ref @ prev.matrix @ u_ref.conj().T)
             assert abs(res - ref) <= 1e-12
             checked += 1
         assert checked == len(state.generator_log) > 0
@@ -326,78 +311,6 @@ class TestRunFlow:
         w0 = hermitian_spectrum(build_hamiltonian(spec))
         w1 = hermitian_spectrum(assemble_hamiltonian(state, spec))
         assert np.max(np.abs(w0 - w1)) < 1e-8
-
-
-def dense_step_series(J, g, e0, v1, t, j_max=12):
-    """The step series with dense n x n chain tables, a dense resolvent and
-    expm: the reference path for whole flows. The flow reads the generator
-    as its vector, column 0 of the dense S."""
-    G = g.matrix
-    dim = G.shape[0]
-    gap = check_g_gap(g, e0, J)
-    w, U = np.linalg.eigh(G[1:, 1:])
-    resolvent = np.zeros((dim, dim), dtype=complex)
-    resolvent[1:, 1:] = U @ np.diag(1.0 / (w - e0)) @ U.conj().T
-    v1_norm = op_norm(v1)
-    maj = majorants(v1_norm, j_max) if v1_norm > 0 else None
-    s_terms, term_norms = [], []
-    g_tab, v_tab = {}, {}
-
-    def g_chain(p, m):
-        if p == 1:
-            return _commutator(s_terms[m - 1], G)
-        if (p, m) not in g_tab:
-            g_tab[(p, m)] = sum(
-                _commutator(s_terms[r - 1], g_chain(p - 1, m - r)) for r in range(1, m - p + 2)
-            )
-        return g_tab[(p, m)]
-
-    def v_chain(p, m):
-        if p == 0:
-            return v1.matrix if m == 0 else np.zeros((dim, dim), dtype=complex)
-        if (p, m) not in v_tab:
-            v_tab[(p, m)] = sum(
-                _commutator(s_terms[r - 1], v_chain(p - 1, m - r)) for r in range(1, m - p + 2)
-            )
-        return v_tab[(p, m)]
-
-    v_diag = np.zeros((dim, dim), dtype=complex)
-    s_total = np.zeros((dim, dim), dtype=complex)
-    for j in range(1, j_max + 1):
-        vj = v1.matrix.copy() if j == 1 else np.zeros((dim, dim), dtype=complex)
-        for p in range(2, j + 1):
-            vj += g_chain(p, j) / factorial(p)
-        for p in range(1, j):
-            vj += v_chain(p, j - 1) / factorial(p)
-        term_norms.append(float(np.linalg.norm(vj, 2)))
-        x = np.zeros((dim, dim), dtype=complex)
-        x[:, 0] = resolvent @ vj[:, 0]
-        s_terms.append(x - x.conj().T)
-        v_diag += t ** (j - 1) * diag_part(vj)
-        s_total += t**j * s_terms[-1]
-    tail_bound, certified = (
-        _series_tail(term_norms, t, maj, j_max) if maj is not None else (0.0, True)
-    )
-    unitary = expm(s_total)
-    local = G + t * v1.matrix
-    conj = unitary @ local @ unitary.conj().T
-    return SimpleNamespace(
-        e0=e0,
-        gap=gap,
-        v1_norm=v1_norm,
-        s_norm=op_norm(s_total),
-        tail_bound=tail_bound,
-        tail_certified=certified,
-        term_norms=term_norms,
-        majorant=maj,
-        generator=s_total[:, 0],
-        v1=v1,
-        v_diag_total=LocalOp(J, v_diag, v1.M),
-        od_residual=float(np.linalg.norm(offdiag_part(conj), 2)),
-        spectrum_drift=float(
-            np.max(np.abs(np.linalg.eigvalsh(conj) - np.linalg.eigvalsh(local)))
-        ),
-    )
 
 
 def assert_close(got, want, tol=1e-12):

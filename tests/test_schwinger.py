@@ -1,6 +1,6 @@
 """Single-step generator series, majorants, and truncation certificates."""
 
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 import pytest
@@ -12,8 +12,6 @@ from gapflow.geometry import LatticeSpec, Rect
 from gapflow.model import ModelSpec, default_onsite, initial_interactions
 from gapflow.schwinger import (
     ConvergenceError,
-    _commutator,
-    adjoint_power,
     assemble_g,
     check_g_gap,
     generator_exponential,
@@ -22,14 +20,15 @@ from gapflow.schwinger import (
     majorants,
     rotation_delta,
 )
-from gapflow.tensor import (
-    LocalOp,
-    SiteSpace,
-    diag_part,
-    embed,
-    offdiag_norm,
+from gapflow.tensor import LocalOp, SiteSpace, offdiag_norm, op_norm
+
+from oracles import (
+    adjoint_power,
+    composition_sum_vj,
+    dense_conjugation,
+    dense_generator,
+    dense_series_oracle,
     offdiag_part,
-    op_norm,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -49,14 +48,6 @@ def edge_model(t, v=None, seed=None):
             v = (raw + raw.conj().T) / 2
             v /= np.linalg.norm(v, 2)
     return ModelSpec(LatticeSpec(1, 2), SiteSpace(2), default_onsite(2), [(EDGE, v)], t)
-
-
-def dense_generator(x):
-    """S = x e0^+ - e0 x^+ as a dense matrix."""
-    s = np.zeros((x.size, x.size), dtype=complex)
-    s[:, 0] = x
-    s[0, :] -= x.conj()
-    return s
 
 
 def edge_series(t, v=None, seed=None, j_max=10):
@@ -114,66 +105,6 @@ class TestAdjointPower:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             adjoint_power(np.eye(2), np.eye(4), 1)
-
-
-def compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def composition_sum_vj(G, V, S, j):
-    """Literal nested-commutator double sum; the independent series oracle."""
-    if j == 1:
-        return V.copy()
-    acc = np.zeros_like(G)
-    for p in range(2, j + 1):
-        for comp in compositions(j, p):
-            term = G
-            for r in reversed(comp):
-                term = _commutator(S[r], term)
-            acc += term / factorial(p)
-    for p in range(1, j):
-        for comp in compositions(j - 1, p):
-            term = V
-            for r in reversed(comp):
-                term = _commutator(S[r], term)
-            acc += term / factorial(p)
-    return acc
-
-
-def dense_series_oracle(G, V, e0, t, j_max):
-    """The step series with dense matrices throughout: every v_j as the
-    literal composition sum, x_j from a dense resolvent, exp(S) from expm
-    and the off-block norm from an SVD."""
-    dim = G.shape[0]
-    w, U = np.linalg.eigh(G[1:, 1:])
-    resolvent = np.zeros((dim, dim), dtype=complex)
-    resolvent[1:, 1:] = U @ np.diag(1.0 / (w - e0)) @ U.conj().T
-    S, v_terms = {}, []
-    for j in range(1, j_max + 1):
-        vj = composition_sum_vj(G, V, S, j)
-        v_terms.append(vj)
-        x = np.zeros((dim, dim), dtype=complex)
-        x[:, 0] = resolvent @ vj[:, 0]
-        S[j] = x - x.conj().T
-    s_total = sum(t**j * S[j] for j in S)
-    local = G + t * V
-    u = expm(s_total)
-    conj = u @ local @ u.conj().T
-    return {
-        "s_terms": [S[j] for j in sorted(S)],
-        "v_terms": v_terms,
-        "term_norms": [np.linalg.norm(vj, 2) for vj in v_terms],
-        "v_diag_total": sum(t ** (j - 1) * diag_part(vj) for j, vj in enumerate(v_terms, 1)),
-        "od_residual": np.linalg.norm(offdiag_part(conj), 2),
-        "spectrum_drift": np.max(
-            np.abs(np.linalg.eigvalsh(conj) - np.linalg.eigvalsh(local))
-        ),
-    }
 
 
 def gapped_step(M, n_sites, e0, seed):
@@ -384,8 +315,7 @@ class TestRotationDelta:
         x[1:] = rng.standard_normal(dim_j - 1) + 1j * rng.standard_normal(dim_j - 1)
         x *= theta / np.linalg.norm(x)
         delta = rotation_delta(a, J, x)
-        u = embed(LocalOp(J, generator_exponential(x), M), T).matrix
-        ref = u @ a.matrix @ u.conj().T - a.matrix
+        ref = dense_conjugation(a, J, generator_exponential(x)) - a.matrix
         assert np.linalg.norm(delta - ref) <= 1e-12 * np.linalg.norm(a.matrix)
         assert np.array_equal(delta, delta.conj().T)
         if theta == 0.0:

@@ -7,12 +7,20 @@ from gapflow.geometry import LatticeSpec, Rect, all_rects
 from gapflow.tensor import (
     LocalOp,
     SiteSpace,
+    add_embedded,
+    conjugate_on_legs,
     embed,
     hermitian_spectrum,
-    identity_op,
     offdiag_norm,
-    offdiag_part,
     op_norm,
+    permute_legs,
+)
+
+from oracles import (
+    dense_conjugation,
+    identity_op,
+    kron_embed,
+    offdiag_part,
     projector_minus,
     projector_plus,
     vacuum_projector,
@@ -102,6 +110,90 @@ class TestEmbed:
         assert np.linalg.norm(a @ b - b @ a, 2) < 1e-12
 
 
+# per (d, N): the lattice, and step rectangles J at a corner of it (its
+# legs interleaved with the others for d >= 2) and inside it (legs neither
+# first nor last); the cases with J = the whole lattice are added below
+LEG_CASES = {
+    (1, 4): {"corner": Rect((1,), (1,)), "inside": Rect((1,), (2,))},
+    (2, 2): {"corner": Rect((1, 0), (1, 1)), "inside": Rect((0, 0), (1, 2))},
+    (2, 3): {"corner": Rect((1, 0), (1, 1)), "inside": Rect((1, 0), (2, 2))},
+    (3, 2): {"corner": Rect((1, 0, 0), (1, 1, 1)), "inside": Rect((0, 1, 0), (1, 1, 2))},
+}
+LEG_PARAMS = [
+    pytest.param(d, N, M, place, id=f"d{d}-N{N}-M{M}-{place}")
+    for (d, N) in LEG_CASES
+    for M in ((2, 3) if (d, N) in ((1, 4), (2, 2)) else (2,))
+    for place in ("corner", "inside", "whole")
+]
+
+
+def leg_case(d, N, place):
+    full = LatticeSpec(d, N).full_rect()
+    return full, full if place == "whole" else LEG_CASES[(d, N)][place]
+
+
+def random_unitary(rng, dim):
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return np.linalg.qr(raw)[0]
+
+
+class TestAddEmbedded:
+    @pytest.mark.parametrize("d, N, M, place", LEG_PARAMS)
+    def test_matches_kron_embed(self, d, N, M, place):
+        # two accumulations with complex coefficients into one buffer, the
+        # second from a single site of J
+        full, J = leg_case(d, N, place)
+        rng = np.random.default_rng(7 * d + N + 10 * M)
+        a = LocalOp(J, rng.standard_normal((M**J.n_sites,) * 2) * (1 + 0.5j), M)
+        point = Rect((0,) * d, J.sites()[-1])
+        b = random_local(rng, point, M)
+        dim = M**full.n_sites
+        total = np.zeros((dim, dim), dtype=complex)
+        add_embedded(total, a, full, 0.3 - 1.7j)
+        add_embedded(total, b, full, -2.1j)
+        ref = (0.3 - 1.7j) * kron_embed(a, full).matrix - 2.1j * kron_embed(b, full).matrix
+        assert np.max(np.abs(total - ref)) <= 1e-14
+        assert np.array_equal(embed(a, full).matrix, kron_embed(a, full).matrix)
+
+    def test_non_contiguous_destination_rejected(self):
+        edge = Rect((1,), (1,))
+        total = np.zeros((4, 4), dtype=complex).T[::1, ::-1]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            add_embedded(total, LocalOp(Rect((0,), (1,)), SZ, 2), edge)
+
+
+class TestConjugateOnLegs:
+    @pytest.mark.parametrize("d, N, M, place", LEG_PARAMS)
+    def test_matches_dense_embedded_product(self, d, N, M, place):
+        full, J = leg_case(d, N, place)
+        rng = np.random.default_rng(11 * d + N + 10 * M)
+        b = random_local(rng, full, M)
+        u = random_unitary(rng, M**J.n_sites)
+        got = conjugate_on_legs(b, J, u)
+        ref = dense_conjugation(b, J, u)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(b.matrix)
+
+    @pytest.mark.parametrize("d, N, M, place", LEG_PARAMS)
+    def test_permutation_matches_single_leg_transpose(self, d, N, M, place):
+        # merging adjacent legs must give the plain one-axis-per-leg transpose
+        full, J = leg_case(d, N, place)
+        rng = np.random.default_rng(13 * d + N + 10 * M)
+        a = random_local(rng, full, M).matrix
+        sites, inner = full.sites(), set(J.sites())
+        perm = [i for i, s in enumerate(sites) if s not in inner]
+        perm += [i for i, s in enumerate(sites) if s in inner]
+        n = len(sites)
+        ref = a.reshape((M,) * 2 * n).transpose(perm + [n + i for i in perm]).reshape(a.shape)
+        moved = permute_legs(a, full, J, M)
+        assert np.array_equal(moved, ref)
+        assert np.array_equal(permute_legs(moved, full, J, M, back=True), a)
+
+    def test_rejects_outside_rectangle(self):
+        op = LocalOp(Rect((1,), (1,)), np.eye(4), 2)
+        with pytest.raises(ValueError, match="not contained"):
+            conjugate_on_legs(op, Rect((1,), (2,)), np.eye(4))
+
+
 class TestProjectors:
     def test_single_site(self):
         point = Rect((0,), (1,))
@@ -177,6 +269,26 @@ class TestNormsAndSpectra:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_spectrum(np.kron(bad, np.eye(2)))
+
+    @pytest.mark.parametrize("spread", [False, True])
+    def test_asymmetry_above_two_norm_bound_rejected(self, spread):
+        # just above the 2-norm bound ||A - A^+|| > 1e-10 ||A||: on a flat
+        # spectrum with a single skewed entry (where ||A||_F / sqrt(n) is
+        # ||A|| itself) and on a random spectrum with a spread-out skew
+        rng = np.random.default_rng(8)
+        dim = 64
+        if spread:
+            mat = random_hermitian(rng, dim)
+            skew = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        else:
+            mat = np.diag(rng.choice([-1.0, 1.0], dim)).astype(complex)
+            skew = np.zeros((dim, dim), dtype=complex)
+            skew[0, 1] = 1.0
+        skew *= 1e-10 / np.linalg.norm(skew - skew.conj().T, 2)
+        bad = mat + 1.01 * np.linalg.norm(mat, 2) * skew
+        assert np.linalg.norm(bad - bad.conj().T, 2) > 1e-10 * np.linalg.norm(bad, 2)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_spectrum(bad)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
