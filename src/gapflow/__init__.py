@@ -36,6 +36,7 @@ from .flow import (
     apply_step,
     assemble_hamiltonian,
     consistency_check,
+    norm_decay_audit,
     regime_of,
     run_flow,
 )
@@ -55,7 +56,6 @@ from .expansion import (
 from .verify import (
     RunReport,
     inequality_suite,
-    norm_decay_audit,
     verify_main_theorem,
 )
 

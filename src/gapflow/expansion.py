@@ -204,7 +204,6 @@ def build_gamma(decomp: ComponentDecomposition) -> PathOfRects:
     seq = closed_path(lowest[0]).seq
     for rho in sizes[1:]:
         for comp in decomp.components[rho]:
-            members = set(comp)
             spot = None
             for i, x in enumerate(seq):
                 hit = next((y for y in comp if x.overlaps(y)), None)

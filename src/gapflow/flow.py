@@ -68,7 +68,6 @@ class StepRecord:
     circumference: int
     g_gap: float
     e0: float
-    e0_cross: float
     regime: str
     s_norm: float = 0.0
     v1_norm: float = 0.0
@@ -131,16 +130,6 @@ def regime_of(J_step: Rect, J_target: Rect) -> str:
     return "R2"
 
 
-def _vacuum_cross_energy(J: Rect, interactions: dict[Rect, LocalOp], t: float) -> float:
-    """Independent vacuum energy: t times the summed vacuum expectations of
-    every strictly smaller stored potential (on-site terms contribute zero)."""
-    total = 0.0
-    for key, op in interactions.items():
-        if key.circumference >= 1 and J.contains(key) and key != J:
-            total += float(op.matrix[0, 0].real)
-    return t * total
-
-
 def _transform_map(
     interactions: dict[Rect, LocalOp], J: Rect, ops: StepOperators
 ) -> dict[Rect, LocalOp]:
@@ -193,7 +182,6 @@ def apply_step(
 
     v1 = state.interactions.get(J)
     g, e0 = assemble_g(J, state.interactions, spec.t)
-    e0_cross = _vacuum_cross_energy(J, state.interactions, spec.t)
     ops = None if v1 is None else lie_schwinger_series(J, g, e0, v1, spec.t, j_max=j_max)
     gap = check_g_gap(g, e0, J) if ops is None else ops.gap
     if gap < GAP_FLOOR and not force:
@@ -223,11 +211,11 @@ def apply_step(
         circumference=J.circumference,
         g_gap=gap,
         e0=e0,
-        e0_cross=e0_cross,
         regime=regime_of(J, spec.lat.full_rect()),
         skipped=ops is None,
         **series,
     )
+    snapshots = state.map_snapshots
     new_state = replace(
         state,
         spec=spec,
@@ -235,10 +223,9 @@ def apply_step(
         interactions=interactions,
         generator_log=state.generator_log + logged,
         history=state.history + [record],
+        map_snapshots=None if snapshots is None else snapshots + [dict(interactions)],
         failures=list(state.failures),
     )
-    if new_state.map_snapshots is not None:
-        new_state.map_snapshots.append(dict(interactions))
     return new_state, ops
 
 
@@ -284,7 +271,6 @@ def consistency_check(
 @dataclass
 class Tolerances:
     spectral: float = 1e-8
-    projector: float = 1e-12
     consistency: float = 1e-8
     gap_slack: float = 1e-6
 
@@ -335,12 +321,13 @@ def run_flow(
             state.failures.append(f"gap {rec.g_gap:.6g} below 1/2 at step {J}")
 
     # audit the norm-decay hypothesis; violations downgrade, never abort
-    for r, worst in max_norm_by_circumference(state).items():
-        if r >= 2 and worst > abs(spec.t) ** ((r - 1) / 4.0) + 1e-12:
+    for row in norm_decay_audit(state, spec.t):
+        if not row["pass"]:
+            r = row["circumference"]
             state.status = "hypothesis-violated"
             state.failures.append(
                 f"norm decay hypothesis violated at circumference {r}: "
-                f"{worst:.6g} > t^({r - 1}/4)"
+                f"{row['max_norm']:.6g} > t^({r - 1}/4)"
             )
     if state.status == "running":
         state.status = "completed"
@@ -354,3 +341,24 @@ def max_norm_by_circumference(state: FlowState) -> dict[int, float]:
         if r >= 1:
             out[r] = max(out.get(r, 0.0), op_norm(op))
     return out
+
+
+def norm_decay_audit(state: FlowState, t: float) -> list[dict]:
+    """Per-circumference table: max stored norm against t^{(r-1)/4}.
+
+    Circumference-1 rows are informational: the single-step bound there is
+    a plain factor 2, not a power of t, so they report but never fail.
+    """
+    rows = []
+    for r, worst in sorted(max_norm_by_circumference(state).items()):
+        bound = abs(t) ** ((r - 1) / 4.0)
+        rows.append(
+            {
+                "circumference": r,
+                "max_norm": worst,
+                "bound": bound,
+                "ratio": worst / bound if bound > 0 else float("inf"),
+                "pass": bool(r < 2 or worst <= bound + 1e-12),
+            }
+        )
+    return rows

@@ -110,20 +110,12 @@ def compare_step(a: Rect, b: Rect) -> int:
     succeeds; at equal shape the rectangle whose last differing base
     coordinate is larger succeeds.
     """
-    ca, cb = a.circumference, b.circumference
-    if ca != cb:
-        return 1 if ca > cb else -1
-    for ka, kb in zip(a.k, b.k):
-        if ka != kb:
-            return 1 if ka < kb else -1
-    for qa, qb in zip(reversed(a.q), reversed(b.q)):
-        if qa != qb:
-            return 1 if qa > qb else -1
-    return 0
+    ka, kb = step_sort_key(a), step_sort_key(b)
+    return (ka > kb) - (ka < kb)
 
 
 def step_sort_key(r: Rect) -> tuple:
-    """Sort key reproducing ascending ``compare_step`` order."""
+    """Sort key encoding the flow order that ``compare_step`` describes."""
     return (r.circumference, tuple(-x for x in r.k), tuple(reversed(r.q)))
 
 

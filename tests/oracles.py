@@ -34,6 +34,21 @@ def kron_embed(op: LocalOp, into: Rect) -> LocalOp:
     return LocalOp(into, tens.reshape(M**n, M**n), M)
 
 
+def three_clause_compare(a: Rect, b: Rect) -> int:
+    """The flow order clause by clause: larger circumference succeeds; at equal
+    circumference the smaller first differing side length succeeds; at equal
+    shape the larger last differing base coordinate succeeds."""
+    if a.circumference != b.circumference:
+        return 1 if a.circumference > b.circumference else -1
+    for ka, kb in zip(a.k, b.k):
+        if ka != kb:
+            return 1 if ka < kb else -1
+    for qa, qb in zip(reversed(a.q), reversed(b.q)):
+        if qa != qb:
+            return 1 if qa > qb else -1
+    return 0
+
+
 def identity_op(support: Rect, M: int) -> LocalOp:
     return LocalOp(support, np.eye(M**support.n_sites, dtype=complex), M)
 

@@ -41,7 +41,7 @@ from gapflow.geometry import (
     minimal_rectangle,
     step_sort_key,
 )
-from gapflow.model import ModelSpec, default_onsite, random_model
+from gapflow.model import ModelSpec, build_hamiltonian, default_onsite, random_model
 from gapflow.schwinger import majorant_constant
 from gapflow.tensor import SiteSpace
 from gapflow.verify import inequality_suite, norm_decay_audit, verify_main_theorem
@@ -121,7 +121,10 @@ class TestCriterion4:
         for (d, N, t), (spec, state) in c2_runs.items():
             for rec in state.history:
                 assert rec.g_gap >= 0.5, ((d, N, t), rec.rect, rec.g_gap)
-                assert abs(rec.e0 - rec.e0_cross) <= 1e-10
+            # the vacuum is the ground state of the transformed operator
+            vacuum = verify_main_theorem(state, spec).final["vacuum_energy"]
+            ground = np.linalg.eigvalsh(build_hamiltonian(spec).matrix)[0]
+            assert abs(vacuum - ground) <= 1e-10, ((d, N, t), vacuum, ground)
         announce(4, "inductive gap claim")
 
 

@@ -2,8 +2,10 @@
 
 import csv
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,11 +45,22 @@ class TestParseConfig:
             parse_config(write_config(tmp_path, {"d": 1, "N": 3, "t": 0.05, "foo": 1}))
 
     def test_removed_n_max_key_refused(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"d": 1, "N": 3, "t": 0.05, "n_max": 20})
-        with pytest.raises(ConfigError, match="unknown key 'n_max'"):
-            parse_config(path)
-        assert main(["--config", path]) == 2
-        assert "unknown key 'n_max'" in capsys.readouterr().err
+        base = {"d": 1, "N": 3, "t": 0.05}
+        for key, payload in [
+            ("n_max", {**base, "n_max": 20}),
+            ("projector", {**base, "tolerances": {"projector": 1e-12}}),
+        ]:
+            path = write_config(tmp_path, payload)
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                parse_config(path)
+            assert main(["--config", path]) == 2
+            assert f"unknown key '{key}'" in capsys.readouterr().err
+
+    def test_readme_full_schema_parses(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"Full schema.*?```json\n(.*?)```", readme, re.S).group(1)
+        cfg = parse_config(write_config(tmp_path, json.loads(block)))
+        assert cfg.d == 2 and cfg.tolerances.consistency == 1e-8
 
     def test_unknown_nested_key(self, tmp_path):
         payload = {"d": 1, "N": 3, "t": 0.05, "tolerances": {"spectre": 1e-8}}

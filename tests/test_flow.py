@@ -23,6 +23,7 @@ from gapflow.geometry import LatticeSpec, Rect, compare_step, enumerate_steps
 from gapflow.model import ModelSpec, build_hamiltonian, default_onsite, random_model
 from gapflow.schwinger import GapError, generator_exponential
 from gapflow.tensor import LocalOp, SiteSpace, embed, hermitian_spectrum, offdiag_norm, op_norm
+from gapflow.verify import verify_main_theorem
 
 from oracles import (
     dense_generator,
@@ -142,6 +143,14 @@ class TestApplyStep:
         grown = new.interactions.get(Rect((2,), (1,)))
         assert grown is not None and np.linalg.norm(grown.matrix, 2) > 1e-6
 
+    def test_history_snapshot_leaves_caller_state_alone(self):
+        spec = random_model(LatticeSpec(1, 3), 2, 0.05, seed=23)
+        state = initial_state(spec, keep_history=True)
+        new, _ = apply_step(state, Rect((1,), (1,)), spec)
+        assert state.map_snapshots == []
+        assert new.map_snapshots is not state.map_snapshots
+        assert new.map_snapshots == [new.interactions]
+
     def test_gap_failure_aborts_without_force(self):
         # an engineered block-diagonal entry inside the next step rectangle
         # drags its excited block below 1/2
@@ -260,12 +269,27 @@ class TestRunFlow:
             if r >= 2:
                 assert worst <= 0.05 ** ((r - 1) / 4)
 
-    def test_vacuum_energy_cross_check(self):
-        spec = random_model(LatticeSpec(1, 4), 2, 0.05, seed=30)
+    def test_norm_decay_violation_downgrades_status(self):
+        # a unit-norm block-diagonal potential on a circumference-2 rectangle
+        # survives the flow unchanged, far above the bound t^(1/4)
+        v = np.diag([0.0] + [1.0] * 7).astype(complex)
+        pots = [(Rect((2,), (1,)), v)]
+        spec = ModelSpec(LatticeSpec(1, 3), SiteSpace(2), default_onsite(2), pots, 0.05, k_bar=2)
         state = run_flow(spec)
-        for rec in state.history:
-            if not rec.skipped:
-                assert abs(rec.e0 - rec.e0_cross) < 1e-10
+        assert state.status == "hypothesis-violated"
+        assert state.failures == ["norm decay hypothesis violated at circumference 2: 1 > t^(1/4)"]
+        report = verify_main_theorem(state, spec)
+        assert report.status == "hypothesis-violated"
+        assert [c for c in report.failed_clauses if c.startswith("norm-decay")] == [
+            f"norm-decay: circumference 2 norm 1 above bound {0.05 ** 0.25:.6g}"
+        ]
+
+    def test_vacuum_energy_cross_check(self):
+        # the transformed vacuum energy Kt[0,0] is the original ground energy
+        spec = random_model(LatticeSpec(1, 4), 2, 0.05, seed=30)
+        report = verify_main_theorem(run_flow(spec), spec)
+        ground = np.linalg.eigvalsh(build_hamiltonian(spec).matrix)[0]
+        assert abs(report.final["vacuum_energy"] - ground) < 1e-10
 
     def test_generator_log_matches_steps(self):
         spec = random_model(LatticeSpec(1, 3), 2, 0.05, seed=31)

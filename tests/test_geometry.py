@@ -21,6 +21,8 @@ from gapflow.geometry import (
     successor,
 )
 
+from oracles import three_clause_compare
+
 
 def rect_strategy(d, N):
     def build(draw):
@@ -90,6 +92,12 @@ class TestCompareStep:
             for b in rects:
                 if a.circumference > b.circumference:
                     assert compare_step(a, b) == 1
+
+    @pytest.mark.parametrize("d, N", [(1, 6), (2, 4), (3, 3)])
+    def test_matches_three_clause_rule_all_pairs(self, d, N):
+        rects = all_rects(LatticeSpec(d, N))
+        for a, b in itertools.product(rects, repeat=2):
+            assert compare_step(a, b) == three_clause_compare(a, b), (a, b)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -5,8 +5,8 @@ import pytest
 
 from gapflow.flow import initial_state, run_flow
 from gapflow.geometry import LatticeSpec, Rect
-from gapflow.model import ModelSpec, default_onsite, random_model
-from gapflow.tensor import SiteSpace
+from gapflow.model import ModelSpec, build_hamiltonian, default_onsite, random_model
+from gapflow.tensor import LocalOp, SiteSpace
 from gapflow.verify import (
     inequality_suite,
     model_fingerprint,
@@ -69,6 +69,22 @@ class TestVerifyMainTheorem:
         assert delta < 0.5
         shortfall = [c for c in report.failed_clauses if f"{delta:.9g}" in c]
         assert len(shortfall) == 1 and shortfall[0].startswith("gap:")
+
+    def test_vacuum_energy_clause_sees_perturbed_entry(self):
+        # shift the vacuum expectation of one stored entry after the flow by
+        # t * delta = 1e-6; per-step values fixed during the flow cannot see it
+        spec = random_model(LatticeSpec(1, 4), 2, 0.05, seed=56)
+        state = run_flow(spec)
+        assert verify_main_theorem(state, spec).passed()
+        key = next(k for k in state.interactions if k.circumference >= 1)
+        op = state.interactions[key]
+        bumped = op.matrix.copy()
+        bumped[0, 0] += 1e-6 / spec.t
+        state.interactions[key] = LocalOp(key, bumped, op.M)
+        report = verify_main_theorem(state, spec)
+        assert any(c.startswith("vacuum-energy") for c in report.failed_clauses)
+        ground = np.linalg.eigvalsh(build_hamiltonian(spec).matrix)[0]
+        assert report.final["vacuum_energy"] - ground == pytest.approx(1e-6, rel=1e-6)
 
     def test_report_deterministic(self):
         spec_a = random_model(LatticeSpec(1, 3), 2, 0.05, seed=51)
