@@ -11,6 +11,7 @@ is built on.
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 from .flow import FlowState
 from .geometry import LatticeSpec, Rect, enumerate_steps, g_set, minimal_rectangle
 from .schwinger import rotation_delta
-from .tensor import LocalOp, add_embedded, embed, op_norm
+from .tensor import LocalOp, add_embedded, embed, hermitian_norm
 
 BRANCH_PRUNE_NORM = 1e-14
 
@@ -238,7 +239,11 @@ def direction_count(s: int, s_prime: int, d: int, lat: LatticeSpec) -> int:
 
 
 class _Expander:
-    """Backward unfolding of one stored potential through the flow history."""
+    """Backward unfolding of the stored potentials of one flow.
+
+    The memo key (level, support) depends on neither the root step nor the
+    target, so one expander serves every expansion of its flow state.
+    """
 
     def __init__(self, state: FlowState, lat: LatticeSpec):
         if state.initial_map is None:
@@ -248,8 +253,7 @@ class _Expander:
         self.initial_map = state.initial_map
         self.case_b = {rec.rect: rec.case_b_value for rec in state.history}
         self.generators = dict(state.generator_log)
-        self.memo: dict[tuple[int, Rect], list[Branch]] = {}
-        self.measured_c = 0.0
+        self.memo: dict[tuple[int, Rect], tuple[list[Branch], float]] = {}
         self.t = state.spec.t
         self.v1_norms = {
             rec.rect: rec.v1_norm for rec in state.history if not rec.skipped
@@ -266,40 +270,53 @@ class _Expander:
         common = minimal_rectangle(label, x.support)
         out = rotation_delta(embed(x, common), label, self.generators[label])
         result = LocalOp(common, out, x.M)
-        nrm = op_norm(result)
+        nrm = hermitian_norm(result)
         if nrm <= BRANCH_PRUNE_NORM:
             return None
-        denom = self.t * self.v1_norms.get(label, 0.0) * sub.norm
-        if denom > 0:
-            self.measured_c = max(self.measured_c, nrm / denom)
         return Branch((label,) + sub.labels, sub.leaf, sub.leaf_norm, result, nrm)
 
     def leaf(self, support: Rect, op: LocalOp | None) -> list[Branch]:
         if op is None:
             return []
-        nrm = op_norm(op)
+        nrm = hermitian_norm(op)
         return [Branch((), support, nrm, op, nrm)]
 
-    def expand(self, level: int, support: Rect) -> list[Branch]:
+    def expand(self, level: int, support: Rect) -> tuple[list[Branch], float]:
+        """Branches of the potential on ``support`` as of step ``level``, and
+        the largest ratio ||A(x)|| / (t ||V_J|| ||x||) over the commutator
+        maps applied in that subtree (0 if none)."""
         key = (level, support)
         if key in self.memo:
             return self.memo[key]
+        c = 0.0
         if level < 0:
             out = self.leaf(support, self.initial_map.get(support))
         elif self.steps[level] == support:
             out = self.leaf(support, self.case_b.get(support))
         else:
             step = self.steps[level]
-            out = list(self.expand(level - 1, support))
+            below, c = self.expand(level - 1, support)
+            out = list(below)
             if support.contains(step):
                 members = g_set(step, support, self.lat) | {support}
                 for member in sorted(members, key=lambda r: (r.k, r.q)):
-                    for sub in self.expand(level - 1, member):
+                    subs, c_sub = self.expand(level - 1, member)
+                    c = max(c, c_sub)
+                    for sub in subs:
                         branch = self.apply_a(step, sub)
-                        if branch is not None:
-                            out.append(branch)
-        self.memo[key] = out
-        return out
+                        if branch is None:
+                            continue
+                        out.append(branch)
+                        denom = self.t * self.v1_norms.get(step, 0.0) * sub.norm
+                        if denom > 0:
+                            c = max(c, branch.norm / denom)
+        self.memo[key] = (out, c)
+        return out, c
+
+
+# one expander per flow state, dropped with the state; a FlowState hashes
+# by identity and is never mutated once expanded
+_EXPANDERS: weakref.WeakKeyDictionary[FlowState, _Expander] = weakref.WeakKeyDictionary()
 
 
 def enumerate_branches(
@@ -318,8 +335,10 @@ def enumerate_branches(
     done = [rec.rect for rec in flow_history.history]
     if root_step not in done:
         raise ValueError(f"flow has not completed step {root_step}")
-    expander = _Expander(flow_history, lat)
-    branches = expander.expand(root_idx, target)
+    expander = _EXPANDERS.get(flow_history)
+    if expander is None:
+        expander = _EXPANDERS[flow_history] = _Expander(flow_history, lat)
+    branches, measured_c = expander.expand(root_idx, target)
     ratios = [
         len(b.rect_set) * root_step.circumference / target.circumference
         for b in branches
@@ -328,8 +347,8 @@ def enumerate_branches(
     return BranchExpansion(
         target=target,
         root_step=root_step,
-        branches=branches,
-        measured_c=expander.measured_c,
+        branches=list(branches),
+        measured_c=measured_c,
         min_size_ratio=min(ratios) if ratios else None,
     )
 

@@ -42,12 +42,21 @@ def set_entry(interactions: dict[Rect, LocalOp], key: Rect, op: LocalOp) -> None
     below the prune threshold. Entry matrices are shared, never mutated."""
     if op.support != key:
         raise ValueError(f"entry support {op.support} does not match key {key}")
-    # ||A|| <= ||A||_F <= sqrt(n) ||A||: the SVD runs only when the
-    # Frobenius norm leaves the decision open
-    fro = float(np.linalg.norm(op.matrix))
-    keep = fro > PRUNE_THRESHOLD and (
-        fro > PRUNE_THRESHOLD * np.sqrt(op.dim) or op_norm(op) > PRUNE_THRESHOLD
-    )
+    # ||A|| lies between ||A||_F / sqrt(n) and ||A||_F, and between the
+    # largest column norm and sqrt(||A||_1 ||A||_inf); the SVD runs only
+    # when all four bounds leave the decision open
+    mat = op.matrix
+    fro = float(np.linalg.norm(mat))
+    if fro <= PRUNE_THRESHOLD:
+        keep = False
+    elif fro > PRUNE_THRESHOLD * np.sqrt(op.dim) or (
+        np.linalg.norm(mat, axis=0).max() > PRUNE_THRESHOLD
+    ):
+        keep = True
+    else:
+        absolute = np.abs(mat)
+        upper = np.sqrt(absolute.sum(0).max() * absolute.sum(1).max())
+        keep = upper > PRUNE_THRESHOLD and op_norm(op) > PRUNE_THRESHOLD
     if keep:
         interactions[key] = op
     else:
@@ -82,12 +91,14 @@ class StepRecord:
     skipped: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class FlowState:
     """Flow progress: last completed step, current map, generators, diagnostics.
 
     ``generator_log`` holds, per non-skipped step, the step rectangle and
-    the vector X of its generator S = X e0^+ - e0 X^+.
+    the vector X of its generator S = X e0^+ - e0 X^+. A state hashes by
+    identity: ``expansion`` caches its branch memo per state, so a state
+    must not be mutated in place once it has been expanded.
     """
 
     spec: ModelSpec

@@ -189,3 +189,11 @@ def hermitian_spectrum(op: LocalOp | np.ndarray) -> np.ndarray:
     if np.linalg.norm(mat - mat.conj().T) > HERMITICITY_RTOL * scale:
         raise ValueError("operator is not Hermitian within tolerance")
     return np.linalg.eigvalsh(mat)
+
+
+def hermitian_norm(op: LocalOp | np.ndarray) -> float:
+    """Operator norm of a Hermitian operator, its largest |eigenvalue|, from
+    ``hermitian_spectrum`` (same Hermiticity refusal); cheaper than the SVD
+    of ``op_norm``."""
+    w = hermitian_spectrum(op)
+    return float(max(-w[0], w[-1]))

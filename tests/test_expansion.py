@@ -1,5 +1,8 @@
 """Branch re-expansion, component decompositions, and rectangle paths."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,7 @@ from gapflow.geometry import (
     enumerate_steps,
 )
 from gapflow.model import random_model
-from gapflow.tensor import op_norm
+from gapflow.tensor import hermitian_norm
 
 class UnionFind:
     """Independent component-count oracle."""
@@ -153,29 +156,137 @@ class TestEnumerateBranches:
                 assert lhs <= rhs + 1e-12
 
     def test_each_branch_norm_taken_once(self, monkeypatch):
-        # every operator is normed once, when its branch is made; the
-        # expansion constant and the weighted sum read the stored norms
+        # over every root step of one state, every operator is normed once,
+        # when its branch is made, and no (generator, branch) input is
+        # rotated twice; the expansion constant and the weighted sum read
+        # the stored norms
         spec, state = flow_state(1, 4)
         v1n = {r.rect: r.v1_norm for r in state.history if not r.skipped}
-        normed = []
+        normed, rotated = [], []
         monkeypatch.setattr(
-            expansion, "op_norm", lambda a: normed.append(a) or op_norm(a)
+            expansion, "hermitian_norm", lambda a: normed.append(a) or hermitian_norm(a)
         )
-        exp = enumerate_branches(spec.lat.full_rect(), enumerate_steps(spec.lat)[-1], state)
-        assert exp.branches
+        apply_a = expansion._Expander.apply_a
+        monkeypatch.setattr(
+            expansion._Expander,
+            "apply_a",
+            lambda self, label, sub: rotated.append((label, sub.labels, sub.leaf))
+            or apply_a(self, label, sub),
+        )
+        exps = [
+            enumerate_branches(spec.lat.full_rect(), root, state)
+            for root in enumerate_steps(spec.lat)
+        ]
+        branches = [b for exp in exps for b in exp.branches]
+        assert branches
         assert len({id(a) for a in normed}) == len(normed)
-        assert {id(b.op) for b in exp.branches} <= {id(a) for a in normed}
+        assert {id(b.op) for b in branches} <= {id(a) for a in normed}
+        assert len(set(rotated)) == len(rotated)
         calls = len(normed)
-        lhs, _ = weighted_branch_sum(exp, spec.t, v1n)
+        sums = [weighted_branch_sum(exp, spec.t, v1n)[0] for exp in exps]
         assert len(normed) == calls
-        assert all(b.norm == op_norm(b.op) for b in exp.branches)
-        assert lhs == sum(op_norm(b.op) for b in exp.branches)
+        assert all(b.norm == hermitian_norm(b.op) for b in branches)
+        assert sums == [sum(hermitian_norm(b.op) for b in exp.branches) for exp in exps]
 
     def test_empty_expansion_weighs_zero(self):
         spec, state = flow_state(1, 4)
         steps = enumerate_steps(spec.lat)
         exp = enumerate_branches(Rect((2,), (2,)), steps[0], state)
         assert weighted_branch_sum(exp, spec.t, {}) == (0.0, 0.0)
+
+
+def assert_same_expansion(got, want, M):
+    assert got.measured_c == want.measured_c
+    assert got.min_size_ratio == want.min_size_ratio
+    assert len(got.branches) == len(want.branches)
+    for a, b in zip(got.branches, want.branches):
+        assert (a.labels, a.leaf) == (b.labels, b.leaf)
+        assert (a.norm, a.leaf_norm) == (b.norm, b.leaf_norm)
+        assert np.array_equal(a.op.matrix, b.op.matrix)
+    assert np.array_equal(branch_sum(got, M).matrix, branch_sum(want, M).matrix)
+
+
+class RatioRecorder(expansion._Expander):
+    """Oracle expander: its measured constant is the largest ratio over
+    every commutator map it applies, not the maxima threaded through the
+    memo."""
+
+    def __init__(self, state, lat):
+        super().__init__(state, lat)
+        self.measured_c = 0.0
+
+    def apply_a(self, label, sub):
+        branch = super().apply_a(label, sub)
+        denom = self.t * self.v1_norms.get(label, 0.0) * sub.norm
+        if branch is not None and denom > 0:
+            self.measured_c = max(self.measured_c, branch.norm / denom)
+        return branch
+
+
+class TestSharedExpander:
+    @pytest.mark.parametrize("d, N", [(1, 4), (2, 2)])
+    def test_matches_fresh_expander_per_root(self, d, N):
+        # oracle: a fresh memo per root step, as if nothing were shared
+        spec, state = flow_state(d, N)
+        target = spec.lat.full_rect()
+        steps = enumerate_steps(spec.lat)
+        fresh = []
+        for root in steps:
+            recorder = expansion._EXPANDERS[state] = RatioRecorder(state, spec.lat)
+            exp = enumerate_branches(target, root, state)
+            assert exp.measured_c == recorder.measured_c
+            fresh.append(exp)
+        expansion._EXPANDERS.pop(state)
+        for root, want in zip(steps, fresh):
+            assert_same_expansion(enumerate_branches(target, root, state), want, spec.M)
+        assert any(exp.branches for exp in fresh)
+
+    @pytest.mark.parametrize("d, N", [(1, 4), (2, 2)])
+    def test_subtree_constant_is_its_largest_ratio(self, d, N):
+        # every memo entry carries the largest ratio over the commutator
+        # maps applied in its own subtree
+        spec, state = flow_state(d, N)
+        for root in enumerate_steps(spec.lat):
+            enumerate_branches(spec.lat.full_rect(), root, state)
+        memo = expansion._EXPANDERS[state].memo
+        assert any(c > 0 for _, c in memo.values())
+        for (level, support), (_, c) in memo.items():
+            recorder = RatioRecorder(state, spec.lat)
+            recorder.expand(level, support)
+            assert c == recorder.measured_c
+
+    def test_shared_across_targets(self):
+        # targets expanded one after another on one memo match fresh ones
+        spec, state = flow_state(1, 4)
+        root = enumerate_steps(spec.lat)[-1]
+        targets = [Rect((1,), (1,)), Rect((2,), (1,)), spec.lat.full_rect()]
+        shared = [enumerate_branches(t, root, state) for t in targets]
+        for target, got in zip(targets, shared):
+            expansion._EXPANDERS.pop(state)
+            assert_same_expansion(got, enumerate_branches(target, root, state), spec.M)
+
+    def test_one_expander_per_state_dropped_with_it(self):
+        spec, state = flow_state(1, 3)
+        _, twin = flow_state(1, 3)
+        root = enumerate_steps(spec.lat)[-1]
+        a = enumerate_branches(spec.lat.full_rect(), root, state)
+        b = enumerate_branches(spec.lat.full_rect(), root, twin)
+        assert_same_expansion(a, b, spec.M)
+        expander = weakref.ref(expansion._EXPANDERS[state])
+        assert expansion._EXPANDERS[twin] is not expander()
+        del state
+        gc.collect()
+        assert expander() is None
+        assert twin in expansion._EXPANDERS
+
+    def test_returned_list_does_not_alias_memo(self):
+        spec, state = flow_state(1, 3)
+        root = enumerate_steps(spec.lat)[-1]
+        first = enumerate_branches(spec.lat.full_rect(), root, state)
+        count = len(first.branches)
+        assert count
+        first.branches.clear()
+        assert len(enumerate_branches(spec.lat.full_rect(), root, state).branches) == count
 
 
 class TestDecomposeComponents:

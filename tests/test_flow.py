@@ -34,6 +34,7 @@ from oracles import (
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+HADAMARD = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]])
 
 
 def sxsx_chain(N, t):
@@ -60,13 +61,24 @@ class TestInteractionMap:
         [
             # Frobenius norm just below the threshold: pruned without an SVD
             pytest.param(np.diag([1 - 1e-9, 0, 0, 0]), False, id="below threshold"),
-            # Frobenius norm just above it: the SVD decides, either way
-            pytest.param(np.diag([0.5 + 1e-9, 0.5, 0.5, 0.5]), True, id="above threshold, spread"),
-            pytest.param(np.diag([1 + 1e-9, 0, 0, 0]), True, id="above threshold, rank one"),
-            # just below sqrt(n) times the threshold the SVD still decides;
-            # just above it the entry is kept without one
-            pytest.param(np.diag([1 - 1e-9] * 4), True, id="below sqrt(n) bound"),
+            # just above it, sqrt(||A||_1 ||A||_inf) at or below the
+            # threshold prunes, and a column norm above it keeps, either
+            # way without an SVD
+            pytest.param(
+                np.diag([0.5 + 1e-9, 0.5, 0.5, 0.5]), False, id="above threshold, spread"
+            ),
+            pytest.param(np.diag([1 + 1e-9, 0, 0, 0]), False, id="above threshold, rank one"),
+            # just below sqrt(n) times the threshold the row bound prunes;
+            # just above it the entry is kept by the Frobenius norm
+            pytest.param(np.diag([1 - 1e-9] * 4), False, id="below sqrt(n) bound"),
             pytest.param(np.diag([1 + 1e-9] * 4), False, id="above sqrt(n) bound"),
+            # when all four bounds straddle the threshold the SVD decides
+            pytest.param((1 + 1e-9) / 4 * np.ones((4, 4)), True, id="straddled, above"),
+            pytest.param((1 - 1e-9) / 2 * HADAMARD, True, id="straddled, below"),
+            # ||A||_1 alone is no upper bound: one row has ||A|| = 2 ||A||_1
+            pytest.param(
+                (1 + 1e-9) / 2 * np.outer([1, 0, 0, 0], [1, 1, 1, 1]), True, id="straddled, one row"
+            ),
         ],
     )
     def test_prune_bounds(self, monkeypatch, mat, svd):
@@ -79,6 +91,31 @@ class TestInteractionMap:
         set_entry(imap, edge, op)
         assert (edge in imap) == keep
         assert bool(calls) == svd
+
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    @pytest.mark.parametrize("rank", ["one", "full"])
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_prune_agrees_with_svd_at_threshold(self, dim, rank, hermitian):
+        # matrices scaled to just above and just below the threshold are
+        # kept or dropped exactly as the SVD rule decides
+        rng = np.random.default_rng(dim)
+        n_sites = int(np.log2(dim))
+        rect = Rect((n_sites - 1,), (1,))
+        for _ in range(10):
+            if rank == "one":
+                v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                w = v if hermitian else rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                raw = np.outer(v, w.conj())
+            else:
+                raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                if hermitian:
+                    raw = raw + raw.conj().T
+            unit = raw / np.linalg.norm(raw, 2)
+            for scale in (1 - 1e-9, 1 + 1e-9):
+                op = LocalOp(rect, PRUNE_THRESHOLD * scale * unit, 2)
+                imap = {}
+                set_entry(imap, rect, op)
+                assert (rect in imap) == (np.linalg.norm(op.matrix, 2) > PRUNE_THRESHOLD)
 
 
 class TestApplyStep:

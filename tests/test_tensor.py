@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapflow.geometry import LatticeSpec, Rect, all_rects
 from gapflow.tensor import (
@@ -10,6 +12,7 @@ from gapflow.tensor import (
     add_embedded,
     conjugate_on_legs,
     embed,
+    hermitian_norm,
     hermitian_spectrum,
     offdiag_norm,
     op_norm,
@@ -293,6 +296,33 @@ class TestNormsAndSpectra:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
             LocalOp(Rect((1,), (1,)), np.eye(3), 2)
+
+
+class TestHermitianNorm:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dim=st.integers(1, 64),
+        log_scale=st.floats(-12, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_svd_norm(self, dim, log_scale, seed):
+        mat = random_hermitian(np.random.default_rng(seed), dim) * 10.0**log_scale
+        svd = np.linalg.norm(mat, 2)
+        assert abs(hermitian_norm(mat) - svd) <= 1e-12 * svd
+
+    def test_local_op_and_signed_spectrum(self):
+        # the norm is the largest |eigenvalue|, whichever end it sits at
+        edge = Rect((1,), (1,))
+        assert hermitian_norm(LocalOp(edge, np.diag([-3.0, 0.5, 1.0, 2.0]), 2)) == 3.0
+        assert hermitian_norm(LocalOp(edge, np.diag([-1.0, 0.5, 1.0, 2.0]), 2)) == 2.0
+
+    def test_zero_matrix(self):
+        assert hermitian_norm(np.zeros((4, 4))) == 0.0
+
+    def test_non_hermitian_rejected(self):
+        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_norm(np.kron(bad, np.eye(2)))
 
 
 class TestOffdiagNorm:
