@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -79,9 +80,24 @@ class RunConfig:
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be an object")
     for key in mapping:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where}")
+
+
+def _number(mapping: dict, key: str, default, kind: type, minimum=None, where: str = ""):
+    """``mapping[key]`` (``default`` when absent) as a finite ``kind``, int or
+    float, of at least ``minimum``; JSON booleans are refused."""
+    value = mapping.get(key, default)
+    integer = isinstance(value, int) and not isinstance(value, bool)
+    if not (integer or (kind is float and isinstance(value, float) and math.isfinite(value))):
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{where}{key} must be {what}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where}{key} must be >= {minimum}, got {value!r}")
+    return kind(value)
 
 
 def parse_config(path: str) -> RunConfig:
@@ -100,7 +116,9 @@ def parse_config(path: str) -> RunConfig:
 
     tol_raw = raw.get("tolerances", {})
     _reject_unknown(tol_raw, _TOL_KEYS, "'tolerances'")
-    tol = Tolerances(**tol_raw)
+    tol = Tolerances(
+        **{key: _number(tol_raw, key, None, float, 0, "tolerances.") for key in tol_raw}
+    )
 
     checks = raw.get("checks", {})
     _reject_unknown(checks, _CHECK_KEYS, "'checks'")
@@ -110,6 +128,10 @@ def parse_config(path: str) -> RunConfig:
 
     output = raw.get("output", {})
     _reject_unknown(output, _OUTPUT_KEYS, "'output'")
+    if not all(isinstance(path, str) for path in output.values()):
+        raise ConfigError("output paths must be strings")
+    if not isinstance(checks.get("inequalities", False), bool):
+        raise ConfigError("checks.inequalities must be true or false")
 
     potentials = raw.get("potentials", "random")
     if isinstance(potentials, list):
@@ -128,18 +150,18 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError("onsite must be \"default\" or a matrix")
 
     return RunConfig(
-        d=int(raw["d"]),
-        N=int(raw["N"]),
-        t=float(raw["t"]),
-        M=int(raw.get("M", 2)),
-        seed=int(raw.get("seed", 0)),
+        d=_number(raw, "d", None, int, 1),
+        N=_number(raw, "N", None, int, 2),
+        t=_number(raw, "t", None, float),
+        M=_number(raw, "M", 2, int, 2),
+        seed=_number(raw, "seed", 0, int, 0),
         onsite=onsite,
         potentials=potentials,
-        j_max=int(raw.get("j_max", 12)),
+        j_max=_number(raw, "j_max", 12, int, 1),
         tolerances=tol,
         consistency_mode=mode,
-        run_inequalities=bool(checks.get("inequalities", False)),
-        inequality_max_sites=int(checks.get("max_sites", 10)),
+        run_inequalities=checks.get("inequalities", False),
+        inequality_max_sites=_number(checks, "max_sites", 10, int, 1, "checks."),
         report_path=output.get("report"),
         csv_path=output.get("csv"),
     )

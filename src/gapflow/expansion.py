@@ -252,7 +252,7 @@ class _Expander:
         self.steps = enumerate_steps(lat)
         self.initial_map = state.initial_map
         self.case_b = {rec.rect: rec.case_b_value for rec in state.history}
-        self.generators = dict(state.generator_log)
+        self.generators = {rec.rect: rec.generator for rec in state.history if not rec.skipped}
         self.memo: dict[tuple[int, Rect], tuple[list[Branch], float]] = {}
         self.t = state.spec.t
         self.v1_norms = {

@@ -68,8 +68,10 @@ class StepRecord:
     """Per-step diagnostics and the data needed to replay the step later.
 
     A skipped step (no stored potential on its rectangle) keeps the zero
-    defaults of the series fields. ``residual`` is the consistency oracle's
-    Frobenius distance, or None when the step was not checked.
+    defaults of the series fields. ``generator`` is the vector X of the step
+    generator S = X e0^+ - e0 X^+, or None for a skipped step. ``residual``
+    is the consistency oracle's Frobenius distance, or None when the step
+    was not checked.
     """
 
     index: int
@@ -87,24 +89,23 @@ class StepRecord:
     term_norms: list[float] = field(default_factory=list)
     majorant_b: list[float] = field(default_factory=list)
     case_b_value: LocalOp | None = None
+    generator: np.ndarray | None = None
     residual: float | None = None
     skipped: bool = False
 
 
 @dataclass(eq=False)
 class FlowState:
-    """Flow progress: last completed step, current map, generators, diagnostics.
+    """Flow progress: last completed step, current map, per-step records.
 
-    ``generator_log`` holds, per non-skipped step, the step rectangle and
-    the vector X of its generator S = X e0^+ - e0 X^+. A state hashes by
-    identity: ``expansion`` caches its branch memo per state, so a state
-    must not be mutated in place once it has been expanded.
+    A state hashes by identity: ``expansion`` caches its branch memo per
+    state, so a state must not be mutated in place once it has been
+    expanded.
     """
 
     spec: ModelSpec
     step: Rect
     interactions: dict[Rect, LocalOp]
-    generator_log: list[tuple[Rect, np.ndarray]] = field(default_factory=list)
     history: list[StepRecord] = field(default_factory=list)
     map_snapshots: list[dict[Rect, LocalOp]] | None = None
     initial_map: dict[Rect, LocalOp] | None = None
@@ -201,7 +202,7 @@ def apply_step(
             "the inductive gap hypothesis fails at this coupling"
         )
 
-    series, logged, interactions = {}, [], state.interactions
+    series, interactions = {}, state.interactions
     if ops is not None:
         series = dict(
             s_norm=ops.s_norm,
@@ -213,9 +214,9 @@ def apply_step(
             term_norms=list(ops.term_norms),
             majorant_b=list(ops.majorant.b[: len(ops.term_norms)]) if ops.majorant else [],
             case_b_value=ops.v_diag_total,
+            generator=ops.generator,
         )
         interactions = _transform_map(state.interactions, J, ops)
-        logged = [(J, ops.generator)]
     record = StepRecord(
         index=len(state.history),
         rect=J,
@@ -232,7 +233,6 @@ def apply_step(
         spec=spec,
         step=J,
         interactions=interactions,
-        generator_log=state.generator_log + logged,
         history=state.history + [record],
         map_snapshots=None if snapshots is None else snapshots + [dict(interactions)],
         failures=list(state.failures),
@@ -274,8 +274,7 @@ def consistency_check(
     if rec.skipped:
         # the step carried no potential, so nothing was conjugated
         return float(np.linalg.norm(after.matrix - before.matrix)), after
-    _, x = state_after.generator_log[-1]
-    conj = conjugate_on_legs(before, J, generator_exponential(x))
+    conj = conjugate_on_legs(before, J, generator_exponential(rec.generator))
     return float(np.linalg.norm(after.matrix - conj)), after
 
 

@@ -124,10 +124,6 @@ def initial_step(lat: LatticeSpec) -> Rect:
     return Rect((0,) * lat.d, (lat.N,) * lat.d)
 
 
-def final_step(lat: LatticeSpec) -> Rect:
-    return lat.full_rect()
-
-
 def all_rects(lat: LatticeSpec, min_circ: int = 0) -> list[Rect]:
     """Every rectangle fitting in the lattice with circumference >= ``min_circ``."""
     out = []
@@ -170,17 +166,6 @@ def minimal_rectangle(a: Rect, b: Rect) -> Rect:
         max(qa + ka, qb + kb) for ka, qa, kb, qb in zip(a.k, a.q, b.k, b.q)
     )
     return Rect(tuple(h - lo for h, lo in zip(hi, q)), q)
-
-
-def bounding_rect(rects) -> Rect:
-    """Smallest rectangle containing every rectangle of a nonempty family."""
-    rects = list(rects)
-    if not rects:
-        raise ValueError("empty rectangle family")
-    d = rects[0].d
-    lo = [min(r.q[j] for r in rects) for j in range(d)]
-    hi = [max(r.q[j] + r.k[j] for r in rects) for j in range(d)]
-    return Rect(tuple(h - l for h, l in zip(hi, lo)), tuple(lo))
 
 
 def g_set(inner: Rect, target: Rect, lat: LatticeSpec) -> set[Rect]:

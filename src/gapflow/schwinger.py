@@ -31,11 +31,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .geometry import Rect
 from .tensor import LocalOp, add_embedded, diag_part, offdiag_norm, op_norm, permute_legs
@@ -58,24 +56,37 @@ class GapError(RuntimeError):
     """Raised when an already-diagonal local operator loses its gap."""
 
 
-@lru_cache(maxsize=1)
-def majorant_constant() -> float:
-    """Root of (e^{8a} - 8a - 1)/a + e^{8a} - 1 = 1, bracketed to 1e-15."""
-
-    def f(a: float) -> float:
-        return (np.exp(8 * a) - 8 * a - 1) / a + np.exp(8 * a) - 2.0
-
-    return float(brentq(f, 1e-8, 1.0, xtol=1e-15, rtol=8.9e-16))
+MAJORANT_A = 0.023320199830777617
+"""The majorant constant a: the root of (e^{8a} - 8a - 1)/a + e^{8a} - 1 = 1,
+to the last bit of a double (0x1.7e1401e6fffe5p-6)."""
 
 
 @dataclass
 class MajorantSeries:
-    """Recursive majorants B_j for the step series and their convergence data."""
+    """Recursive majorants B_1 = ||v1||, B_j = (1/a) sum_{l<j} B_{j-l} B_l
+    of the step series, with a = ``MAJORANT_A``; a/(4 B_1) bounds the
+    convergence radius in t from below."""
 
-    a: float
     b: list[float]
-    v1_norm: float
-    radius_lower_bound: float
+
+    @property
+    def a(self) -> float:
+        return MAJORANT_A
+
+    @property
+    def v1_norm(self) -> float:
+        return self.b[0]
+
+    @property
+    def radius_lower_bound(self) -> float:
+        return MAJORANT_A / (4 * self.b[0])
+
+    def extend(self, n: int) -> None:
+        """Append majorants until ``b`` holds B_1 .. B_n."""
+        b = self.b
+        while len(b) < n:
+            j = len(b) + 1
+            b.append(sum(b[j - l - 1] * b[l - 1] for l in range(1, j)) / MAJORANT_A)
 
     def tail(self, t: float, j_max: int) -> float:
         """Upper bound for sum_{j>j_max} t^{j-1} B_j (requires t below the radius).
@@ -92,11 +103,7 @@ class MajorantSeries:
                 f"t < {self.radius_lower_bound:.6g}"
             )
         j = j_max + 1
-        while len(self.b) < j:
-            n = len(self.b) + 1
-            self.b.append(
-                sum(self.b[n - l - 1] * self.b[l - 1] for l in range(1, n)) / self.a
-            )
+        self.extend(j)
         term = t ** (j - 1) * self.b[j - 1]
         total = 0.0
         while True:
@@ -109,15 +116,12 @@ class MajorantSeries:
 
 
 def majorants(v1_norm: float, j_max: int) -> MajorantSeries:
-    """B_1 = ||v1||, B_j = (1/a) sum_{l<j} B_{j-l} B_l, plus the radius a/(4 B_1)."""
+    """The majorants B_1 .. B_{j_max+1} for B_1 = ``v1_norm``."""
     if v1_norm <= 0:
         raise ValueError("v1_norm must be positive")
-    a = majorant_constant()
-    b = [v1_norm]
-    for _ in range(2, j_max + 2):
-        j = len(b) + 1
-        b.append(sum(b[j - l - 1] * b[l - 1] for l in range(1, j)) / a)
-    return MajorantSeries(a=a, b=b, v1_norm=v1_norm, radius_lower_bound=a / (4 * v1_norm))
+    maj = MajorantSeries([v1_norm])
+    maj.extend(j_max + 1)
+    return maj
 
 
 Border = tuple[np.ndarray, np.ndarray]
@@ -152,19 +156,6 @@ class StepOperators:
     majorant: MajorantSeries | None
     od_residual: float
     spectrum_drift: float
-
-    def dense_terms(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The generators S_j and the coefficients v_j as dense matrices."""
-        s_terms = []
-        for x in self.generators:
-            s = np.zeros((x.size, x.size), dtype=complex)
-            s[:, 0] = x
-            s[0, :] -= x.conj()
-            s_terms.append(s)
-        v_terms = [self.v1.matrix] + [
-            _border_dense(b, self.basis) for b in self.v_borders
-        ]
-        return s_terms, v_terms
 
 
 def assemble_g(

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from gapflow.geometry import LatticeSpec, Rect
-from gapflow.schwinger import _series_tail, check_g_gap, majorants
+from gapflow.schwinger import _border_dense, _series_tail, check_g_gap, majorants
 from gapflow.tensor import LocalOp, diag_part, op_norm
 from gapflow.verify import _shape_vectors
 
@@ -105,6 +105,23 @@ def dense_generator(x: np.ndarray) -> np.ndarray:
     s[:, 0] = x
     s[0, :] -= x.conj()
     return s
+
+
+def dense_terms(ops) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """A step's generators S_j and coefficients v_j as dense matrices."""
+    v_terms = [ops.v1.matrix] + [_border_dense(b, ops.basis) for b in ops.v_borders]
+    return [dense_generator(x) for x in ops.generators], v_terms
+
+
+def bounding_rect(rects) -> Rect:
+    """Smallest rectangle containing every rectangle of a nonempty family."""
+    rects = list(rects)
+    if not rects:
+        raise ValueError("empty rectangle family")
+    d = rects[0].d
+    lo = [min(r.q[j] for r in rects) for j in range(d)]
+    hi = [max(r.q[j] + r.k[j] for r in rects) for j in range(d)]
+    return Rect(tuple(h - l for h, l in zip(hi, lo)), tuple(lo))
 
 
 def dense_conjugation(op: LocalOp, J: Rect, u: np.ndarray) -> np.ndarray:

@@ -34,7 +34,6 @@ from gapflow.geometry import (
     LatticeSpec,
     Rect,
     all_rects,
-    bounding_rect,
     compare_step,
     count_shapes,
     enumerate_steps,
@@ -42,10 +41,11 @@ from gapflow.geometry import (
     step_sort_key,
 )
 from gapflow.model import ModelSpec, build_hamiltonian, default_onsite, random_model
-from gapflow.schwinger import majorant_constant
+from gapflow.schwinger import MAJORANT_A
 from gapflow.tensor import SiteSpace
 from gapflow.verify import inequality_suite, norm_decay_audit, verify_main_theorem
 
+from oracles import bounding_rect
 from test_expansion import assert_gamma_properties, random_connected_family
 
 SEED = 1
@@ -140,7 +140,7 @@ class TestCriterion5:
 
 class TestCriterion6:
     def test_series_majorants_and_tails(self, c2_runs):
-        a = majorant_constant()
+        a = MAJORANT_A
         checked_tail = 0
         for (d, N, t), (spec, state) in c2_runs.items():
             for rec in state.history:

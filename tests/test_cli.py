@@ -91,6 +91,43 @@ class TestParseConfig:
             build_model(cfg)
 
 
+MALFORMED_VALUES = [
+    {"N": "x"},
+    {"N": 1},
+    {"N": 3.5},
+    {"d": True},
+    {"d": 0},
+    {"M": "2"},
+    {"t": "x"},
+    {"t": float("nan")},
+    {"seed": -1},
+    {"j_max": 0},
+    {"j_max": "12"},
+    {"checks": {"max_sites": "abc"}},
+    {"checks": {"max_sites": 0}},
+    {"checks": 3},
+    {"checks": {"inequalities": "no"}},
+    {"output": {"report": 1}},
+    {"tolerances": {"consistency": "abc"}},
+    {"tolerances": {"spectral": -1e-8}},
+    {"tolerances": {"gap_slack": float("inf")}},
+    {"tolerances": 5},
+]
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("change", MALFORMED_VALUES, ids=json.dumps)
+    def test_exit_two_with_one_error_line(self, tmp_path, capsys, change):
+        path = write_config(tmp_path, {"d": 1, "N": 3, "t": 0.05, **change})
+        with pytest.raises(ConfigError):
+            parse_config(path)
+        assert main(["--config", path]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "Traceback" not in captured.err + captured.out
+
+
 class TestRun:
     def test_passing_run_exit_zero(self, tmp_path):
         report = tmp_path / "report.json"

@@ -20,7 +20,6 @@ from gapflow.expansion import (
 )
 from gapflow.flow import run_flow
 from gapflow.geometry import (
-    bounding_rect,
     LatticeSpec,
     Rect,
     all_rects,
@@ -29,6 +28,8 @@ from gapflow.geometry import (
 )
 from gapflow.model import random_model
 from gapflow.tensor import hermitian_norm
+
+from oracles import bounding_rect
 
 class UnionFind:
     """Independent component-count oracle."""

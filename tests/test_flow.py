@@ -237,15 +237,15 @@ class TestAssembleAndConsistency:
             assert np.array_equal(before.matrix, assemble_hamiltonian(state, spec).matrix)
             if ops is None:
                 continue
-            rect, x = state.generator_log[-1]
-            assert rect == J and x is ops.generator
+            x = state.history[-1].generator
+            assert x is ops.generator
             u_ref = expm(kron_embed(LocalOp(J, dense_generator(x), 2), full).matrix)
             u = kron_embed(LocalOp(J, generator_exponential(x), 2), full).matrix
             assert np.linalg.norm(u - u_ref, 2) <= 1e-12
             ref = np.linalg.norm(before.matrix - u_ref @ prev.matrix @ u_ref.conj().T)
             assert abs(res - ref) <= 1e-12
             checked += 1
-        assert checked == len(state.generator_log) > 0
+        assert checked == sum(not rec.skipped for rec in state.history) > 0
 
     def test_final_block_diagonality(self):
         spec = random_model(LatticeSpec(1, 4), 2, 0.05, seed=25)
@@ -328,12 +328,19 @@ class TestRunFlow:
         ground = np.linalg.eigvalsh(build_hamiltonian(spec).matrix)[0]
         assert abs(report.final["vacuum_energy"] - ground) < 1e-10
 
-    def test_generator_log_matches_steps(self):
-        spec = random_model(LatticeSpec(1, 3), 2, 0.05, seed=31)
+    def test_step_records_carry_generators(self):
+        # non-skipped records carry a generator vector, skipped ones None
+        full = random_model(LatticeSpec(1, 3), 2, 0.05, seed=31)
+        spec = ModelSpec(full.lat, full.site, full.onsite_h, full.potentials[:1], full.t)
         state = run_flow(spec)
-        logged = [rect for rect, _ in state.generator_log]
-        stepped = [rec.rect for rec in state.history if not rec.skipped]
-        assert logged == stepped
+        assert any(rec.skipped for rec in state.history)
+        assert any(not rec.skipped for rec in state.history)
+        for rec in state.history:
+            if rec.skipped:
+                assert rec.generator is None
+            else:
+                dim = spec.M**rec.rect.n_sites
+                assert rec.generator.shape == (dim,) and rec.generator[0] == 0
 
     def test_three_dimensional_lattice(self):
         spec = random_model(LatticeSpec(3, 2), 2, 0.02, seed=60)
@@ -402,8 +409,6 @@ class TestDensePathAgreement:
         assert fast.interactions.keys() == dense.interactions.keys()
         for key, op in dense.interactions.items():
             assert_close(fast.interactions.get(key), op)
-        for (ra, sa), (rb, sb) in zip(fast.generator_log, dense.generator_log):
-            assert_close(sa, sb)
 
 
 class TestRegimes:

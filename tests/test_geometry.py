@@ -13,7 +13,6 @@ from gapflow.geometry import (
     compare_step,
     count_shapes,
     enumerate_steps,
-    final_step,
     g_set,
     initial_step,
     minimal_rectangle,
@@ -152,13 +151,13 @@ class TestEnumeration:
             lat = LatticeSpec(d, N)
             steps = enumerate_steps(lat)
             assert steps[0].circumference == 1
-            assert steps[-1] == Rect((N - 1,) * d, (1,) * d) == final_step(lat)
+            assert steps[-1] == Rect((N - 1,) * d, (1,) * d) == lat.full_rect()
 
     def test_successor(self):
         lat = LatticeSpec(2, 3)
         first = successor(initial_step(lat), lat)
         assert first == Rect((1, 0), (1, 1))
-        assert successor(final_step(lat), lat) is None
+        assert successor(lat.full_rect(), lat) is None
         lat1 = LatticeSpec(1, 3)
         assert successor(Rect((1,), (1,)), lat1) == Rect((1,), (2,))
 

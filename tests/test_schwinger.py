@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from gapflow.geometry import LatticeSpec, Rect
 from gapflow.model import ModelSpec, default_onsite, initial_interactions
 from gapflow.schwinger import (
+    MAJORANT_A,
     ConvergenceError,
     assemble_g,
     check_g_gap,
     generator_exponential,
     lie_schwinger_series,
-    majorant_constant,
     majorants,
     rotation_delta,
 )
@@ -28,6 +29,7 @@ from oracles import (
     dense_conjugation,
     dense_generator,
     dense_series_oracle,
+    dense_terms,
     offdiag_part,
 )
 
@@ -148,11 +150,11 @@ class TestSeries:
         expected = np.zeros((4, 4), dtype=complex)
         expected[3, 0] = 0.5
         expected[0, 3] = -0.5
-        assert np.linalg.norm(ops.dense_terms()[0][0] - expected, 2) < 1e-14
+        assert np.linalg.norm(dense_terms(ops)[0][0] - expected, 2) < 1e-14
 
     def test_terms_match_composition_sum_oracle(self):
         ops, g, e0, v1 = edge_series(0.05, seed=7, j_max=8)
-        s_terms, v_terms = ops.dense_terms()
+        s_terms, v_terms = dense_terms(ops)
         S = {r + 1: s for r, s in enumerate(s_terms)}
         for j in range(1, 9):
             expected = composition_sum_vj(g.matrix, v1.matrix, S, j)
@@ -160,7 +162,7 @@ class TestSeries:
 
     def test_generators_strictly_offdiagonal(self):
         ops, *_ = edge_series(0.05, seed=8)
-        for sj in ops.dense_terms()[0]:
+        for sj in dense_terms(ops)[0]:
             assert np.linalg.norm(sj - offdiag_part(sj), 2) < 1e-15
 
     def test_anti_hermitian_total(self):
@@ -168,14 +170,14 @@ class TestSeries:
         s = dense_generator(ops.generator)
         assert np.linalg.norm(s + s.conj().T, 2) < 1e-12
         # the step generator is the t-weighted sum of its orders
-        s_terms = ops.dense_terms()[0]
+        s_terms = dense_terms(ops)[0]
         total = sum(0.05**j * sj for j, sj in enumerate(s_terms, start=1))
         assert np.linalg.norm(s - total, 2) < 1e-15
 
     def test_generator_norm_vs_term_norm(self):
         ops, *_ = edge_series(0.05, seed=10)
         assert ops.gap >= 0.5
-        for sj, vj in zip(*ops.dense_terms()):
+        for sj, vj in zip(*dense_terms(ops)):
             assert np.linalg.norm(sj, 2) <= 4 * np.linalg.norm(vj, 2) + 1e-14
 
     def test_conjugation_block_diagonalizes(self):
@@ -204,7 +206,7 @@ class TestSeries:
         for seed in range(20):
             t = 0.05
             ops, *_ = edge_series(t, seed=seed, j_max=10)
-            s_terms = ops.dense_terms()[0]
+            s_terms = dense_terms(ops)[0]
             rest = sum(t**j * s_terms[j - 1] for j in range(2, len(s_terms) + 1))
             assert np.linalg.norm(rest, 2) <= C_REF * t**2 * ops.v1_norm**2
 
@@ -229,7 +231,7 @@ class TestSeries:
         t *= majorants(1.0, 1).radius_lower_bound
         ops = lie_schwinger_series(rect, g, e0, v1, t, j_max=j_max)
         want = dense_series_oracle(g.matrix, v1.matrix, e0, t, j_max)
-        s_terms, v_terms = ops.dense_terms()
+        s_terms, v_terms = dense_terms(ops)
         assert len(s_terms) == len(v_terms) == len(ops.term_norms) == j_max
         for got, ref in zip(s_terms, want["s_terms"]):
             assert relative_gap(got, ref) < 1e-12
@@ -252,7 +254,7 @@ class TestSeries:
         # P v_j P = 0 for P the projection off span(e0, x_1, .., x_{j-1})
         rect, g, v1 = gapped_step(2, 4, 0.0, seed=5)
         ops = lie_schwinger_series(rect, g, 0.0, v1, 0.005, j_max=8)
-        _, v_terms = ops.dense_terms()
+        _, v_terms = dense_terms(ops)
         for j in range(2, 9):
             Q = ops.basis[:, :j]
             P = np.eye(Q.shape[0]) - Q @ Q.conj().T
@@ -327,10 +329,48 @@ class TestRotationDelta:
             rotation_delta(a, Rect((1,), (2,)), np.zeros(4))
 
 
+def majorant_equation(a):
+    return (np.exp(8 * a) - 8 * a - 1) / a + np.exp(8 * a) - 2.0
+
+
+# radius_lower_bound, B_{j_max+1} and tail(0.3 radius, j_max) as computed by
+# the brentq-based constant and the two separate recurrences this module had
+# before the constant was pinned
+MAJORANTS_BEFORE_PIN = {
+    (0.7, 6): ("0x1.10e9b83749236p-7", "0x1.f790fdf3b563bp+35", "0x1.6dc3e3d2b76c3p-16"),
+    (1.0, 12): ("0x1.7e1401e6fffe5p-8", "0x1.a9ada44f42c3fp+82", "0x1.358be459fff9ap-27"),
+    (0.0123, 20): ("0x1.e55d0ee786c18p-2", "0x1.c04cbe45b7df8p+7", "0x1.0033aefa23880p-48"),
+    (3.5, 1): ("0x1.b4a926bedb6bdp-10", "0x1.06a5d885a795fp+9", "0x1.3ebc86da20ad0p-2"),
+}
+
+
 class TestMajorants:
     def test_constant_solves_its_equation(self):
-        a = majorant_constant()
-        assert abs((np.exp(8 * a) - 8 * a - 1) / a + np.exp(8 * a) - 2) < 1e-12
+        a = MAJORANT_A
+        assert abs(majorant_equation(a)) < 1e-12
+
+    def test_constant_is_the_brentq_root(self):
+        root = brentq(majorant_equation, 1e-8, 1.0, xtol=1e-15, rtol=8.9e-16)
+        assert MAJORANT_A == root
+        # the sign change brackets the pinned value without brentq
+        assert majorant_equation(MAJORANT_A - 1e-12) < 0 < majorant_equation(MAJORANT_A + 1e-12)
+
+    @pytest.mark.parametrize("v1_norm, j_max", sorted(MAJORANTS_BEFORE_PIN))
+    def test_series_bits_unchanged(self, v1_norm, j_max):
+        maj = majorants(v1_norm, j_max)
+        ref = [v1_norm]
+        for j in range(2, j_max + 2):
+            ref.append(sum(ref[j - l - 1] * ref[l - 1] for l in range(1, j)) / MAJORANT_A)
+        assert maj.b == ref
+        assert (maj.a, maj.v1_norm) == (MAJORANT_A, v1_norm)
+        radius, b_last, tail = (float.fromhex(h) for h in MAJORANTS_BEFORE_PIN[v1_norm, j_max])
+        assert maj.radius_lower_bound == radius
+        assert maj.b[j_max] == b_last
+        assert maj.tail(0.3 * radius, j_max) == tail
+        # tail grows the series through the same recurrence
+        longer = majorants(v1_norm, j_max)
+        longer.tail(0.3 * radius, j_max + 3)
+        assert longer.b == majorants(v1_norm, j_max + 3).b
 
     def test_recursion_base(self):
         maj = majorants(0.7, 6)
