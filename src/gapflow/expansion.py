@@ -19,7 +19,7 @@ import numpy as np
 
 from .flow import FlowState
 from .geometry import LatticeSpec, Rect, enumerate_steps, g_set, minimal_rectangle
-from .schwinger import rotation_delta
+from .schwinger import rotation_delta_norm
 from .tensor import LocalOp, add_embedded, embed, hermitian_norm
 
 BRANCH_PRUNE_NORM = 1e-14
@@ -268,11 +268,10 @@ class _Expander:
         if not label.overlaps(x.support):
             return None
         common = minimal_rectangle(label, x.support)
-        out = rotation_delta(embed(x, common), label, self.generators[label])
-        result = LocalOp(common, out, x.M)
-        nrm = hermitian_norm(result)
+        out, nrm = rotation_delta_norm(embed(x, common), label, self.generators[label])
         if nrm <= BRANCH_PRUNE_NORM:
             return None
+        result = LocalOp(common, out, x.M)
         return Branch((label,) + sub.labels, sub.leaf, sub.leaf_norm, result, nrm)
 
     def leaf(self, support: Rect, op: LocalOp | None) -> list[Branch]:

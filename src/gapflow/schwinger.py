@@ -36,7 +36,15 @@ from math import factorial
 import numpy as np
 
 from .geometry import Rect
-from .tensor import LocalOp, add_embedded, diag_part, offdiag_norm, op_norm, permute_legs
+from .tensor import (
+    LocalOp,
+    add_embedded,
+    border_norm,
+    diag_part,
+    offdiag_norm,
+    op_norm,
+    permute_legs,
+)
 
 GAP_FLOOR = 0.5
 GAP_WARN = 0.25
@@ -258,16 +266,16 @@ def generator_exponential(x: np.ndarray) -> np.ndarray:
     return u
 
 
-def rotation_delta(op: LocalOp, J: Rect, x: np.ndarray) -> np.ndarray:
-    """u A u^+ - A for the Hermitian A = ``op`` and u = exp(S) (x) I, where
-    S = x e0^+ - e0 x^+ acts on the legs of J inside op's support, in O(n^2)
-    for the support dimension n.
+def _rotation_border(op: LocalOp, J: Rect, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The border (P, C) of u A u^+ - A for the Hermitian A = ``op`` and
+    u = exp(S) (x) I, where S = x e0^+ - e0 x^+ acts on the legs of J inside
+    op's support: with J's legs moved last, u A u^+ - A = B C + C^+ B^+ for
+    B = I_rest (x) P, in O(n^2) for the support dimension n.
 
     u - I = (P U^+) (x) I with U = [e0, x/theta] and P = U z for the plane
     rotation z = [[cos theta - 1, -sin theta], [sin theta, cos theta - 1]].
-    With K = A (U (x) I) and C = K^+ + (1/2) (U^+ (x) I) K (P (x) I)^+, the
-    delta is W + W^+ for W = C^+ (P (x) I)^+. The legs of J are moved last,
-    so every product contracts them with one two-column matrix.
+    With K = A (U (x) I), C = K^+ + (1/2) (U^+ (x) I) K (P (x) I)^+ has shape
+    2 rest x n, and every product contracts J's legs with a two-column matrix.
     """
     if not op.support.contains(J):
         raise ValueError(f"rectangle {J} not contained in {op.support}")
@@ -277,16 +285,38 @@ def rotation_delta(op: LocalOp, J: Rect, x: np.ndarray) -> np.ndarray:
     if theta > 0:
         basis[:, 1] = x / theta
     cos, sin = np.cos(theta), np.sin(theta)
-    ph = (basis @ np.array([[cos - 1.0, -sin], [sin, cos - 1.0]])).conj().T
+    p = basis @ np.array([[cos - 1.0, -sin], [sin, cos - 1.0]])
 
     a = permute_legs(op.matrix, op.support, J, op.M)
     dim, dim_j = op.dim, x.size
     rest = dim // dim_j
     kh = (a.reshape(-1, dim_j) @ basis).reshape(dim, 2 * rest).conj().T
     m = (kh.reshape(-1, dim_j) @ basis).reshape(-1, 2)
-    c = kh + 0.5 * (m @ ph).reshape(2 * rest, dim)
-    w = (c.conj().T.reshape(-1, 2) @ ph).reshape(dim, dim)
+    return p, kh + 0.5 * (m @ p.conj().T).reshape(2 * rest, dim)
+
+
+def _border_delta(op: LocalOp, J: Rect, p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """B C + C^+ B^+ for B = I_rest (x) P, with J's legs put back in place."""
+    w = (c.conj().T.reshape(-1, 2) @ p.conj().T).reshape(op.dim, op.dim)
     return permute_legs(w + w.conj().T, op.support, J, op.M, back=True)
+
+
+def rotation_delta(op: LocalOp, J: Rect, x: np.ndarray) -> np.ndarray:
+    """u A u^+ - A for the Hermitian A = ``op`` and u = exp(S) (x) I, where
+    S = x e0^+ - e0 x^+ acts on the legs of J inside op's support, in O(n^2)
+    for the support dimension n (see ``_rotation_border``)."""
+    return _border_delta(op, J, *_rotation_border(op, J, x))
+
+
+def rotation_delta_norm(op: LocalOp, J: Rect, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """``rotation_delta(op, J, x)`` and its operator norm, both from one
+    border. The delta has rank at most 4 n / n_J, so its norm comes from
+    ``border_norm`` of the dense n x 2 rest factor B = I_rest (x) P."""
+    p, c = _rotation_border(op, J, x)
+    rest = c.shape[0] // 2
+    b = np.zeros((rest, x.size, rest, 2), dtype=complex)
+    b[np.arange(rest), :, np.arange(rest)] = p
+    return _border_delta(op, J, p, c), border_norm(b.reshape(op.dim, 2 * rest), c)
 
 
 def _ad_dense(a: np.ndarray, ax: np.ndarray, c: np.ndarray) -> Border:
@@ -330,16 +360,6 @@ def _border_dense(b: Border, q: np.ndarray) -> np.ndarray:
     r, l = b
     qw = q[:, : r.shape[0]]
     return qw @ r + l @ qw.conj().T
-
-
-def _border_norm(b: Border, q: np.ndarray) -> float:
-    """Operator norm of Q R + L Q^+ = [Q, L] [R^+, Q]^+: the thin QR of both
-    factors, then the SVD of the product of their small triangular parts."""
-    r, l = b
-    qw = q[:, : r.shape[0]]
-    ra = np.linalg.qr(np.hstack([qw, l]), mode="r")
-    rb = np.linalg.qr(np.hstack([r.conj().T, qw]), mode="r")
-    return float(np.linalg.norm(ra @ rb.conj().T, 2))
 
 
 def _extend_basis(
@@ -437,7 +457,8 @@ def lie_schwinger_series(
             vl += np.tensordot(inv_fact[1:j], v_l[1:j, j - 1], 1)
             vj = (vr[:width], vl[:, :width])
             v_borders.append(vj)
-            term_norms.append(_border_norm(vj, Q))
+            # v_j is Hermitian, so Q R + L Q^+ = Q C + C^+ Q^+ for C = (R + L^+)/2
+            term_norms.append(border_norm(Q[:, :width], (vj[0] + vj[1].conj().T) / 2))
             rest_r += t ** (j - 1) * vr
             rest_l += t ** (j - 1) * vl
             col = Q[:, :width] @ vj[0][:, 0] + vj[1][:, 0]  # v_j e0

@@ -197,3 +197,20 @@ def hermitian_norm(op: LocalOp | np.ndarray) -> float:
     of ``op_norm``."""
     w = hermitian_spectrum(op)
     return float(max(-w[0], w[-1]))
+
+
+def border_norm(b: np.ndarray, c: np.ndarray) -> float:
+    """Operator norm of the Hermitian B C + C^+ B^+ for B of shape (n, k)
+    and C of shape (k, n), an operator of rank at most 2k.
+
+    With the thin QR [B, C^+] = Q [R_B, R_C] the operator is
+    Q (R_B R_C^+ + R_C R_B^+) Q^+, so its norm is the largest |eigenvalue|
+    of that Hermitian matrix of order min(n, 2k); for 2k < n the operator
+    itself is never formed. No Hermiticity test is needed: the operator is
+    Hermitian by its form.
+    """
+    r = np.linalg.qr(np.hstack([b, c.conj().T]), mode="r")
+    k = b.shape[1]
+    half = r[:, :k] @ r[:, k:].conj().T
+    w = np.linalg.eigvalsh(half + half.conj().T)
+    return float(max(-w[0], w[-1]))

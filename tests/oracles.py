@@ -3,7 +3,8 @@
 Everything here is plain n x n algebra: identities joined on with
 ``np.kron``, projectors and generators as full matrices, commutators as two
 matrix products, exponentials from scipy's ``expm``. None of it is used by
-the package itself.
+the package itself. The leg cases shared by the tests of leg-wise kernels
+live here too.
 """
 
 from itertools import product
@@ -11,6 +12,7 @@ from math import factorial
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
 from gapflow.geometry import LatticeSpec, Rect
@@ -122,6 +124,28 @@ def bounding_rect(rects) -> Rect:
     lo = [min(r.q[j] for r in rects) for j in range(d)]
     hi = [max(r.q[j] + r.k[j] for r in rects) for j in range(d)]
     return Rect(tuple(h - l for h, l in zip(hi, lo)), tuple(lo))
+
+
+# per (d, N): the lattice, and step rectangles J at a corner of it (its
+# legs interleaved with the others for d >= 2) and inside it (legs neither
+# first nor last); the cases with J = the whole lattice are added below
+LEG_CASES = {
+    (1, 4): {"corner": Rect((1,), (1,)), "inside": Rect((1,), (2,))},
+    (2, 2): {"corner": Rect((1, 0), (1, 1)), "inside": Rect((0, 0), (1, 2))},
+    (2, 3): {"corner": Rect((1, 0), (1, 1)), "inside": Rect((1, 0), (2, 2))},
+    (3, 2): {"corner": Rect((1, 0, 0), (1, 1, 1)), "inside": Rect((0, 1, 0), (1, 1, 2))},
+}
+LEG_PARAMS = [
+    pytest.param(d, N, M, place, id=f"d{d}-N{N}-M{M}-{place}")
+    for (d, N) in LEG_CASES
+    for M in ((2, 3) if (d, N) in ((1, 4), (2, 2)) else (2,))
+    for place in ("corner", "inside", "whole")
+]
+
+
+def leg_case(d, N, place):
+    full = LatticeSpec(d, N).full_rect()
+    return full, full if place == "whole" else LEG_CASES[(d, N)][place]
 
 
 def dense_conjugation(op: LocalOp, J: Rect, u: np.ndarray) -> np.ndarray:

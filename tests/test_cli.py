@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -221,6 +222,9 @@ def strip_timestamp(text):
 
 class TestDeterminism:
     def test_reports_byte_identical_modulo_timestamp(self, tmp_path):
+        # the promise covers reruns at one fixed BLAS thread count
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = dict(os.environ, **{name: "1" for name in threads})
         texts = []
         for name in ("one", "two"):
             report = tmp_path / f"{name}.json"
@@ -236,6 +240,7 @@ class TestDeterminism:
                 [sys.executable, "-m", "gapflow.cli", "--config", cfg_path],
                 capture_output=True,
                 text=True,
+                env=env,
             )
             assert proc.returncode == 0, proc.stderr
             texts.append(report.read_text())

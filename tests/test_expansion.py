@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from gapflow import expansion
+from gapflow import expansion, schwinger
 from gapflow.expansion import (
     PathOfRects,
     branch_sum,
@@ -25,9 +25,11 @@ from gapflow.geometry import (
     all_rects,
     compare_step,
     enumerate_steps,
+    minimal_rectangle,
 )
 from gapflow.model import random_model
-from gapflow.tensor import hermitian_norm
+from gapflow.schwinger import rotation_delta, rotation_delta_norm
+from gapflow.tensor import LocalOp, border_norm, embed, hermitian_norm
 
 from oracles import bounding_rect
 
@@ -158,14 +160,23 @@ class TestEnumerateBranches:
 
     def test_each_branch_norm_taken_once(self, monkeypatch):
         # over every root step of one state, every operator is normed once,
-        # when its branch is made, and no (generator, branch) input is
+        # when its branch is made (a leaf densely, a rotated branch from the
+        # border of its rotation), and no (generator, branch) input is
         # rotated twice; the expansion constant and the weighted sum read
         # the stored norms
         spec, state = flow_state(1, 4)
         v1n = {r.rect: r.v1_norm for r in state.history if not r.skipped}
-        normed, rotated = [], []
+        normed, bordered, deltas, rotated = [], [], [], []
         monkeypatch.setattr(
             expansion, "hermitian_norm", lambda a: normed.append(a) or hermitian_norm(a)
+        )
+        monkeypatch.setattr(
+            schwinger, "border_norm", lambda b, c: bordered.append(c) or border_norm(b, c)
+        )
+        monkeypatch.setattr(
+            expansion,
+            "rotation_delta_norm",
+            lambda op, J, x: deltas.append(rotation_delta_norm(op, J, x)) or deltas[-1],
         )
         apply_a = expansion._Expander.apply_a
         monkeypatch.setattr(
@@ -179,15 +190,22 @@ class TestEnumerateBranches:
             for root in enumerate_steps(spec.lat)
         ]
         branches = [b for exp in exps for b in exp.branches]
-        assert branches
+        leaves = [b for b in branches if not b.labels]
+        rotations = [b for b in branches if b.labels]
+        assert leaves and rotations
         assert len({id(a) for a in normed}) == len(normed)
-        assert {id(b.op) for b in branches} <= {id(a) for a in normed}
+        assert {id(b.op) for b in leaves} <= {id(a) for a in normed}
+        assert not {id(b.op) for b in rotations} & {id(a) for a in normed}
+        assert len(bordered) == len(deltas)
+        assert {id(b.op.matrix) for b in rotations} <= {id(out) for out, _ in deltas}
         assert len(set(rotated)) == len(rotated)
-        calls = len(normed)
+        calls = (len(normed), len(bordered))
         sums = [weighted_branch_sum(exp, spec.t, v1n)[0] for exp in exps]
-        assert len(normed) == calls
-        assert all(b.norm == hermitian_norm(b.op) for b in branches)
-        assert sums == [sum(hermitian_norm(b.op) for b in exp.branches) for exp in exps]
+        assert (len(normed), len(bordered)) == calls
+        assert all(b.norm == hermitian_norm(b.op) for b in leaves)
+        for b in rotations:
+            assert abs(b.norm - hermitian_norm(b.op)) <= 1e-13 * b.norm
+        assert sums == [sum(b.norm for b in exp.branches) for exp in exps]
 
     def test_empty_expansion_weighs_zero(self):
         spec, state = flow_state(1, 4)
@@ -288,6 +306,63 @@ class TestSharedExpander:
         assert count
         first.branches.clear()
         assert len(enumerate_branches(spec.lat.full_rect(), root, state).branches) == count
+
+
+class DenseNormExpander(expansion._Expander):
+    """Oracle expander: the same rotation as the package's, but every
+    rotated branch is normed from its dense operator by ``hermitian_norm``
+    (``eigvalsh``) instead of from the rotation's low-rank border."""
+
+    def apply_a(self, label, sub):
+        x = sub.op
+        if label not in self.generators or not label.overlaps(x.support):
+            return None
+        common = minimal_rectangle(label, x.support)
+        out = rotation_delta(embed(x, common), label, self.generators[label])
+        out = LocalOp(common, out, x.M)
+        nrm = hermitian_norm(out)
+        if nrm <= expansion.BRANCH_PRUNE_NORM:
+            return None
+        return expansion.Branch((label,) + sub.labels, sub.leaf, sub.leaf_norm, out, nrm)
+
+
+class TestBorderNormOracle:
+    # d=1 N=6 over the whole lattice (the branch totals over all root steps
+    # are pinned); d=2 N=3 over its two 3x2 rectangles, since its 512-dim
+    # lattice takes minutes to expand
+    @pytest.mark.parametrize(
+        "d, N, t, seed, branches",
+        [
+            (1, 6, 0.05, 1, 1733),
+            (1, 6, 0.05, 2, 2136),
+            (1, 6, 0.05, 3, 1577),
+            (2, 3, 0.02, 1, None),
+        ],
+    )
+    def test_matches_dense_norm_expander(self, d, N, t, seed, branches):
+        spec = random_model(LatticeSpec(d, N), 2, t, seed=seed)
+        state = run_flow(spec, j_max=12, check_consistency="never", keep_history=True)
+        if d == 1:
+            targets = [spec.lat.full_rect()]
+        else:
+            targets = [Rect((2, 1), (1, 1)), Rect((1, 2), (1, 1))]
+        cases = [(target, root) for target in targets for root in enumerate_steps(spec.lat)]
+        got = [enumerate_branches(target, root, state) for target, root in cases]
+        expansion._EXPANDERS[state] = DenseNormExpander(state, spec.lat)
+        want = [enumerate_branches(target, root, state) for target, root in cases]
+        assert any(exp.branches for exp in got)
+        if branches is not None:
+            assert sum(len(exp.branches) for exp in got) == branches
+        for g, w in zip(got, want):
+            assert [(b.labels, b.leaf) for b in g.branches] == [
+                (b.labels, b.leaf) for b in w.branches
+            ]
+            for a, b in zip(g.branches, w.branches):
+                assert a.leaf_norm == b.leaf_norm
+                assert np.array_equal(a.op.matrix, b.op.matrix)
+                assert abs(a.norm - b.norm) <= 1e-13 * b.norm
+            assert abs(g.measured_c - w.measured_c) <= 1e-12 * w.measured_c
+            assert g.min_size_ratio == w.min_size_ratio
 
 
 class TestDecomposeComponents:

@@ -20,16 +20,19 @@ from gapflow.schwinger import (
     lie_schwinger_series,
     majorants,
     rotation_delta,
+    rotation_delta_norm,
 )
-from gapflow.tensor import LocalOp, SiteSpace, offdiag_norm, op_norm
+from gapflow.tensor import LocalOp, SiteSpace, hermitian_norm, offdiag_norm, op_norm
 
 from oracles import (
+    LEG_PARAMS,
     adjoint_power,
     composition_sum_vj,
     dense_conjugation,
     dense_generator,
     dense_series_oracle,
     dense_terms,
+    leg_case,
     offdiag_part,
 )
 
@@ -327,6 +330,32 @@ class TestRotationDelta:
         a = LocalOp(EDGE, np.eye(4), 2)
         with pytest.raises(ValueError, match="not contained"):
             rotation_delta(a, Rect((1,), (2,)), np.zeros(4))
+
+
+class TestRotationBorderNorm:
+    @pytest.mark.parametrize("theta", [0.0, 1e-9, 0.3, np.pi / 2])
+    @pytest.mark.parametrize("d, N, M, place", LEG_PARAMS)
+    def test_matches_dense_norms(self, d, N, M, place, theta):
+        # the norm of u A u^+ - A from its low-rank border, against the
+        # eigenvalue norm of the same dense delta and the SVD norm of the
+        # kron-embedded dense conjugation, for a unit-norm A
+        T, J = leg_case(d, N, place)
+        rng = np.random.default_rng(7 * d + N + 10 * M + int(100 * theta))
+        dim, dim_j = M**T.n_sites, M**J.n_sites
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        a = LocalOp(T, (raw + raw.conj().T) / 2, M)
+        a.matrix /= np.linalg.norm(a.matrix, 2)
+        x = np.zeros(dim_j, dtype=complex)
+        x[1:] = rng.standard_normal(dim_j - 1) + 1j * rng.standard_normal(dim_j - 1)
+        x *= theta / np.linalg.norm(x)
+        delta, nrm = rotation_delta_norm(a, J, x)
+        assert np.array_equal(delta, rotation_delta(a, J, x))
+        svd = np.linalg.norm(dense_conjugation(a, J, generator_exponential(x)) - a.matrix, 2)
+        for ref in (hermitian_norm(delta), svd):
+            assert abs(nrm - ref) <= 1e-13 * ref + 1e-15
+        if theta == 0.0:
+            # P = 0, so B = I (x) P has rank zero and the norm is exactly 0
+            assert nrm == 0.0
 
 
 def majorant_equation(a):

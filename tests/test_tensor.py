@@ -10,6 +10,7 @@ from gapflow.tensor import (
     LocalOp,
     SiteSpace,
     add_embedded,
+    border_norm,
     conjugate_on_legs,
     embed,
     hermitian_norm,
@@ -20,9 +21,11 @@ from gapflow.tensor import (
 )
 
 from oracles import (
+    LEG_PARAMS,
     dense_conjugation,
     identity_op,
     kron_embed,
+    leg_case,
     offdiag_part,
     projector_minus,
     projector_plus,
@@ -111,28 +114,6 @@ class TestEmbed:
         a = embed(random_local(rng, Rect((0,), (1,))), big).matrix
         b = embed(random_local(rng, Rect((0,), (3,))), big).matrix
         assert np.linalg.norm(a @ b - b @ a, 2) < 1e-12
-
-
-# per (d, N): the lattice, and step rectangles J at a corner of it (its
-# legs interleaved with the others for d >= 2) and inside it (legs neither
-# first nor last); the cases with J = the whole lattice are added below
-LEG_CASES = {
-    (1, 4): {"corner": Rect((1,), (1,)), "inside": Rect((1,), (2,))},
-    (2, 2): {"corner": Rect((1, 0), (1, 1)), "inside": Rect((0, 0), (1, 2))},
-    (2, 3): {"corner": Rect((1, 0), (1, 1)), "inside": Rect((1, 0), (2, 2))},
-    (3, 2): {"corner": Rect((1, 0, 0), (1, 1, 1)), "inside": Rect((0, 1, 0), (1, 1, 2))},
-}
-LEG_PARAMS = [
-    pytest.param(d, N, M, place, id=f"d{d}-N{N}-M{M}-{place}")
-    for (d, N) in LEG_CASES
-    for M in ((2, 3) if (d, N) in ((1, 4), (2, 2)) else (2,))
-    for place in ("corner", "inside", "whole")
-]
-
-
-def leg_case(d, N, place):
-    full = LatticeSpec(d, N).full_rect()
-    return full, full if place == "whole" else LEG_CASES[(d, N)][place]
 
 
 def random_unitary(rng, dim):
@@ -323,6 +304,41 @@ class TestHermitianNorm:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_norm(np.kron(bad, np.eye(2)))
+
+
+def random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestBorderNorm:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 48),
+        k=st.integers(1, 12),
+        log_scale=st.floats(-12, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_svd_norm(self, n, k, log_scale, seed):
+        # also covers 2k >= n, where the border spans the whole space
+        rng = np.random.default_rng(seed)
+        b = random_complex(rng, (n, k))
+        c = random_complex(rng, (k, n)) * 10.0**log_scale
+        svd = np.linalg.norm(b @ c + c.conj().T @ b.conj().T, 2)
+        assert abs(border_norm(b, c) - svd) <= 1e-12 * svd
+
+    def test_zero_c(self):
+        b = random_complex(np.random.default_rng(0), (16, 4))
+        assert border_norm(b, np.zeros((4, 16), dtype=complex)) == 0.0
+
+    def test_rank_deficient_b(self):
+        # B's nonzero columns meet zero rows of C, so B C = 0 exactly
+        rng = np.random.default_rng(1)
+        b = random_complex(rng, (16, 4))
+        b[:, 2:] = 0.0
+        c = random_complex(rng, (4, 16))
+        c[:2] = 0.0
+        assert border_norm(b, c) == 0.0
+        assert border_norm(np.zeros((16, 4)), c) == 0.0
 
 
 class TestOffdiagNorm:
