@@ -87,7 +87,6 @@ class StepRecord:
     od_residual: float = 0.0
     spectrum_drift: float = 0.0
     term_norms: list[float] = field(default_factory=list)
-    majorant_b: list[float] = field(default_factory=list)
     case_b_value: LocalOp | None = None
     generator: np.ndarray | None = None
     residual: float | None = None
@@ -212,7 +211,6 @@ def apply_step(
             od_residual=ops.od_residual,
             spectrum_drift=ops.spectrum_drift,
             term_norms=list(ops.term_norms),
-            majorant_b=list(ops.majorant.b[: len(ops.term_norms)]) if ops.majorant else [],
             case_b_value=ops.v_diag_total,
             generator=ops.generator,
         )

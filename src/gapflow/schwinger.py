@@ -17,14 +17,17 @@ order only consumes generators already built.
 The vacuum projection of the step rectangle is the rank-one E_00, so every
 generator is rank two: S_j = x_j e0^+ - e0 x_j^+ with x_j orthogonal to e0,
 and only the vectors x_j are kept. A commutator [S_r, T] needs only T x_r,
-x_r^+ T, T e0 and e0^+ T, and each of its terms has e0 or x_r on one side.
-So every table entry T vanishes between vectors orthogonal to
-K = span(e0, x_1, .., x_{j_max-1}) and is stored as a border
-T = Q R + L Q^+ against an orthonormal basis Q of K, with row block R and
-column block L of width at most j_max. Columns of Q not yet built are zero,
-and so are the matching rows of R and columns of L, so an entry keeps its
-meaning as the basis grows. Per order the only O(n^2) work is one matvec
-with G and one with V; every commutator costs O(n j_max).
+x_r^+ T, T e0 and e0^+ T, and each of its terms has e0 or x_r on one side;
+for T = G or V the other side is T e0 or T x_r. So every table entry is a
+Hermitian operator that vanishes off
+Z = span(e0, G e0, V e0, x_r, G x_r, V x_r : r < j_max), of dimension
+D <= min(n, 3 j_max) whatever the support dimension n, and is stored as its
+D x D coordinate matrix Z^+ T Z against an orthonormal basis of Z. In those
+coordinates [S, T] = W + W^+ with W = c (e0^+ T) - e0 (c^+ T) for x = Z c,
+so one batched commutator per table gives every chain length of an order.
+Per order the only O(n^2) work is one matvec with G and one with V; the
+rest costs O(n j_max) for the basis, O(j_max^2 D^2) for the tables and one
+D x D eigenvalue solve for the term norm.
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ GAP_WARN = 0.25
 INNER_OD_TOL = 1e-9
 GP_MINUS_TOL = 1e-10
 EMPIRICAL_TAIL_SAFETY = 2.0
-# a generator vector whose part outside the basis built so far is at most
-# this fraction of its norm lies in that span to rounding and adds no column
+# a vector (x_r, or G or V applied to e0 or x_r) whose part outside the
+# series basis built so far is at most this fraction of its norm lies in
+# that span to rounding and adds no column
 BASIS_DEPENDENCE_TOL = 1e-14
 
 
@@ -132,9 +136,6 @@ def majorants(v1_norm: float, j_max: int) -> MajorantSeries:
     return maj
 
 
-Border = tuple[np.ndarray, np.ndarray]
-
-
 @dataclass
 class StepOperators:
     """Everything produced by one local block-diagonalization step.
@@ -142,8 +143,11 @@ class StepOperators:
     ``generators`` holds the vectors x_j of S_j = x_j e0^+ - e0 x_j^+, and
     ``generator`` the vector X = sum_j t^j x_j of the step generator
     S = X e0^+ - e0 X^+; ``generator_exponential(generator)`` is exp(S).
-    ``v_borders`` holds the coefficients v_j for j >= 2 as borders (R, L)
-    with v_j = Q R + L Q^+ for Q = ``basis``; v_1 is ``v1`` itself.
+    ``basis`` is an orthonormal basis Z of
+    span(e0, G e0, V e0, x_r, G x_r, V x_r : r < j_max) for G = ``g`` and
+    V = ``v1``, at most 3 j_max columns wide, with Z[:, 0] = e0. ``v_coords`` holds the coefficients
+    v_j for j >= 2 as Hermitian coordinate matrices v = Z^+ v_j Z against its
+    first len(v) columns, so v_j = Z v Z^+; v_1 is ``v1`` itself.
     """
 
     rect: Rect
@@ -153,7 +157,7 @@ class StepOperators:
     generators: list[np.ndarray]
     generator: np.ndarray
     basis: np.ndarray
-    v_borders: list[Border]
+    v_coords: list[np.ndarray]
     v_diag_total: LocalOp
     tail_bound: float
     tail_certified: bool
@@ -319,47 +323,16 @@ def rotation_delta_norm(op: LocalOp, J: Rect, x: np.ndarray) -> tuple[np.ndarray
     return _border_delta(op, J, p, c), border_norm(b.reshape(op.dim, 2 * rest), c)
 
 
-def _ad_dense(a: np.ndarray, ax: np.ndarray, c: np.ndarray) -> Border:
-    """[S, A] for Hermitian A and S = x e0^+ - e0 x^+ with x = Q c, from A x.
+def _ad(tab: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_q [S_q, T_iq] for every i, for Hermitian coordinate matrices
+    T_iq = ``tab[i, q]`` and S_q = c_q e0^+ - e0 c_q^+ with c_q = ``c[q]``.
 
-    [S, A] = x (e0^+ A) - e0 (x^+ A) - (A x) e0^+ + (A e0) x^+, where x^+ A is
-    the conjugate of A x, so the column terms go to R and the row terms to L.
+    e0 is the first coordinate vector, and T Hermitian gives
+    [S, T] = W + W^+ for W = c (e0^+ T) - e0 (c^+ T).
     """
-    r = c[:, None] * a[0]
-    r[0] -= ax.conj()
-    l = a[:, 0][:, None] * c.conj()
-    l[:, 0] -= ax
-    return r, l
-
-
-def _ad_sum(
-    r_b: np.ndarray,
-    l_b: np.ndarray,
-    x_b: np.ndarray,
-    c_b: np.ndarray,
-    q: np.ndarray,
-    qh: np.ndarray,
-) -> Border:
-    """sum_i [S_i, T_i] for borders T_i = Q R_i + L_i Q^+ stacked along the
-    first axis, and S_i = x_i e0^+ - e0 x_i^+ with x_i = Q c_i.
-
-    Each term is x_i (e0^+ T_i) - e0 (x_i^+ T_i) - (T_i x_i) e0^+ + (T_i e0) x_i^+.
-    Row 0 of Q is the first unit vector (its first column is e0, the others
-    are orthogonal to e0), so e0^+ T_i = R_i[0] + L_i[0] Q^+ and
-    T_i e0 = Q R_i[:, 0] + L_i[:, 0]; x_i^+ T_i and T_i x_i enter only summed.
-    """
-    cb = c_b.conj()
-    r = c_b.T @ r_b[:, 0] + (c_b.T @ l_b[:, 0]) @ qh
-    r[0] -= np.einsum("kw,kwn->n", cb, r_b) + np.einsum("kn,knw->w", x_b.conj(), l_b) @ qh
-    l = q @ (r_b[:, :, 0].T @ cb) + l_b[:, :, 0].T @ cb
-    l[:, 0] -= q @ np.einsum("kwn,kn->w", r_b, x_b) + np.einsum("knw,kw->n", l_b, c_b)
-    return r, l
-
-
-def _border_dense(b: Border, q: np.ndarray) -> np.ndarray:
-    r, l = b
-    qw = q[:, : r.shape[0]]
-    return qw @ r + l @ qw.conj().T
+    w = c.T @ tab[:, :, 0]
+    w[:, 0] -= np.tensordot(tab, c.conj(), ((1, 2), (0, 1)))
+    return w + w.conj().swapaxes(1, 2)
 
 
 def _extend_basis(
@@ -411,72 +384,70 @@ def lie_schwinger_series(
     v1_norm = op_norm(v1)
     maj = majorants(v1_norm, j_max) if v1_norm > 0 else None
 
-    # basis of span(e0, x_1, .., x_{j_max-1}); unbuilt columns stay zero
-    width_max = min(dim, j_max)
-    Q = np.zeros((dim, width_max), dtype=complex)
-    Qh = np.zeros((width_max, dim), dtype=complex)
-    Q[0, 0] = Qh[0, 0] = 1.0
-    width = 1
+    # orthonormal basis Z of span(e0, G e0, V e0, x_r, G x_r, V x_r : r < j_max)
+    # with Z[:, 0] = e0; unbuilt columns stay zero, and a vector's coordinates
+    # (y = Z a) keep their meaning as the basis grows
+    width_max = min(dim, 3 * j_max)
+    Z = np.zeros((dim, width_max), dtype=complex)
+    Zh = np.zeros((width_max, dim), dtype=complex)
+    Z[0, 0] = Zh[0, 0] = 1.0
+    g0, width = _extend_basis(Z, Zh, 1, G[:, 0])
+    v0, width = _extend_basis(Z, Zh, width, V[:, 0])
     xs = np.zeros((j_max, dim), dtype=complex)  # row r-1 holds x_r
-    cs = np.zeros((j_max, width_max), dtype=complex)  # x_r = Q c_r
+    cs = np.zeros((j_max, width_max), dtype=complex)  # x_r = Z c_r
 
-    # chain tables: [p, m] holds the border (R, L) of the sum over
+    def ad_first(c: np.ndarray, a0: np.ndarray, ax: np.ndarray) -> np.ndarray:
+        # [S, A] = W + W^+ for W = x (A e0)^+ - e0 (A x)^+, x = Z c
+        h = np.outer(c, a0.conj())
+        h[0] -= ax.conj()
+        return h + h.conj().T
+
+    # chain tables: [p, m] holds the coordinates Z^+ T Z of the sum over
     # compositions r_1+..+r_p = m of ad S_{r_1}(.. ad S_{r_p}(A)), r_1
-    # outermost, for A = G (g_*) and A = V (v_*)
-    size = (j_max + 1, j_max + 1)
-    g_r = np.zeros(size + (width_max, dim), dtype=complex)
-    g_l = np.zeros(size + (dim, width_max), dtype=complex)
-    v_r = np.zeros_like(g_r)
-    v_l = np.zeros_like(g_l)
+    # outermost, for A = G (g_tab) and A = V (v_tab); [p, m] = 0 for m < p
+    g_tab = np.zeros((j_max + 1, j_max + 1, width_max, width_max), dtype=complex)
+    v_tab = np.zeros_like(g_tab)
 
-    def chain(tab_r: np.ndarray, tab_l: np.ndarray, p: int, m: int) -> None:
-        # outermost parts r = k..1 meet the inner chains of order p-1..m-1
-        k = m - p + 1
-        inner = slice(p - 1, m)
-        tab_r[p, m], tab_l[p, m] = _ad_sum(
-            tab_r[p - 1, inner], tab_l[p - 1, inner], xs[k - 1 :: -1], cs[k - 1 :: -1], Q, Qh
-        )
+    def chain(tab: np.ndarray, m: int, w: int) -> None:
+        # [p, m] = sum_q [S_{m-q}, [p-1, q]] for p = 2..m and q = 1..m-1, on
+        # the first w coordinates, outside which every entry so far vanishes
+        tab[2 : m + 1, m, :w, :w] = _ad(tab[1:m, 1:m, :w, :w], cs[: m - 1, :w][::-1])
 
     inv_fact = np.array([1.0 / factorial(p) for p in range(j_max + 1)])
-    v_borders: list[Border] = []
+    v_coords: list[np.ndarray] = []
     term_norms = [v1_norm]
-    rest_r = np.zeros((width_max, dim), dtype=complex)  # sum_{j>=2} t^{j-1} v_j
-    rest_l = np.zeros((dim, width_max), dtype=complex)
+    rest = np.zeros((width_max, width_max), dtype=complex)  # sum_{j>=2} t^{j-1} v_j
     X = np.zeros(dim, dtype=complex)  # sum_j t^j x_j
     for j in range(1, j_max + 1):
         if j == 1:
             col = V[:, 0]
         else:
-            for p in range(2, j):
-                chain(v_r, v_l, p, j - 1)
-            for p in range(2, j + 1):
-                chain(g_r, g_l, p, j)
-            vr = np.tensordot(inv_fact[2 : j + 1], g_r[2 : j + 1, j], 1)
-            vr += np.tensordot(inv_fact[1:j], v_r[1:j, j - 1], 1)
-            vl = np.tensordot(inv_fact[2 : j + 1], g_l[2 : j + 1, j], 1)
-            vl += np.tensordot(inv_fact[1:j], v_l[1:j, j - 1], 1)
-            vj = (vr[:width], vl[:, :width])
-            v_borders.append(vj)
-            # v_j is Hermitian, so Q R + L Q^+ = Q C + C^+ Q^+ for C = (R + L^+)/2
-            term_norms.append(border_norm(Q[:, :width], (vj[0] + vj[1].conj().T) / 2))
-            rest_r += t ** (j - 1) * vr
-            rest_l += t ** (j - 1) * vl
-            col = Q[:, :width] @ vj[0][:, 0] + vj[1][:, 0]  # v_j e0
+            chain(g_tab, j, width)
+            chain(v_tab, j - 1, width)
+            vj = np.tensordot(inv_fact[2 : j + 1], g_tab[2 : j + 1, j], 1)
+            vj += np.tensordot(inv_fact[1:j], v_tab[1:j, j - 1], 1)
+            v_coords.append(vj[:width, :width].copy())
+            term_norms.append(float(np.max(np.abs(np.linalg.eigvalsh(v_coords[-1])))))
+            rest += t ** (j - 1) * vj
+            col = Z @ vj[:, 0]  # v_j e0
         x = xs[j - 1]
         x[1:] = U @ ((Uh @ col[1:]) / denom)
         X += t**j * x
         if j < j_max:
-            cs[j - 1], width = _extend_basis(Q, Qh, width, x)
+            cs[j - 1], width = _extend_basis(Z, Zh, width, x)
             # the two dense products of this order
-            g_r[1, j], g_l[1, j] = _ad_dense(G, G @ x, cs[j - 1])
-            v_r[1, j], v_l[1, j] = _ad_dense(V, V @ x, cs[j - 1])
+            gx, width = _extend_basis(Z, Zh, width, G @ x)
+            vx, width = _extend_basis(Z, Zh, width, V @ x)
+            g_tab[1, j] = ad_first(cs[j - 1], g0, gx)
+            v_tab[1, j] = ad_first(cs[j - 1], v0, vx)
 
     if maj is not None:
         tail_bound, certified = _series_tail(term_norms, t, maj, j_max)
     else:
         tail_bound, certified = 0.0, True
 
-    v_diag = diag_part(V + _border_dense((rest_r, rest_l), Q))
+    Zw = Z[:, :width]
+    v_diag = diag_part(V + Zw @ rest[:width, :width] @ Zh[:width])
     local = G + t * V
     conj = local + rotation_delta(LocalOp(J, local, v1.M), J, X)
     drift = float(
@@ -489,8 +460,8 @@ def lie_schwinger_series(
         e0=e0,
         generators=list(xs),
         generator=X,
-        basis=Q[:, :width].copy(),
-        v_borders=v_borders,
+        basis=Zw.copy(),
+        v_coords=v_coords,
         v_diag_total=LocalOp(J, v_diag, v1.M),
         tail_bound=tail_bound,
         tail_certified=certified,

@@ -16,7 +16,7 @@ import pytest
 from scipy.linalg import expm
 
 from gapflow.geometry import LatticeSpec, Rect
-from gapflow.schwinger import _border_dense, _series_tail, check_g_gap, majorants
+from gapflow.schwinger import _series_tail, check_g_gap, majorants
 from gapflow.tensor import LocalOp, diag_part, op_norm
 from gapflow.verify import _shape_vectors
 
@@ -111,7 +111,10 @@ def dense_generator(x: np.ndarray) -> np.ndarray:
 
 def dense_terms(ops) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """A step's generators S_j and coefficients v_j as dense matrices."""
-    v_terms = [ops.v1.matrix] + [_border_dense(b, ops.basis) for b in ops.v_borders]
+    v_terms = [ops.v1.matrix]
+    for c in ops.v_coords:
+        z = ops.basis[:, : len(c)]
+        v_terms.append(z @ c @ z.conj().T)
     return [dense_generator(x) for x in ops.generators], v_terms
 
 

@@ -1,5 +1,6 @@
 """Single-step generator series, majorants, and truncation certificates."""
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.optimize import brentq
 from gapflow.geometry import LatticeSpec, Rect
 from gapflow.model import ModelSpec, default_onsite, initial_interactions
 from gapflow.schwinger import (
+    GP_MINUS_TOL,
     MAJORANT_A,
     ConvergenceError,
     assemble_g,
@@ -138,6 +140,34 @@ def relative_gap(got, want):
     )
 
 
+RADIUS = majorants(1.0, 1).radius_lower_bound
+
+
+def assert_matches_dense_oracle(rect, g, v1, e0, t, j_max):
+    """Run the step series and check it against ``dense_series_oracle``."""
+    ops = lie_schwinger_series(rect, g, e0, v1, t, j_max=j_max)
+    want = dense_series_oracle(g.matrix, v1.matrix, e0, t, j_max)
+    s_terms, v_terms = dense_terms(ops)
+    assert len(s_terms) == len(v_terms) == len(ops.term_norms) == j_max
+    for got, ref in zip(s_terms, want["s_terms"]):
+        assert relative_gap(got, ref) < 1e-12
+    for got, ref in zip(v_terms, want["v_terms"]):
+        assert relative_gap(got, ref) < 1e-12
+    for got, ref in zip(ops.term_norms, want["term_norms"]):
+        assert abs(got - ref) < 1e-12 * max(1.0, ref)
+    assert relative_gap(ops.v_diag_total.matrix, want["v_diag_total"]) < 1e-12
+    assert abs(ops.od_residual - want["od_residual"]) < 1e-12
+    assert abs(ops.spectrum_drift - want["spectrum_drift"]) < 1e-12
+    # the stored basis is orthonormal, starts at e0 and spans every generator
+    Q = ops.basis
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1]), 2) < 1e-13
+    assert np.array_equal(Q[:, 0], np.eye(Q.shape[0])[:, 0])
+    assert Q.shape[1] <= min(Q.shape[0], 3 * j_max)
+    for x in ops.generators[:-1]:
+        assert np.linalg.norm(x - Q @ (Q.conj().T @ x)) <= 1e-13 * max(1.0, np.linalg.norm(x))
+    return ops
+
+
 class TestSeries:
     def test_block_diagonal_input_passes_through(self):
         v = np.diag([0.3, -0.2, 0.5, 0.1])
@@ -231,35 +261,47 @@ class TestSeries:
         # tail certificate; the series itself does not depend on t
         M, n_sites = shape
         rect, g, v1 = gapped_step(M, n_sites, e0, seed)
-        t *= majorants(1.0, 1).radius_lower_bound
-        ops = lie_schwinger_series(rect, g, e0, v1, t, j_max=j_max)
-        want = dense_series_oracle(g.matrix, v1.matrix, e0, t, j_max)
-        s_terms, v_terms = dense_terms(ops)
-        assert len(s_terms) == len(v_terms) == len(ops.term_norms) == j_max
-        for got, ref in zip(s_terms, want["s_terms"]):
-            assert relative_gap(got, ref) < 1e-12
-        for got, ref in zip(v_terms, want["v_terms"]):
-            assert relative_gap(got, ref) < 1e-12
-        for got, ref in zip(ops.term_norms, want["term_norms"]):
-            assert abs(got - ref) < 1e-12 * max(1.0, ref)
-        assert relative_gap(ops.v_diag_total.matrix, want["v_diag_total"]) < 1e-12
-        assert abs(ops.od_residual - want["od_residual"]) < 1e-12
-        assert abs(ops.spectrum_drift - want["spectrum_drift"]) < 1e-12
-        # the stored basis is orthonormal, starts at e0 and spans every generator
-        Q = ops.basis
-        assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1]), 2) < 1e-13
-        assert np.array_equal(Q[:, 0], np.eye(Q.shape[0])[:, 0])
-        assert Q.shape[1] <= min(Q.shape[0], j_max)
-        for x in ops.generators[:-1]:
-            assert np.linalg.norm(x - Q @ (Q.conj().T @ x)) <= 1e-13 * max(1.0, np.linalg.norm(x))
+        assert_matches_dense_oracle(rect, g, v1, e0, t * RADIUS, j_max)
+
+    @pytest.mark.parametrize("M, n_sites, j_max", [(2, 6, 8), (2, 6, 12), (3, 4, 12)])
+    def test_unsaturated_basis_matches_dense_oracle(self, M, n_sites, j_max):
+        # the series basis stays narrower than the support (D < n)
+        rect, g, v1 = gapped_step(M, n_sites, -0.4, seed=j_max)
+        ops = assert_matches_dense_oracle(rect, g, v1, -0.4, 0.5 * RADIUS, j_max)
+        assert ops.basis.shape[1] < g.dim
+
+    def test_vacuum_leak_matches_dense_oracle(self):
+        # G e0 leaves the vacuum line by 5e-11, under the GP_MINUS_TOL that
+        # assemble_g accepts; the series basis must carry that leak
+        rect, g, v1 = gapped_step(2, 4, 0.3, seed=21)
+        leak = np.random.default_rng(22).standard_normal(g.dim - 1)
+        leak *= 5e-11 / np.linalg.norm(leak)
+        G = g.matrix.copy()
+        G[1:, 0] = leak
+        G[0, 1:] = leak
+        assert np.linalg.norm(G[1:, 0]) < GP_MINUS_TOL
+        assert_matches_dense_oracle(rect, LocalOp(rect, G, 2), v1, 0.3, 0.5 * RADIUS, 8)
+
+    def test_peak_memory_at_dim_256(self):
+        # the chain tables hold D x D coordinates with D <= 3 j_max, so one
+        # call at n = 256 and j_max = 12 peaks near 15 MB of new allocations
+        rect, g, v1 = gapped_step(2, 8, 0.0, seed=3)
+        tracemalloc.start()
+        try:
+            lie_schwinger_series(rect, g, 0.0, v1, 0.5 * RADIUS, j_max=12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_borders_vanish_off_the_generator_span(self):
         # P v_j P = 0 for P the projection off span(e0, x_1, .., x_{j-1})
         rect, g, v1 = gapped_step(2, 4, 0.0, seed=5)
         ops = lie_schwinger_series(rect, g, 0.0, v1, 0.005, j_max=8)
         _, v_terms = dense_terms(ops)
+        e0 = np.eye(g.dim)[:, 0]
         for j in range(2, 9):
-            Q = ops.basis[:, :j]
+            Q, _ = np.linalg.qr(np.column_stack([e0, *ops.generators[: j - 1]]))
             P = np.eye(Q.shape[0]) - Q @ Q.conj().T
             vj = v_terms[j - 1]
             assert np.linalg.norm(P @ vj @ P, 2) < 1e-14 * np.linalg.norm(vj, 2)
