@@ -6,7 +6,8 @@ commutator series applied to the potentials of its growth channels. Each
 surviving term of that unfolding is a branch: an ordered list of generator
 rectangles applied to one leaf potential. Branches are the countable
 objects the norm bookkeeping (weights, paths, component decompositions)
-is built on.
+is built on. A term whose rotation ``schwinger.rotation_delta_bound``
+already puts at or below the prune norm is dropped before it is rotated.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .flow import FlowState
 from .geometry import LatticeSpec, Rect, enumerate_steps, g_set, minimal_rectangle
-from .schwinger import rotation_delta_norm
+from .schwinger import rotation_delta_bound, rotation_delta_norm
 from .tensor import LocalOp, add_embedded, embed, hermitian_norm
 
 BRANCH_PRUNE_NORM = 1e-14
@@ -261,11 +262,15 @@ class _Expander:
 
     def apply_a(self, label: Rect, sub: Branch) -> Branch | None:
         """The branch one level up: the commutator series of the step
-        generator applied to the branch operator; None if that is zero."""
+        generator applied to the branch operator; None if it would be
+        pruned. A sub-branch whose ``rotation_delta_bound`` is already at or
+        below the prune norm is neither embedded nor rotated."""
         x = sub.op
         if label not in self.generators:
             return None
         if not label.overlaps(x.support):
+            return None
+        if rotation_delta_bound(self.generators[label], sub.norm) <= BRANCH_PRUNE_NORM:
             return None
         common = minimal_rectangle(label, x.support)
         out, nrm = rotation_delta_norm(embed(x, common), label, self.generators[label])

@@ -5,7 +5,10 @@ the step rectangle's potential is replaced by its block-diagonal series,
 every stored potential on a strict superset is conjugated, and every
 stored potential overlapping the step rectangle (neither nested way)
 contributes a commutator-series term to the minimal rectangle covering it
-together with the step rectangle.
+together with the step rectangle. A new target whose rotation the a-priori
+bound ``schwinger.rotation_delta_bound`` already puts at or below the prune
+threshold is neither embedded nor rotated; every kept target is summed in
+the same order either way, so the skip changes no stored bit.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ from .schwinger import (
     generator_exponential,
     lie_schwinger_series,
     rotation_delta,
+    rotation_delta_bound,
 )
-from .tensor import LocalOp, add_embedded, conjugate_on_legs, embed, op_norm
+from .tensor import LocalOp, add_embedded, conjugate_on_legs, embed, hermitian_norm, op_norm
 
 PRUNE_THRESHOLD = 1e-14
 
@@ -153,19 +157,32 @@ def _transform_map(
     # overlapping non-nested entries feed their commutator series into the
     # minimal rectangle they span together with the step rectangle, so each
     # target becomes old + (u y u^+ - y) for y = old + those contributions
-    inputs = {
-        key: op.matrix for key, op in interactions.items() if key.contains(J) and key != J
+    contributors = {
+        key: [op] for key, op in interactions.items() if key.contains(J) and key != J
     }
     for key, op in interactions.items():
         if not key.overlaps(J) or key.contains(J) or J.contains(key):
             continue
-        target = minimal_rectangle(J, key)
-        x = embed(op, target).matrix
-        inputs[target] = inputs[target] + x if target in inputs else x
+        contributors.setdefault(minimal_rectangle(J, key), []).append(op)
 
-    for target, y in inputs.items():
-        new_val = rotation_delta(LocalOp(target, y, M), J, ops.generator)
+    for target, group in contributors.items():
         old = interactions.get(target)
+        # a new target is u y u^+ - y alone; when its a-priori bound, from
+        # ||y|| <= sum_k ||op_k||_F, is at or below the prune threshold,
+        # set_entry would drop it, so it is neither embedded nor rotated
+        if old is None and (
+            rotation_delta_bound(
+                ops.generator, sum(float(np.linalg.norm(op.matrix)) for op in group)
+            )
+            <= PRUNE_THRESHOLD
+        ):
+            continue
+        # the summation order, contributors in map order after the superset
+        # itself, fixes the kept entry's bits
+        y = embed(group[0], target).matrix
+        for op in group[1:]:
+            y = y + embed(op, target).matrix
+        new_val = rotation_delta(LocalOp(target, y, M), J, ops.generator)
         if old is not None:
             new_val += old.matrix
         set_entry(new_map, target, LocalOp(target, new_val, M))
@@ -347,7 +364,7 @@ def max_norm_by_circumference(state: FlowState) -> dict[int, float]:
     for key, op in state.interactions.items():
         r = key.circumference
         if r >= 1:
-            out[r] = max(out.get(r, 0.0), op_norm(op))
+            out[r] = max(out.get(r, 0.0), hermitian_norm(op))
     return out
 
 

@@ -44,8 +44,8 @@ from .tensor import (
     add_embedded,
     border_norm,
     diag_part,
+    hermitian_norm,
     offdiag_norm,
-    op_norm,
     permute_legs,
 )
 
@@ -312,6 +312,18 @@ def rotation_delta(op: LocalOp, J: Rect, x: np.ndarray) -> np.ndarray:
     return _border_delta(op, J, *_rotation_border(op, J, x))
 
 
+def rotation_delta_bound(x: np.ndarray, norm: float) -> float:
+    """Upper bound on ||u A u^+ - A|| for u = exp(S) (x) I, S = x e0^+ - e0 x^+,
+    and any A with ||A|| <= ``norm``, before anything is rotated.
+
+    ||u A u^+ - A|| = ||u A - A u|| = ||(u - I) A - A (u - I)||, and u - I
+    has norm |e^{i theta} - 1| = 2 |sin(theta / 2)| for theta = ||x||, so
+    the bound is 4 |sin(theta / 2)| ``norm``. A rotation whose bound is at
+    or below a prune threshold can be skipped: its result would be pruned.
+    """
+    return 4.0 * abs(np.sin(0.5 * float(np.linalg.norm(x)))) * norm
+
+
 def rotation_delta_norm(op: LocalOp, J: Rect, x: np.ndarray) -> tuple[np.ndarray, float]:
     """``rotation_delta(op, J, x)`` and its operator norm, both from one
     border. The delta has rank at most 4 n / n_J, so its norm comes from
@@ -381,7 +393,7 @@ def lie_schwinger_series(
     Uh = U.conj().T
     denom = w - e0
 
-    v1_norm = op_norm(v1)
+    v1_norm = hermitian_norm(v1)
     maj = majorants(v1_norm, j_max) if v1_norm > 0 else None
 
     # orthonormal basis Z of span(e0, G e0, V e0, x_r, G x_r, V x_r : r < j_max)

@@ -187,10 +187,12 @@ def verify_main_theorem(
     )
 
 
-def _shape_vectors(d: int, max_sites: int):
-    """All side-length vectors whose rectangle has at most max_sites sites."""
+def _shape_vectors(lat: LatticeSpec, max_sites: int):
+    """All side-length vectors whose rectangle fits in the lattice and has at
+    most max_sites sites; each k_j is at most N - 1, so the enumeration is
+    bounded by the lattice, not by max_sites."""
     out = []
-    for k in product(range(max_sites), repeat=d):
+    for k in product(range(min(max_sites, lat.N)), repeat=lat.d):
         sites = 1
         for kj in k:
             sites *= kj + 1
@@ -209,10 +211,8 @@ def inequality_suite(lat: LatticeSpec, M: int, max_sites: int = 10) -> list[dict
     translation covariant, so one representative per shape suffices.
     """
     results = []
-    for k in _shape_vectors(lat.d, max_sites):
+    for k in _shape_vectors(lat, max_sites):
         J = Rect(k, (1,) * lat.d)
-        if not J.fits(lat):
-            continue
         # every operator here is diagonal in the product basis: row i of the
         # mask flags, per basis vector of J, whether site i is excited
         n = J.n_sites
@@ -228,7 +228,7 @@ def inequality_suite(lat: LatticeSpec, M: int, max_sites: int = 10) -> list[dict
                 "pass": bool(min_eig >= 0),
             }
         )
-        for l in _shape_vectors(lat.d, max_sites):
+        for l in _shape_vectors(lat, max_sites):
             if all(lj <= kj for lj, kj in zip(l, k)) and l != k:
                 placements = []
                 for q in product(

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gapflow.geometry import LatticeSpec, Rect
-from gapflow.schwinger import _series_tail, check_g_gap, majorants
-from gapflow.tensor import LocalOp, diag_part, op_norm
+from gapflow.flow import set_entry
+from gapflow.geometry import LatticeSpec, Rect, minimal_rectangle
+from gapflow.schwinger import _series_tail, check_g_gap, majorants, rotation_delta
+from gapflow.tensor import LocalOp, diag_part, embed, op_norm
 from gapflow.verify import _shape_vectors
 
 
@@ -116,6 +117,31 @@ def dense_terms(ops) -> tuple[list[np.ndarray], list[np.ndarray]]:
         z = ops.basis[:, : len(c)]
         v_terms.append(z @ c @ z.conj().T)
     return [dense_generator(x) for x in ops.generators], v_terms
+
+
+def no_skip_transform_map(interactions: dict, J: Rect, ops) -> dict:
+    """The flow's map update without the a-priori skip: every target is
+    embedded, rotated and handed to ``set_entry``, with the contributions
+    summed in the package's order (supersets first)."""
+    M = ops.v1.M
+    new_map = dict(interactions)
+    set_entry(new_map, J, ops.v_diag_total)
+    inputs = {
+        key: op.matrix for key, op in interactions.items() if key.contains(J) and key != J
+    }
+    for key, op in interactions.items():
+        if not key.overlaps(J) or key.contains(J) or J.contains(key):
+            continue
+        target = minimal_rectangle(J, key)
+        x = embed(op, target).matrix
+        inputs[target] = inputs[target] + x if target in inputs else x
+    for target, y in inputs.items():
+        new_val = rotation_delta(LocalOp(target, y, M), J, ops.generator)
+        old = interactions.get(target)
+        if old is not None:
+            new_val += old.matrix
+        set_entry(new_map, target, LocalOp(target, new_val, M))
+    return new_map
 
 
 def bounding_rect(rects) -> Rect:
@@ -299,7 +325,7 @@ def dense_inequality_rows(lat, M, max_sites):
         return float(np.min(np.diag(mat).real))
 
     rows = []
-    for k in _shape_vectors(lat.d, max_sites):
+    for k in _shape_vectors(lat, max_sites):
         J = Rect(k, (1,) * lat.d)
         if not J.fits(lat):
             continue
@@ -315,7 +341,7 @@ def dense_inequality_rows(lat, M, max_sites):
                 "pass": low >= -1e-12,
             }
         )
-        for l in _shape_vectors(lat.d, max_sites):
+        for l in _shape_vectors(lat, max_sites):
             if l == k or any(lj > kj for lj, kj in zip(l, k)):
                 continue
             placements = [

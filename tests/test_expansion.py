@@ -311,7 +311,9 @@ class TestSharedExpander:
 class DenseNormExpander(expansion._Expander):
     """Oracle expander: the same rotation as the package's, but every
     rotated branch is normed from its dense operator by ``hermitian_norm``
-    (``eigvalsh``) instead of from the rotation's low-rank border."""
+    (``eigvalsh``) instead of from the rotation's low-rank border, and no
+    sub-branch is skipped by ``rotation_delta_bound``: equal branch lists
+    show that every skipped rotation would have been pruned."""
 
     def apply_a(self, label, sub):
         x = sub.op

@@ -21,10 +21,11 @@ from gapflow.flow import (
 )
 from gapflow.geometry import LatticeSpec, Rect, compare_step, enumerate_steps
 from gapflow.model import ModelSpec, build_hamiltonian, default_onsite, random_model
-from gapflow.schwinger import GapError, generator_exponential
+from gapflow.schwinger import GapError, generator_exponential, rotation_delta
 from gapflow.tensor import LocalOp, SiteSpace, embed, hermitian_spectrum, offdiag_norm, op_norm
 from gapflow.verify import verify_main_theorem
 
+import oracles
 from oracles import (
     dense_generator,
     dense_step_series,
@@ -409,6 +410,36 @@ class TestDensePathAgreement:
         assert fast.interactions.keys() == dense.interactions.keys()
         for key, op in dense.interactions.items():
             assert_close(fast.interactions.get(key), op)
+
+
+class TestMapUpdateSkip:
+    @pytest.mark.parametrize(
+        "d, N, t", [(1, 10, 0.02), (2, 3, 0.02), (1, 8, 0.05), (3, 2, 0.02)]
+    )
+    def test_final_map_matches_no_skip_oracle(self, monkeypatch, d, N, t):
+        # keys in insertion order and entry bits equal the map update that
+        # rotates every target; at d=1 N=10 the skip leaves targets unbuilt
+        spec = random_model(LatticeSpec(d, N), 2, t, seed=1)
+        rotated = {flow: 0, oracles: 0}
+
+        def counted(module):
+            def rotate(op, J, x):
+                rotated[module] += 1
+                return rotation_delta(op, J, x)
+
+            return rotate
+
+        for module in rotated:
+            monkeypatch.setattr(module, "rotation_delta", counted(module))
+        fast = run_flow(spec, check_consistency="never")
+        monkeypatch.setattr(flow, "_transform_map", oracles.no_skip_transform_map)
+        full = run_flow(spec, check_consistency="never")
+        assert list(fast.interactions) == list(full.interactions)
+        for key, op in full.interactions.items():
+            assert np.array_equal(fast.interactions[key].matrix, op.matrix)
+        assert rotated[flow] <= rotated[oracles]
+        if (d, N) == (1, 10):
+            assert rotated[flow] < rotated[oracles]
 
 
 class TestRegimes:

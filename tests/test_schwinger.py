@@ -22,9 +22,10 @@ from gapflow.schwinger import (
     lie_schwinger_series,
     majorants,
     rotation_delta,
+    rotation_delta_bound,
     rotation_delta_norm,
 )
-from gapflow.tensor import LocalOp, SiteSpace, hermitian_norm, offdiag_norm, op_norm
+from gapflow.tensor import LocalOp, SiteSpace, embed, hermitian_norm, offdiag_norm, op_norm
 
 from oracles import (
     LEG_PARAMS,
@@ -398,6 +399,45 @@ class TestRotationBorderNorm:
         if theta == 0.0:
             # P = 0, so B = I (x) P has rank zero and the norm is exactly 0
             assert nrm == 0.0
+
+
+class TestRotationDeltaBound:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from([p.values for p in LEG_PARAMS]),
+        theta=st.floats(0.0, np.pi),
+        worst=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bounds_the_rotated_norm(self, case, theta, worst, seed):
+        # ||u A u^+ - A|| <= 4 sin(theta/2) ||A|| for a random Hermitian A,
+        # or for A = (v w^+ + w v^+) (x) I with v, w the eigenvectors of u
+        # for e^{+-i theta}, where the left side is 2 sin(theta)
+        d, N, M, place = case
+        T, J = leg_case(d, N, place)
+        rng = np.random.default_rng(seed)
+        dim, dim_j = M**T.n_sites, M**J.n_sites
+        x = np.zeros(dim_j, dtype=complex)
+        x[1:] = rng.standard_normal(dim_j - 1) + 1j * rng.standard_normal(dim_j - 1)
+        x /= np.linalg.norm(x)
+        if worst:
+            v, w = -1j * x, 1j * x
+            v[0] = w[0] = 1.0
+            local = (np.outer(v, w.conj()) + np.outer(w, v.conj())) / 2
+            a = embed(LocalOp(J, local, M), T)
+        else:
+            raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            a = LocalOp(T, (raw + raw.conj().T) / 2, M)
+        x *= theta
+        delta = hermitian_norm(rotation_delta(a, J, x))
+        assert delta <= rotation_delta_bound(x, hermitian_norm(a)) * (1 + 1e-12)
+        if worst:
+            assert abs(delta - 2 * np.sin(theta)) <= 1e-12
+
+    def test_closed_form(self):
+        x = np.array([0.0, 0.6, 0.8j])
+        assert rotation_delta_bound(x, 2.5) == 10.0 * np.sin(0.5)
+        assert rotation_delta_bound(np.zeros(3), 1.0) == 0.0
 
 
 def majorant_equation(a):

@@ -1,5 +1,7 @@
 """End-of-run verification and the operator-inequality suite."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,21 @@ class TestInequalitySuite:
     def test_m3_passes(self):
         rows = inequality_suite(LatticeSpec(1, 3), 3, max_sites=3)
         assert all(r["pass"] for r in rows)
+
+    @pytest.mark.parametrize("d, N", [(3, 2), (2, 3)])
+    def test_shapes_bounded_by_the_lattice(self, d, N):
+        # every shape of a lattice with at most 10 sites already fits under
+        # max_sites=10, so a far larger cap adds no row and no time
+        lat = LatticeSpec(d, N)
+        start = time.perf_counter()
+        rows = inequality_suite(lat, 2, max_sites=10**4)
+        assert time.perf_counter() - start < 0.5
+        assert rows == inequality_suite(lat, 2, max_sites=10)
+
+    def test_benchmark_lattice_rows_pinned(self):
+        # the row counts of the d=1 and d=2 N=10 suites at max_sites=10
+        counts = [len(inequality_suite(LatticeSpec(d, 10), 2, max_sites=10)) for d in (1, 2)]
+        assert counts == [55, 170]
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("M", [2, 3])
