@@ -13,6 +13,7 @@ the same order either way, so the skip changes no stored bit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -114,6 +115,11 @@ class FlowState:
     initial_map: dict[Rect, LocalOp] | None = None
     status: str = "running"
     failures: list[str] = field(default_factory=list)
+    # the norm-decay audit as (t, entries audited, rows), kept by
+    # ``norm_decay_audit``; ``dataclasses.replace`` does not copy it
+    audit: tuple[float, list[LocalOp], list[dict]] | None = field(
+        default=None, init=False, repr=False
+    )
 
 
 def initial_state(spec: ModelSpec, keep_history: bool = False) -> FlowState:
@@ -373,7 +379,20 @@ def norm_decay_audit(state: FlowState, t: float) -> list[dict]:
 
     Circumference-1 rows are informational: the single-step bound there is
     a plain factor 2, not a power of t, so they report but never fail.
+
+    The rows are computed once per map: the state keeps them with the
+    entries they came from, and hands the same rows back while every stored
+    entry is still the one audited (entries are replaced, never mutated).
     """
+    entries = list(state.interactions.values())
+    if state.audit is not None:
+        audited_t, audited, rows = state.audit
+        if (
+            audited_t == t
+            and len(audited) == len(entries)
+            and all(map(operator.is_, audited, entries))
+        ):
+            return rows
     rows = []
     for r, worst in sorted(max_norm_by_circumference(state).items()):
         bound = abs(t) ** ((r - 1) / 4.0)
@@ -386,4 +405,5 @@ def norm_decay_audit(state: FlowState, t: float) -> list[dict]:
                 "pass": bool(r < 2 or worst <= bound + 1e-12),
             }
         )
+    state.audit = (t, entries, rows)
     return rows

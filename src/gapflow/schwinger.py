@@ -10,9 +10,11 @@ The order-j coefficients are the nested-commutator composition sums
   (V)_j = sum_{p>=2} (1/p!) sum_{r_1+..+r_p=j}   ad S_{r_1}(... ad S_{r_p}(G))
         + sum_{p>=1} (1/p!) sum_{r_1+..+r_p=j-1} ad S_{r_1}(... ad S_{r_p}(V)),
 
-evaluated through a two-table dynamic program over (chain length, order).
-The outermost commutator index is r_1; all parts are at most j-1, so each
-order only consumes generators already built.
+evaluated through a one-table dynamic program over (chain length, order):
+indexing the V chains by total order (their parts sum to j-1) gives them
+the recursion of the G chains, so one table carries both. The outermost
+commutator index is r_1; all parts are at most j-1, so each order only
+consumes generators already built.
 
 The vacuum projection of the step rectangle is the rank-one E_00, so every
 generator is rank two: S_j = x_j e0^+ - e0 x_j^+ with x_j orthogonal to e0,
@@ -24,10 +26,11 @@ Z = span(e0, G e0, V e0, x_r, G x_r, V x_r : r < j_max), of dimension
 D <= min(n, 3 j_max) whatever the support dimension n, and is stored as its
 D x D coordinate matrix Z^+ T Z against an orthonormal basis of Z. In those
 coordinates [S, T] = W + W^+ with W = c (e0^+ T) - e0 (c^+ T) for x = Z c,
-so one batched commutator per table gives every chain length of an order.
-Per order the only O(n^2) work is one matvec with G and one with V; the
-rest costs O(n j_max) for the basis, O(j_max^2 D^2) for the tables and one
-D x D eigenvalue solve for the term norm.
+so one batched commutator gives every chain length of an order.
+Per order the only O(n^2) work is one matvec with G, one with V and one
+with the resolvent (G' - e0)^-1 of the excited block, inverted once per
+step; the rest costs O(n j_max) for the basis and O(j_max^2 D^2) for the
+table. The term norms come from one stacked D x D eigenvalue solve.
 """
 
 from __future__ import annotations
@@ -340,10 +343,11 @@ def _ad(tab: np.ndarray, c: np.ndarray) -> np.ndarray:
     T_iq = ``tab[i, q]`` and S_q = c_q e0^+ - e0 c_q^+ with c_q = ``c[q]``.
 
     e0 is the first coordinate vector, and T Hermitian gives
-    [S, T] = W + W^+ for W = c (e0^+ T) - e0 (c^+ T).
+    [S, T] = W + W^+ for W = c (e0^+ T) - e0 (c^+ T). Both contractions are
+    batched matmuls, which take the sliced table without copying it.
     """
     w = c.T @ tab[:, :, 0]
-    w[:, 0] -= np.tensordot(tab, c.conj(), ((1, 2), (0, 1)))
+    w[:, 0] -= (c.conj()[:, None, :] @ tab)[:, :, 0, :].sum(1)
     return w + w.conj().swapaxes(1, 2)
 
 
@@ -383,15 +387,14 @@ def lie_schwinger_series(
     G = g.matrix
     V = v1.matrix
     dim = G.shape[0]
-    w, U = np.linalg.eigh(G[1:, 1:])
-    gap = float(w[0] - e0)
+    gap = check_g_gap(g, e0, J)
     if gap < GAP_WARN:
         warnings.warn(
             f"gap degradation on {J}: excited block starts {gap:.3g} above the "
             "vacuum energy"
         )
-    Uh = U.conj().T
-    denom = w - e0
+    # the resolvent (G' - e0)^-1 on the excited block, formed once per step
+    resolvent = np.linalg.inv(G[1:, 1:] - e0 * np.eye(dim - 1))
 
     v1_norm = hermitian_norm(v1)
     maj = majorants(v1_norm, j_max) if v1_norm > 0 else None
@@ -414,50 +417,51 @@ def lie_schwinger_series(
         h[0] -= ax.conj()
         return h + h.conj().T
 
-    # chain tables: [p, m] holds the coordinates Z^+ T Z of the sum over
-    # compositions r_1+..+r_p = m of ad S_{r_1}(.. ad S_{r_p}(A)), r_1
-    # outermost, for A = G (g_tab) and A = V (v_tab); [p, m] = 0 for m < p
-    g_tab = np.zeros((j_max + 1, j_max + 1, width_max, width_max), dtype=complex)
-    v_tab = np.zeros_like(g_tab)
-
-    def chain(tab: np.ndarray, m: int, w: int) -> None:
-        # [p, m] = sum_q [S_{m-q}, [p-1, q]] for p = 2..m and q = 1..m-1, on
-        # the first w coordinates, outside which every entry so far vanishes
-        tab[2 : m + 1, m, :w, :w] = _ad(tab[1:m, 1:m, :w, :w], cs[: m - 1, :w][::-1])
-
+    # chain table: [p, j] holds the coordinates Z^+ T Z of the order-j chains
+    # of length p, the sums over compositions r_1+..+r_p = j of
+    # ad S_{r_1}(.. ad S_{r_p}(G)) and over r_1+..+r_p = j-1 of
+    # ad S_{r_1}(.. ad S_{r_p}(V)), r_1 outermost; [p, j] = 0 for j < p.
+    # Both parts obey [p, j] = sum_q [S_{j-q}, [p-1, q]], so v_j is
+    # sum_p [p, j] / p!, read before [S_j, G] enters [1, j]
+    tab = np.zeros((j_max + 1, j_max + 1, width_max, width_max), dtype=complex)
     inv_fact = np.array([1.0 / factorial(p) for p in range(j_max + 1)])
+    vs = np.zeros((j_max - 1, width_max, width_max), dtype=complex)  # v_j, j >= 2
     v_coords: list[np.ndarray] = []
-    term_norms = [v1_norm]
-    rest = np.zeros((width_max, width_max), dtype=complex)  # sum_{j>=2} t^{j-1} v_j
-    X = np.zeros(dim, dtype=complex)  # sum_j t^j x_j
     for j in range(1, j_max + 1):
         if j == 1:
             col = V[:, 0]
         else:
-            chain(g_tab, j, width)
-            chain(v_tab, j - 1, width)
-            vj = np.tensordot(inv_fact[2 : j + 1], g_tab[2 : j + 1, j], 1)
-            vj += np.tensordot(inv_fact[1:j], v_tab[1:j, j - 1], 1)
-            v_coords.append(vj[:width, :width].copy())
-            term_norms.append(float(np.max(np.abs(np.linalg.eigvalsh(v_coords[-1])))))
-            rest += t ** (j - 1) * vj
+            # [p, j] for p = 2..j, on the first width coordinates, outside
+            # which every entry so far vanishes
+            tab[2 : j + 1, j, :width, :width] = _ad(
+                tab[1:j, 1:j, :width, :width], cs[: j - 1, :width][::-1]
+            )
+            vj = vs[j - 2]
+            np.matmul(inv_fact[1 : j + 1], tab[1 : j + 1, j].reshape(j, -1), out=vj.reshape(-1))
+            v_coords.append(vj[:width, :width])
             col = Z @ vj[:, 0]  # v_j e0
         x = xs[j - 1]
-        x[1:] = U @ ((Uh @ col[1:]) / denom)
-        X += t**j * x
+        x[1:] = resolvent @ col[1:]
         if j < j_max:
             cs[j - 1], width = _extend_basis(Z, Zh, width, x)
             # the two dense products of this order
             gx, width = _extend_basis(Z, Zh, width, G @ x)
             vx, width = _extend_basis(Z, Zh, width, V @ x)
-            g_tab[1, j] = ad_first(cs[j - 1], g0, gx)
-            v_tab[1, j] = ad_first(cs[j - 1], v0, vx)
+            # [S_j, G] has order j, [S_j, V] order j + 1
+            tab[1, j] += ad_first(cs[j - 1], g0, gx)
+            tab[1, j + 1] = ad_first(cs[j - 1], v0, vx)
 
+    # one stacked solve: zero padding to the final width adds only zero
+    # eigenvalues, so each largest |eigenvalue| is the term's norm
+    term_norms = [v1_norm, *np.abs(np.linalg.eigvalsh(vs[:, :width, :width])).max(1).tolist()]
     if maj is not None:
         tail_bound, certified = _series_tail(term_norms, t, maj, j_max)
     else:
         tail_bound, certified = 0.0, True
 
+    powers = float(t) ** np.arange(1, j_max + 1)
+    X = powers @ xs  # sum_j t^j x_j
+    rest = np.tensordot(powers[:-1], vs, 1)  # sum_{j>=2} t^{j-1} v_j
     Zw = Z[:, :width]
     v_diag = diag_part(V + Zw @ rest[:width, :width] @ Zh[:width])
     local = G + t * V

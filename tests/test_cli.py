@@ -1,7 +1,9 @@
 """Config parsing, exit codes, report and CSV emission."""
 
 import csv
+import dataclasses
 import json
+import operator
 import os
 import re
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from gapflow import cli, flow
 from gapflow.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -17,6 +20,8 @@ from gapflow.cli import (
     main,
     parse_config,
 )
+from gapflow.flow import norm_decay_audit, run_flow
+from gapflow.tensor import hermitian_norm
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -198,6 +203,31 @@ class TestRun:
             json.loads(rep_a.read_text())["fingerprint"]
             != json.loads(rep_b.read_text())["fingerprint"]
         )
+
+    def test_norm_audit_computed_once(self, tmp_path, monkeypatch):
+        # run_flow audits the final map and verify_main_theorem reuses its
+        # rows: one norm per stored entry of circumference >= 1
+        states, normed = [], []
+
+        def keep_state(*args, **kwargs):
+            states.append(run_flow(*args, **kwargs))
+            return states[-1]
+
+        def counted_norm(op):
+            normed.append(op)
+            return hermitian_norm(op)
+
+        monkeypatch.setattr(cli, "run_flow", keep_state)
+        monkeypatch.setattr(flow, "hermitian_norm", counted_norm)
+        report = tmp_path / "report.json"
+        payload = {"d": 1, "N": 4, "t": 0.05, "seed": 7, "output": {"report": str(report)}}
+        assert main(["--config", write_config(tmp_path, payload)]) == 0
+        (state,) = states
+        audited = [op for key, op in state.interactions.items() if key.circumference >= 1]
+        assert len(normed) == len(audited) and all(map(operator.is_, normed, audited))
+        # the same rows as a fresh audit of a copy of the final state
+        rows = json.loads(report.read_text())["norm_audit"]
+        assert rows and rows == norm_decay_audit(dataclasses.replace(state), 0.05)
 
     def test_inequality_toggle(self, tmp_path):
         report = tmp_path / "report.json"

@@ -1,6 +1,7 @@
 """Flow driver: step application, recombination, consistency, full runs."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -440,6 +441,30 @@ class TestMapUpdateSkip:
         assert rotated[flow] <= rotated[oracles]
         if (d, N) == (1, 10):
             assert rotated[flow] < rotated[oracles]
+
+    def test_keeps_target_within_twice_the_threshold(self):
+        # a new target whose bound lies between the prune threshold and twice
+        # it, and whose rotation is kept: the contributor is sigma_z on site 2
+        # (x) the vacuum projector on site 3, and x turns site 2 alone, so
+        # ||u y u^+ - y|| = 2 sin(theta) s against the bound
+        # 4 sin(theta/2) sqrt(2) s: a ratio cos(theta/2)/sqrt(2) near 0.7
+        J, key, target = Rect((1,), (1,)), Rect((1,), (2,)), Rect((2,), (1,))
+        theta = 0.1
+        x = np.array([0.0, theta, 0.0, 0.0], dtype=complex)
+        scale = 1.8 * PRUNE_THRESHOLD / (4 * np.sin(theta / 2) * np.sqrt(2))
+        contributor = LocalOp(key, scale * np.diag([1.0, 0.0, -1.0, 0.0]), 2)
+        ops = SimpleNamespace(
+            v1=LocalOp(J, np.zeros((4, 4)), 2),
+            v_diag_total=LocalOp(J, np.diag([0.0, 1.0, 1.0, 2.0]), 2),
+            generator=x,
+        )
+        bound = flow.rotation_delta_bound(x, float(np.linalg.norm(contributor.matrix)))
+        assert PRUNE_THRESHOLD < bound <= 2 * PRUNE_THRESHOLD
+        delta = rotation_delta(embed(contributor, target), J, x)
+        assert op_norm(LocalOp(target, delta, 2)) > PRUNE_THRESHOLD
+        new_map = flow._transform_map({key: contributor}, J, ops)
+        assert list(new_map) == list(oracles.no_skip_transform_map({key: contributor}, J, ops))
+        assert np.array_equal(new_map[target].matrix, delta)
 
 
 class TestRegimes:

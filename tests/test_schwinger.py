@@ -115,16 +115,16 @@ class TestAdjointPower:
             adjoint_power(np.eye(2), np.eye(4), 1)
 
 
-def gapped_step(M, n_sites, e0, seed):
+def gapped_step(M, n_sites, e0, seed, levels=(0.5, 3.0)):
     """A random already-diagonal G that fixes the vacuum with energy e0 and
-    has its excited block at least 1/2 above it, and a unit-norm Hermitian
-    potential on the same rectangle."""
+    has its excited block between ``levels`` above it (by default at least
+    1/2 above), and a unit-norm Hermitian potential on the same rectangle."""
     rng = np.random.default_rng(seed)
     rect = Rect((n_sites - 1,), (1,))
     dim = M**n_sites
     raw = rng.standard_normal((dim - 1, dim - 1)) + 1j * rng.standard_normal((dim - 1, dim - 1))
     basis, _ = np.linalg.qr(raw)
-    levels = e0 + rng.uniform(0.5, 3.0, dim - 1)
+    levels = e0 + rng.uniform(*levels, dim - 1)
     G = np.zeros((dim, dim), dtype=complex)
     G[0, 0] = e0
     G[1:, 1:] = basis @ np.diag(levels) @ basis.conj().T
@@ -271,6 +271,22 @@ class TestSeries:
         ops = assert_matches_dense_oracle(rect, g, v1, -0.4, 0.5 * RADIUS, j_max)
         assert ops.basis.shape[1] < g.dim
 
+    @pytest.mark.parametrize("j_max", [1, 2])
+    def test_shortest_series_match_dense_oracle(self, j_max):
+        # the stacked term-norm solve gets no matrix at j_max = 1, one at 2
+        rect, g, v1 = gapped_step(2, 3, 0.2, seed=30 + j_max)
+        ops = assert_matches_dense_oracle(rect, g, v1, 0.2, 0.5 * RADIUS, j_max)
+        assert len(ops.v_coords) == j_max - 1
+
+    def test_excited_block_below_vacuum_matches_dense_oracle(self):
+        # a forced step: every excited level lies 1/2 to 3 below e0, so the
+        # gap is negative while G' - e0 stays invertible
+        rect, g, v1 = gapped_step(2, 4, 0.1, seed=23, levels=(-3.0, -0.5))
+        with pytest.warns(UserWarning, match="gap degradation"):
+            ops = assert_matches_dense_oracle(rect, g, v1, 0.1, 0.5 * RADIUS, 8)
+        assert ops.gap == check_g_gap(g, 0.1, rect)
+        assert -3.0 <= ops.gap <= -0.5
+
     def test_vacuum_leak_matches_dense_oracle(self):
         # G e0 leaves the vacuum line by 5e-11, under the GP_MINUS_TOL that
         # assemble_g accepts; the series basis must carry that leak
@@ -284,8 +300,8 @@ class TestSeries:
         assert_matches_dense_oracle(rect, LocalOp(rect, G, 2), v1, 0.3, 0.5 * RADIUS, 8)
 
     def test_peak_memory_at_dim_256(self):
-        # the chain tables hold D x D coordinates with D <= 3 j_max, so one
-        # call at n = 256 and j_max = 12 peaks near 15 MB of new allocations
+        # the chain table holds D x D coordinates with D <= 3 j_max, so one
+        # call at n = 256 and j_max = 12 peaks near 11 MB of new allocations
         rect, g, v1 = gapped_step(2, 8, 0.0, seed=3)
         tracemalloc.start()
         try:

@@ -8,7 +8,7 @@ import pytest
 from gapflow.flow import initial_state, run_flow
 from gapflow.geometry import LatticeSpec, Rect
 from gapflow.model import ModelSpec, build_hamiltonian, default_onsite, random_model
-from gapflow.tensor import LocalOp, SiteSpace
+from gapflow.tensor import LocalOp, SiteSpace, hermitian_norm
 from gapflow.verify import (
     inequality_suite,
     model_fingerprint,
@@ -122,6 +122,19 @@ class TestNormDecayAudit:
         rows = norm_decay_audit(state, 0.05)
         r1 = [row for row in rows if row["circumference"] == 1]
         assert r1 and all(row["pass"] for row in r1)
+
+    def test_rows_follow_replaced_entries(self):
+        # a state hands back its audit until a stored entry is replaced
+        spec = random_model(LatticeSpec(1, 4), 2, 0.05, seed=54)
+        state = run_flow(spec)
+        rows = norm_decay_audit(state, 0.05)
+        assert norm_decay_audit(state, 0.05) is rows
+        norms = {k: hermitian_norm(op) for k, op in state.interactions.items()}
+        key = max((k for k in norms if k.circumference == 2), key=norms.get)
+        state.interactions[key] = LocalOp(key, 2 * state.interactions[key].matrix, 2)
+        fresh = norm_decay_audit(state, 0.05)
+        (row,) = [row for row in fresh if row["circumference"] == 2]
+        assert row["max_norm"] == pytest.approx(2 * norms[key], rel=1e-14)
 
     def test_chain_passes_at_small_coupling(self):
         spec = random_model(LatticeSpec(1, 5), 2, 0.05, seed=55)
