@@ -7,9 +7,7 @@ from .geometry import (
     count_shapes,
     enumerate_steps,
     g_set,
-    initial_step,
     minimal_rectangle,
-    successor,
 )
 from .tensor import (
     LocalOp,

@@ -252,7 +252,6 @@ def run(config: RunConfig, force: bool = False) -> int:
 
     report = verify_main_theorem(
         state,
-        spec,
         tol=config.tolerances.spectral,
         j_max=config.j_max,
         gap_slack=config.tolerances.gap_slack,

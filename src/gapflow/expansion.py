@@ -16,12 +16,10 @@ import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 
-import numpy as np
-
 from .flow import FlowState
 from .geometry import LatticeSpec, Rect, enumerate_steps, g_set, minimal_rectangle
 from .schwinger import rotation_delta_bound, rotation_delta_norm
-from .tensor import LocalOp, add_embedded, embed, hermitian_norm
+from .tensor import LocalOp, embed, embedded_sum
 
 BRANCH_PRUNE_NORM = 1e-14
 
@@ -246,11 +244,11 @@ class _Expander:
     target, so one expander serves every expansion of its flow state.
     """
 
-    def __init__(self, state: FlowState, lat: LatticeSpec):
+    def __init__(self, state: FlowState):
         if state.initial_map is None:
             raise ValueError("flow state is missing its initial interaction map")
-        self.lat = lat
-        self.steps = enumerate_steps(lat)
+        self.lat = state.spec.lat
+        self.steps = enumerate_steps(self.lat)
         self.initial_map = state.initial_map
         self.case_b = {rec.rect: rec.case_b_value for rec in state.history}
         self.generators = {rec.rect: rec.generator for rec in state.history if not rec.skipped}
@@ -282,8 +280,7 @@ class _Expander:
     def leaf(self, support: Rect, op: LocalOp | None) -> list[Branch]:
         if op is None:
             return []
-        nrm = hermitian_norm(op)
-        return [Branch((), support, nrm, op, nrm)]
+        return [Branch((), support, op.norm, op, op.norm)]
 
     def expand(self, level: int, support: Rect) -> tuple[list[Branch], float]:
         """Branches of the potential on ``support`` as of step ``level``, and
@@ -330,18 +327,15 @@ def enumerate_branches(
 ) -> BranchExpansion:
     """All nonzero branches of the stored potential on ``target`` as of the
     completion of ``root_step``."""
-    lat = flow_history.spec.lat
-    steps = enumerate_steps(lat)
     try:
-        root_idx = steps.index(root_step)
+        root_idx = enumerate_steps(flow_history.spec.lat).index(root_step)
     except ValueError:
         raise ValueError(f"{root_step} is not a flow step") from None
-    done = [rec.rect for rec in flow_history.history]
-    if root_step not in done:
+    if root_idx >= len(flow_history.history):
         raise ValueError(f"flow has not completed step {root_step}")
     expander = _EXPANDERS.get(flow_history)
     if expander is None:
-        expander = _EXPANDERS[flow_history] = _Expander(flow_history, lat)
+        expander = _EXPANDERS[flow_history] = _Expander(flow_history)
     branches, measured_c = expander.expand(root_idx, target)
     ratios = [
         len(b.rect_set) * root_step.circumference / target.circumference
@@ -359,11 +353,7 @@ def enumerate_branches(
 
 def branch_sum(expansion: BranchExpansion, M: int) -> LocalOp:
     """Sum of all branch operators, embedded on the expansion target."""
-    dim = M**expansion.target.n_sites
-    total = np.zeros((dim, dim), dtype=complex)
-    for b in expansion.branches:
-        add_embedded(total, b.op, expansion.target)
-    return LocalOp(expansion.target, total, M)
+    return embedded_sum(((1.0, b.op) for b in expansion.branches), expansion.target, M)
 
 
 def weighted_branch_sum(

@@ -9,22 +9,19 @@ together with the step rectangle. A new target whose rotation the a-priori
 bound ``schwinger.rotation_delta_bound`` already puts at or below the prune
 threshold is neither embedded nor rotated; every kept target is summed in
 the same order either way, so the skip changes no stored bit.
+
+The flow functions take a ``FlowState`` alone: it holds the model
+(``state.spec``) and the position (``len(state.history)`` steps run).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import (
-    Rect,
-    enumerate_steps,
-    initial_step,
-    minimal_rectangle,
-)
-from .model import ModelSpec, initial_interactions
+from .geometry import Rect, enumerate_steps, minimal_rectangle
+from .model import ModelSpec, coupled, initial_interactions
 from .schwinger import (
     GAP_FLOOR,
     GapError,
@@ -36,7 +33,7 @@ from .schwinger import (
     rotation_delta,
     rotation_delta_bound,
 )
-from .tensor import LocalOp, add_embedded, conjugate_on_legs, embed, hermitian_norm, op_norm
+from .tensor import LocalOp, conjugate_on_legs, embed, embedded_sum, op_norm
 
 PRUNE_THRESHOLD = 1e-14
 
@@ -51,10 +48,9 @@ def set_entry(interactions: dict[Rect, LocalOp], key: Rect, op: LocalOp) -> None
     # largest column norm and sqrt(||A||_1 ||A||_inf); the SVD runs only
     # when all four bounds leave the decision open
     mat = op.matrix
-    fro = float(np.linalg.norm(mat))
-    if fro <= PRUNE_THRESHOLD:
+    if op.fro_norm <= PRUNE_THRESHOLD:
         keep = False
-    elif fro > PRUNE_THRESHOLD * np.sqrt(op.dim) or (
+    elif op.fro_norm > PRUNE_THRESHOLD * np.sqrt(op.dim) or (
         np.linalg.norm(mat, axis=0).max() > PRUNE_THRESHOLD
     ):
         keep = True
@@ -100,7 +96,8 @@ class StepRecord:
 
 @dataclass(eq=False)
 class FlowState:
-    """Flow progress: last completed step, current map, per-step records.
+    """Flow progress: the model, the current map and one record per
+    completed step; the steps run in ``enumerate_steps`` order.
 
     A state hashes by identity: ``expansion`` caches its branch memo per
     state, so a state must not be mutated in place once it has been
@@ -108,18 +105,12 @@ class FlowState:
     """
 
     spec: ModelSpec
-    step: Rect
     interactions: dict[Rect, LocalOp]
     history: list[StepRecord] = field(default_factory=list)
     map_snapshots: list[dict[Rect, LocalOp]] | None = None
     initial_map: dict[Rect, LocalOp] | None = None
     status: str = "running"
     failures: list[str] = field(default_factory=list)
-    # the norm-decay audit as (t, entries audited, rows), kept by
-    # ``norm_decay_audit``; ``dataclasses.replace`` does not copy it
-    audit: tuple[float, list[LocalOp], list[dict]] | None = field(
-        default=None, init=False, repr=False
-    )
 
 
 def initial_state(spec: ModelSpec, keep_history: bool = False) -> FlowState:
@@ -128,7 +119,6 @@ def initial_state(spec: ModelSpec, keep_history: bool = False) -> FlowState:
         set_entry(imap, key, op)
     return FlowState(
         spec=spec,
-        step=initial_step(spec.lat),
         interactions=imap,
         map_snapshots=[] if keep_history else None,
         initial_map=dict(imap),
@@ -177,9 +167,7 @@ def _transform_map(
         # ||y|| <= sum_k ||op_k||_F, is at or below the prune threshold,
         # set_entry would drop it, so it is neither embedded nor rotated
         if old is None and (
-            rotation_delta_bound(
-                ops.generator, sum(float(np.linalg.norm(op.matrix)) for op in group)
-            )
+            rotation_delta_bound(ops.generator, sum(op.fro_norm for op in group))
             <= PRUNE_THRESHOLD
         ):
             continue
@@ -196,23 +184,21 @@ def _transform_map(
 
 
 def apply_step(
-    state: FlowState,
-    J: Rect,
-    spec: ModelSpec,
-    j_max: int = 12,
-    force: bool = False,
+    state: FlowState, j_max: int = 12, force: bool = False
 ) -> tuple[FlowState, StepOperators | None]:
-    """Advance the flow by the single step labelled ``J``.
+    """Advance the flow by its next step, the rectangle J after the
+    ``len(state.history)`` steps already run; a ValueError once every step
+    has run.
 
-    A step with no stored potential on ``J`` rotates nothing and returns
+    A step with no stored potential on J rotates nothing and returns
     ``None`` for its operators, but its gap is still checked: the inductive
     gap claim concerns the step's local operator either way.
     """
-    from .geometry import successor
-
-    expected = successor(state.step, spec.lat)
-    if expected != J:
-        raise ValueError(f"steps must run in order: expected {expected}, got {J}")
+    spec = state.spec
+    steps = enumerate_steps(spec.lat)
+    if len(state.history) >= len(steps):
+        raise ValueError(f"the flow has already run all {len(steps)} steps")
+    J = steps[len(state.history)]
 
     v1 = state.interactions.get(J)
     g, e0 = assemble_g(J, state.interactions, spec.t)
@@ -249,38 +235,26 @@ def apply_step(
         **series,
     )
     snapshots = state.map_snapshots
-    new_state = replace(
+    return replace(
         state,
-        spec=spec,
-        step=J,
         interactions=interactions,
         history=state.history + [record],
         map_snapshots=None if snapshots is None else snapshots + [dict(interactions)],
         failures=list(state.failures),
-    )
-    return new_state, ops
+    ), ops
 
 
-def assemble_hamiltonian(state: FlowState, spec: ModelSpec) -> LocalOp:
+def assemble_hamiltonian(state: FlowState) -> LocalOp:
     """Full-lattice operator: on-site entries plus t times all other entries."""
-    full = spec.lat.full_rect()
-    dim = spec.M**spec.lat.n_sites
-    total = np.zeros((dim, dim), dtype=complex)
-    for key, op in state.interactions.items():
-        add_embedded(total, op, full, 1.0 if key.circumference == 0 else spec.t)
-    return LocalOp(full, total, spec.M)
+    spec = state.spec
+    return embedded_sum(coupled(state.interactions.values(), spec.t), spec.lat.full_rect(), spec.M)
 
 
-def consistency_check(
-    before: LocalOp,
-    state_after: FlowState,
-    J: Rect,
-    spec: ModelSpec,
-) -> tuple[float, LocalOp]:
-    """Frobenius distance between the recombined map after the step on ``J``
-    and the honest conjugation of ``before``, the full-lattice operator
-    assembled before that step. Also returns the operator assembled after
-    the step, which is the next step's ``before``.
+def consistency_check(before: LocalOp, state_after: FlowState) -> tuple[float, LocalOp]:
+    """Frobenius distance between the recombined map after the last step J
+    of ``state_after`` and the honest conjugation of ``before``, the
+    full-lattice operator assembled before that step. Also returns the
+    operator assembled after the step, which is the next step's ``before``.
 
     The honest conjugation applies the dense closed-form exp(S_J) to J's
     legs of the whole previous operator, on both sides. Apart from the leg
@@ -288,14 +262,12 @@ def consistency_check(
     Frobenius norm bounds the operator norm from above, so a gate on it is
     no looser.
     """
-    after = assemble_hamiltonian(state_after, spec)
+    after = assemble_hamiltonian(state_after)
     rec = state_after.history[-1]
-    if rec.rect != J:
-        raise ValueError(f"last step of the flow is {rec.rect}, not {J}")
     if rec.skipped:
         # the step carried no potential, so nothing was conjugated
         return float(np.linalg.norm(after.matrix - before.matrix)), after
-    conj = conjugate_on_legs(before, J, generator_exponential(rec.generator))
+    conj = conjugate_on_legs(before, rec.rect, generator_exponential(rec.generator))
     return float(np.linalg.norm(after.matrix - conj)), after
 
 
@@ -326,20 +298,22 @@ def run_flow(
         raise ValueError(f"unknown consistency mode {check_consistency!r}")
 
     state = initial_state(spec, keep_history=keep_history)
-    steps = enumerate_steps(spec.lat)
+    n_steps = len(enumerate_steps(spec.lat))
     # full-lattice operator before the next checked step; each check hands
     # back the one it assembled after its step
     before = None
-    for i, J in enumerate(steps):
+    for i in range(n_steps):
         want_check = check_consistency == "every-step" or (
-            check_consistency == "final" and i == len(steps) - 1
+            check_consistency == "final" and i == n_steps - 1
         )
         if want_check and before is None:
-            before = assemble_hamiltonian(state, spec)
-        state, _ = apply_step(state, J, spec, j_max=j_max, force=force)
+            before = assemble_hamiltonian(state)
+        state, _ = apply_step(state, j_max=j_max, force=force)
+        rec = state.history[-1]
+        J = rec.rect
         if want_check:
-            residual, before = consistency_check(before, state, J, spec)
-            state.history[-1].residual = residual
+            residual, before = consistency_check(before, state)
+            rec.residual = residual
             if residual > tol.consistency:
                 if not force:
                     raise RuntimeError(
@@ -347,12 +321,11 @@ def run_flow(
                         f"{tol.consistency:.3g} at step {J}"
                     )
                 state.failures.append(f"consistency residual {residual:.3g} at step {J}")
-        rec = state.history[-1]
         if rec.g_gap < GAP_FLOOR:
             state.failures.append(f"gap {rec.g_gap:.6g} below 1/2 at step {J}")
 
     # audit the norm-decay hypothesis; violations downgrade, never abort
-    for row in norm_decay_audit(state, spec.t):
+    for row in norm_decay_audit(state):
         if not row["pass"]:
             r = row["circumference"]
             state.status = "hypothesis-violated"
@@ -370,29 +343,18 @@ def max_norm_by_circumference(state: FlowState) -> dict[int, float]:
     for key, op in state.interactions.items():
         r = key.circumference
         if r >= 1:
-            out[r] = max(out.get(r, 0.0), hermitian_norm(op))
+            out[r] = max(out.get(r, 0.0), op.norm)
     return out
 
 
-def norm_decay_audit(state: FlowState, t: float) -> list[dict]:
+def norm_decay_audit(state: FlowState) -> list[dict]:
     """Per-circumference table: max stored norm against t^{(r-1)/4}.
 
     Circumference-1 rows are informational: the single-step bound there is
     a plain factor 2, not a power of t, so they report but never fail.
-
-    The rows are computed once per map: the state keeps them with the
-    entries they came from, and hands the same rows back while every stored
-    entry is still the one audited (entries are replaced, never mutated).
+    Entries carry their norms (``LocalOp.norm``), so a re-audit takes none.
     """
-    entries = list(state.interactions.values())
-    if state.audit is not None:
-        audited_t, audited, rows = state.audit
-        if (
-            audited_t == t
-            and len(audited) == len(entries)
-            and all(map(operator.is_, audited, entries))
-        ):
-            return rows
+    t = state.spec.t
     rows = []
     for r, worst in sorted(max_norm_by_circumference(state).items()):
         bound = abs(t) ** ((r - 1) / 4.0)
@@ -405,5 +367,4 @@ def norm_decay_audit(state: FlowState, t: float) -> list[dict]:
                 "pass": bool(r < 2 or worst <= bound + 1e-12),
             }
         )
-    state.audit = (t, entries, rows)
     return rows

@@ -119,11 +119,6 @@ def step_sort_key(r: Rect) -> tuple:
     return (r.circumference, tuple(-x for x in r.k), tuple(reversed(r.q)))
 
 
-def initial_step(lat: LatticeSpec) -> Rect:
-    """Degenerate key preceding every genuine step (zero sides, corner N)."""
-    return Rect((0,) * lat.d, (lat.N,) * lat.d)
-
-
 def all_rects(lat: LatticeSpec, min_circ: int = 0) -> list[Rect]:
     """Every rectangle fitting in the lattice with circumference >= ``min_circ``."""
     out = []
@@ -146,15 +141,6 @@ def _enumerate_steps_cached(d: int, N: int) -> tuple[Rect, ...]:
 def enumerate_steps(lat: LatticeSpec) -> list[Rect]:
     """All block-diagonalization steps (|k| >= 1) in ascending flow order."""
     return list(_enumerate_steps_cached(lat.d, lat.N))
-
-
-def successor(r: Rect, lat: LatticeSpec) -> Rect | None:
-    """Immediate next step after ``r``; None once the final step is reached."""
-    steps = enumerate_steps(lat)
-    if r == initial_step(lat):
-        return steps[0]
-    idx = steps.index(r)
-    return steps[idx + 1] if idx + 1 < len(steps) else None
 
 
 def minimal_rectangle(a: Rect, b: Rect) -> Rect:

@@ -8,12 +8,13 @@ scaled by a coupling t.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import LatticeSpec, Rect, all_rects
-from .tensor import LocalOp, SiteSpace, add_embedded
+from .tensor import LocalOp, SiteSpace, embedded_sum, is_hermitian
 
 ONSITE_TOL = 1e-12
 
@@ -72,7 +73,8 @@ class ModelSpec:
             dim = self.site.M**J.n_sites
             if mat.shape != (dim, dim):
                 raise ValueError(f"potential on {J} must be {dim}x{dim}, got {mat.shape}")
-            if np.linalg.norm(mat - mat.conj().T, 2) > 1e-10 * max(np.linalg.norm(mat, 2), 1.0):
+            # the test every later norm and spectrum of the flow applies
+            if not is_hermitian(mat):
                 raise ValueError(f"potential on {J} must be Hermitian")
             if np.linalg.norm(mat, 2) > 1.0 + 1e-12:
                 raise ValueError(
@@ -95,16 +97,16 @@ class ModelSpec:
         return LocalOp(point, self.onsite_h, self.site.M)
 
 
+def coupled(entries: Iterable[LocalOp], t: float) -> list[tuple[float, LocalOp]]:
+    """(coefficient, entry) pairs for ``embedded_sum``: 1 for on-site
+    entries (supported on a point), t for every other entry."""
+    return [(1.0 if op.support.circumference == 0 else t, op) for op in entries]
+
+
 def build_hamiltonian(spec: ModelSpec) -> LocalOp:
     """K(t) = sum_i H_i + t * sum_J V_J on the full lattice."""
     full = spec.lat.full_rect()
-    dim = spec.M**spec.lat.n_sites
-    total = np.zeros((dim, dim), dtype=complex)
-    for coord in spec.lat.sites():
-        add_embedded(total, spec.onsite_op(coord), full)
-    for J, mat in spec.potentials:
-        add_embedded(total, LocalOp(J, mat, spec.M), full, spec.t)
-    return LocalOp(full, total, spec.M)
+    return embedded_sum(coupled(initial_interactions(spec).values(), spec.t), full, spec.M)
 
 
 def initial_interactions(spec: ModelSpec) -> dict[Rect, LocalOp]:

@@ -42,12 +42,12 @@ from math import factorial
 import numpy as np
 
 from .geometry import Rect
+from .model import coupled
 from .tensor import (
     LocalOp,
-    add_embedded,
     border_norm,
     diag_part,
-    hermitian_norm,
+    embedded_sum,
     offdiag_norm,
     permute_legs,
 )
@@ -178,23 +178,20 @@ def assemble_g(
 ) -> tuple[LocalOp, float]:
     """Already-diagonal local operator on J: on-site terms plus every strictly
     smaller stored potential, with its vacuum energy."""
-    inner = [(key, op) for key, op in interactions.items() if J.contains(key) and key != J]
+    inner = [op for key, op in interactions.items() if J.contains(key) and key != J]
     if not inner:
         raise ValueError(f"no on-site terms found inside {J}; interaction map is incomplete")
-    M = inner[0][1].M
-    dim = M**J.n_sites
-    total = np.zeros((dim, dim), dtype=complex)
-    for key, op in inner:
-        if key.circumference >= 1:
-            od = offdiag_norm(op.matrix)
-            if od > INNER_OD_TOL:
-                raise GapError(
-                    f"inner potential on {key} not yet diagonalized "
-                    f"(off-block norm {od:.3g})"
-                )
-            add_embedded(total, op, J, t)
-        else:
-            add_embedded(total, op, J)
+    for op in inner:
+        if op.support.circumference == 0:
+            continue
+        od = offdiag_norm(op.matrix)
+        if od > INNER_OD_TOL:
+            raise GapError(
+                f"inner potential on {op.support} not yet diagonalized "
+                f"(off-block norm {od:.3g})"
+            )
+    g = embedded_sum(coupled(inner, t), J, inner[0].M)
+    total = g.matrix
     e0 = float(total[0, 0].real)
     col = total[:, 0].copy()
     col[0] -= e0
@@ -203,7 +200,7 @@ def assemble_g(
             f"local operator on {J} does not fix the vacuum vector "
             f"(residual {np.linalg.norm(col):.3g})"
         )
-    return LocalOp(J, total, M), e0
+    return g, e0
 
 
 def check_g_gap(g: LocalOp, e0: float, J: Rect) -> float:
@@ -324,7 +321,10 @@ def rotation_delta_bound(x: np.ndarray, norm: float) -> float:
     the bound is 4 |sin(theta / 2)| ``norm``. A rotation whose bound is at
     or below a prune threshold can be skipped: its result would be pruned.
     """
-    return 4.0 * abs(np.sin(0.5 * float(np.linalg.norm(x)))) * norm
+    theta = float(np.linalg.norm(x))
+    if theta < 1e-150:  # the squares of x's entries underflow
+        theta = float(np.hypot.reduce(np.abs(x)))
+    return 4.0 * abs(np.sin(0.5 * theta)) * norm
 
 
 def rotation_delta_norm(op: LocalOp, J: Rect, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -396,7 +396,7 @@ def lie_schwinger_series(
     # the resolvent (G' - e0)^-1 on the excited block, formed once per step
     resolvent = np.linalg.inv(G[1:, 1:] - e0 * np.eye(dim - 1))
 
-    v1_norm = hermitian_norm(v1)
+    v1_norm = v1.norm
     maj = majorants(v1_norm, j_max) if v1_norm > 0 else None
 
     # orthonormal basis Z of span(e0, G e0, V e0, x_r, G x_r, V x_r : r < j_max)

@@ -7,13 +7,15 @@ state 0), so the local vacuum projector is the elementary matrix E_00.
 
 An operator on n sites is also read as its (M,)*2n tensor: n row legs, then
 n column legs, one per site. Embedding and conjugation work on those legs,
-so no Kronecker product or embedded n x n unitary is ever formed.
+so no Kronecker product or embedded n x n unitary is ever formed. A
+``LocalOp``'s matrix is never mutated, so it caches its own norms.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from string import ascii_letters
 
 import numpy as np
@@ -55,6 +57,16 @@ class LocalOp:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def norm(self) -> float:
+        """Operator norm, ``hermitian_norm`` of the operator."""
+        return hermitian_norm(self)
+
+    @cached_property
+    def fro_norm(self) -> float:
+        """Frobenius norm of the matrix."""
+        return float(np.linalg.norm(self.matrix))
+
 
 @lru_cache(maxsize=4096)
 def _embed_subscripts(support: Rect, into: Rect) -> str:
@@ -90,14 +102,18 @@ def add_embedded(total: np.ndarray, op: LocalOp, into: Rect, coeff: complex = 1.
     view += coeff * op.matrix.reshape((op.M,) * (2 * op.support.n_sites))
 
 
+def embedded_sum(terms: Iterable[tuple[complex, LocalOp]], into: Rect, M: int) -> LocalOp:
+    """sum_k c_k (A_k (x) I) on ``into`` over the pairs (c_k, A_k), added in order."""
+    dim = M**into.n_sites
+    total = np.zeros((dim, dim), dtype=complex)
+    for coeff, op in terms:
+        add_embedded(total, op, into, coeff)
+    return LocalOp(into, total, M)
+
+
 def embed(op: LocalOp, into: Rect) -> LocalOp:
     """Extend ``op`` by identity onto a containing rectangle, in canonical order."""
-    if into == op.support:
-        return op
-    dim = op.M**into.n_sites
-    total = np.zeros((dim, dim), dtype=complex)
-    add_embedded(total, op, into)
-    return LocalOp(into, total, op.M)
+    return op if into == op.support else embedded_sum([(1.0, op)], into, op.M)
 
 
 _Transpose = tuple[tuple[int, ...], tuple[int, ...]]
@@ -177,16 +193,19 @@ def op_norm(op: LocalOp | np.ndarray) -> float:
     return float(np.linalg.norm(mat, 2))
 
 
-def hermitian_spectrum(op: LocalOp | np.ndarray) -> np.ndarray:
-    """All eigenvalues of a Hermitian operator, ascending.
-
-    The Hermiticity test is in Frobenius norms: ||A - A^+||_F bounds the
-    2-norm from above and ||A||_F / sqrt(n) bounds it from below, so this
-    refuses every matrix the 2-norm test ||A - A^+|| > rtol ||A|| refuses.
-    """
-    mat = op.matrix if isinstance(op, LocalOp) else np.asarray(op, dtype=complex)
+def is_hermitian(mat: np.ndarray) -> bool:
+    """||A - A^+||_F <= rtol ||A||_F / sqrt(n). The two sides bound the
+    2-norms from above and below, so this refuses every matrix the 2-norm
+    test ||A - A^+|| > rtol max(||A||, 1) refuses."""
     scale = max(np.linalg.norm(mat) / np.sqrt(mat.shape[0]), 1e-300)
-    if np.linalg.norm(mat - mat.conj().T) > HERMITICITY_RTOL * scale:
+    return bool(np.linalg.norm(mat - mat.conj().T) <= HERMITICITY_RTOL * scale)
+
+
+def hermitian_spectrum(op: LocalOp | np.ndarray) -> np.ndarray:
+    """All eigenvalues of a Hermitian operator, ascending; refuses an
+    operator that fails ``is_hermitian``."""
+    mat = op.matrix if isinstance(op, LocalOp) else np.asarray(op, dtype=complex)
+    if not is_hermitian(mat):
         raise ValueError("operator is not Hermitian within tolerance")
     return np.linalg.eigvalsh(mat)
 

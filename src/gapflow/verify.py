@@ -1,4 +1,8 @@
-"""End-of-run verification: spectral claims, operator inequalities, norm audits."""
+"""End-of-run verification: spectral claims, operator inequalities, norm audits.
+
+``verify_main_theorem`` reads the model from ``state.spec``; the norm audit
+it reports reads each stored entry's cached ``LocalOp.norm``.
+"""
 
 from __future__ import annotations
 
@@ -96,7 +100,6 @@ def _step_dict(rec) -> dict:
 
 def verify_main_theorem(
     state: FlowState,
-    spec: ModelSpec,
     tol: float = 1e-8,
     j_max: int | None = None,
     gap_slack: float = 1e-6,
@@ -106,9 +109,10 @@ def verify_main_theorem(
     preservation, the vacuum as ground state of the transformed operator
     (its energy ``Kt[0,0]`` against the lowest eigenvalue of the original
     one), and the per-step gap hypothesis."""
+    spec = state.spec
     failed: list[str] = []
     K = build_hamiltonian(spec)
-    Kt = assemble_hamiltonian(state, spec)
+    Kt = assemble_hamiltonian(state)
     w = hermitian_spectrum(K)
     wt, vecs = np.linalg.eigh(Kt.matrix)
 
@@ -144,7 +148,7 @@ def verify_main_theorem(
         if rec.residual is not None and rec.residual > tol:
             failed.append(f"consistency: residual {rec.residual:.3g} at step {rec.rect}")
 
-    audit = norm_decay_audit(state, spec.t)
+    audit = norm_decay_audit(state)
     for row in audit:
         if not row["pass"]:
             failed.append(

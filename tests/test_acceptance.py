@@ -80,7 +80,7 @@ class TestCriterion1:
         )
         start = time.perf_counter()
         state = run_flow(spec, j_max=12)
-        report = verify_main_theorem(state, spec)
+        report = verify_main_theorem(state)
         elapsed = time.perf_counter() - start
         expected = np.sqrt(1 + t * t) - t
         assert abs(report.final["delta"] - expected) <= 1e-9
@@ -91,7 +91,7 @@ class TestCriterion1:
 class TestCriterion2:
     def test_main_theorem_desk_scale(self, c2_runs):
         for (d, N, t), (spec, state) in c2_runs.items():
-            report = verify_main_theorem(state, spec, tol=1e-8)
+            report = verify_main_theorem(state, tol=1e-8)
             assert report.passed(), ((d, N, t), report.failed_clauses)
             assert report.final["delta"] >= 0.5 - 1e-6
             assert report.final["pvac_offblock"] <= 1e-8
@@ -106,11 +106,11 @@ class TestCriterion3:
         for d, N in [(1, 4), (2, 2)]:
             spec = random_model(LatticeSpec(d, N), 2, 0.05, seed=SEED)
             state = initial_state(spec)
-            before = assemble_hamiltonian(state, spec)
+            before = assemble_hamiltonian(state)
             worst = 0.0
-            for J in enumerate_steps(spec.lat):
-                state, _ = apply_step(state, J, spec, j_max=12)
-                residual, before = consistency_check(before, state, J, spec)
+            for _ in enumerate_steps(spec.lat):
+                state, _ = apply_step(state, j_max=12)
+                residual, before = consistency_check(before, state)
                 worst = max(worst, residual)
             assert worst <= 1e-9, (d, N, worst)
         announce(3, "conjugation consistency")
@@ -122,7 +122,7 @@ class TestCriterion4:
             for rec in state.history:
                 assert rec.g_gap >= 0.5, ((d, N, t), rec.rect, rec.g_gap)
             # the vacuum is the ground state of the transformed operator
-            vacuum = verify_main_theorem(state, spec).final["vacuum_energy"]
+            vacuum = verify_main_theorem(state).final["vacuum_energy"]
             ground = np.linalg.eigvalsh(build_hamiltonian(spec).matrix)[0]
             assert abs(vacuum - ground) <= 1e-10, ((d, N, t), vacuum, ground)
         announce(4, "inductive gap claim")
@@ -168,7 +168,7 @@ class TestCriterion6:
 class TestCriterion7:
     def test_norm_decay_hypothesis(self, c2_runs):
         for (d, N, t), (spec, state) in c2_runs.items():
-            for row in norm_decay_audit(state, t):
+            for row in norm_decay_audit(state):
                 if row["circumference"] >= 2:
                     assert row["pass"], ((d, N, t), row)
         announce(7, "norm decay hypothesis")

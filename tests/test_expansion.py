@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from gapflow import expansion, schwinger
+from gapflow import expansion, schwinger, tensor
 from gapflow.expansion import (
     PathOfRects,
     branch_sum,
@@ -30,6 +30,7 @@ from gapflow.geometry import (
 from gapflow.model import random_model
 from gapflow.schwinger import rotation_delta, rotation_delta_norm
 from gapflow.tensor import LocalOp, border_norm, embed, hermitian_norm
+from gapflow.verify import verify_main_theorem
 
 from oracles import bounding_rect
 
@@ -159,16 +160,14 @@ class TestEnumerateBranches:
                 assert lhs <= rhs + 1e-12
 
     def test_each_branch_norm_taken_once(self, monkeypatch):
-        # over every root step of one state, every operator is normed once,
-        # when its branch is made (a leaf densely, a rotated branch from the
-        # border of its rotation), and no (generator, branch) input is
-        # rotated twice; the expansion constant and the weighted sum read
-        # the stored norms
-        spec, state = flow_state(1, 4)
-        v1n = {r.rect: r.v1_norm for r in state.history if not r.skipped}
+        # across the flow (series and audit), its verification and the
+        # expansion of every root step, no matrix is normed densely twice:
+        # a leaf reads the norm its entry already took, a rotated branch
+        # takes its norm from the border of its rotation, and no
+        # (generator, branch) input is rotated twice
         normed, bordered, deltas, rotated = [], [], [], []
         monkeypatch.setattr(
-            expansion, "hermitian_norm", lambda a: normed.append(a) or hermitian_norm(a)
+            tensor, "hermitian_norm", lambda a: normed.append(a) or hermitian_norm(a)
         )
         monkeypatch.setattr(
             schwinger, "border_norm", lambda b, c: bordered.append(c) or border_norm(b, c)
@@ -185,6 +184,9 @@ class TestEnumerateBranches:
             lambda self, label, sub: rotated.append((label, sub.labels, sub.leaf))
             or apply_a(self, label, sub),
         )
+        spec, state = flow_state(1, 4)
+        v1n = {r.rect: r.v1_norm for r in state.history if not r.skipped}
+        assert verify_main_theorem(state).passed()
         exps = [
             enumerate_branches(spec.lat.full_rect(), root, state)
             for root in enumerate_steps(spec.lat)
@@ -193,7 +195,7 @@ class TestEnumerateBranches:
         leaves = [b for b in branches if not b.labels]
         rotations = [b for b in branches if b.labels]
         assert leaves and rotations
-        assert len({id(a) for a in normed}) == len(normed)
+        assert len({id(a.matrix) for a in normed}) == len(normed)
         assert {id(b.op) for b in leaves} <= {id(a) for a in normed}
         assert not {id(b.op) for b in rotations} & {id(a) for a in normed}
         assert len(bordered) == len(deltas)
@@ -230,8 +232,8 @@ class RatioRecorder(expansion._Expander):
     every commutator map it applies, not the maxima threaded through the
     memo."""
 
-    def __init__(self, state, lat):
-        super().__init__(state, lat)
+    def __init__(self, state):
+        super().__init__(state)
         self.measured_c = 0.0
 
     def apply_a(self, label, sub):
@@ -251,7 +253,7 @@ class TestSharedExpander:
         steps = enumerate_steps(spec.lat)
         fresh = []
         for root in steps:
-            recorder = expansion._EXPANDERS[state] = RatioRecorder(state, spec.lat)
+            recorder = expansion._EXPANDERS[state] = RatioRecorder(state)
             exp = enumerate_branches(target, root, state)
             assert exp.measured_c == recorder.measured_c
             fresh.append(exp)
@@ -270,7 +272,7 @@ class TestSharedExpander:
         memo = expansion._EXPANDERS[state].memo
         assert any(c > 0 for _, c in memo.values())
         for (level, support), (_, c) in memo.items():
-            recorder = RatioRecorder(state, spec.lat)
+            recorder = RatioRecorder(state)
             recorder.expand(level, support)
             assert c == recorder.measured_c
 
@@ -350,7 +352,7 @@ class TestBorderNormOracle:
             targets = [Rect((2, 1), (1, 1)), Rect((1, 2), (1, 1))]
         cases = [(target, root) for target in targets for root in enumerate_steps(spec.lat)]
         got = [enumerate_branches(target, root, state) for target, root in cases]
-        expansion._EXPANDERS[state] = DenseNormExpander(state, spec.lat)
+        expansion._EXPANDERS[state] = DenseNormExpander(state)
         want = [enumerate_branches(target, root, state) for target, root in cases]
         assert any(exp.branches for exp in got)
         if branches is not None:

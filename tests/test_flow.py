@@ -121,25 +121,27 @@ class TestInteractionMap:
 
 
 class TestApplyStep:
-    def test_order_enforced(self):
+    def test_refuses_to_run_past_the_last_step(self):
         spec = sxsx_chain(3, 0.05)
         state = initial_state(spec)
-        wrong = Rect((2,), (1,))
-        with pytest.raises(ValueError, match="steps must run in order"):
-            apply_step(state, wrong, spec)
+        for J in enumerate_steps(spec.lat):
+            state, _ = apply_step(state)
+            assert state.history[-1].rect == J
+        with pytest.raises(ValueError, match="already run all 3 steps"):
+            apply_step(state)
 
     def test_diagonal_potential_leaves_map_unchanged(self):
         lat = LatticeSpec(1, 2)
         v = np.diag([0.4, -0.1, 0.2, 0.3])
         spec = ModelSpec(lat, SiteSpace(2), default_onsite(2), [(Rect((1,), (1,)), v)], 0.1)
         state = initial_state(spec)
-        new, ops = apply_step(state, Rect((1,), (1,)), spec)
+        new, ops = apply_step(state)
         assert np.allclose(new.interactions.get(Rect((1,), (1,))).matrix, v)
         assert np.linalg.norm(ops.generator) < 1e-15
-        assert new.step == Rect((1,), (1,))
+        assert new.history[-1].rect == Rect((1,), (1,))
         # a vanishing generator leaves nothing for the conjugation to move
-        before = assemble_hamiltonian(state, spec)
-        assert consistency_check(before, new, Rect((1,), (1,)), spec)[0] <= 1e-13
+        before = assemble_hamiltonian(state)
+        assert consistency_check(before, new)[0] <= 1e-13
 
     def test_disjoint_entries_untouched(self):
         spec = sxsx_chain(4, 0.05)
@@ -147,14 +149,15 @@ class TestApplyStep:
         first = Rect((1,), (1,))
         far_edge = Rect((1,), (3,))
         before = state.interactions.get(far_edge).matrix
-        new, _ = apply_step(state, first, spec)
+        new, _ = apply_step(state)
+        assert new.history[-1].rect == first
         assert np.array_equal(new.interactions.get(far_edge).matrix, before)
 
     def test_step_entry_becomes_block_diagonal(self):
         spec = random_model(LatticeSpec(1, 3), 2, 0.05, seed=21)
         state = initial_state(spec)
         for J in enumerate_steps(spec.lat):
-            state, ops = apply_step(state, J, spec)
+            state, ops = apply_step(state)
             entry = state.interactions.get(J)
             if entry is not None:
                 tail = ops.tail_bound if ops is not None else 0.0
@@ -167,7 +170,7 @@ class TestApplyStep:
         state = initial_state(spec)
         budget = 0.0
         for J in enumerate_steps(spec.lat):
-            state, ops = apply_step(state, J, spec)
+            state, ops = apply_step(state)
             budget += (ops.tail_bound if ops is not None else 0.0) + 1e-13
             for key, op in state.interactions.items():
                 if key.circumference >= 1 and compare_step(key, J) <= 0:
@@ -178,14 +181,14 @@ class TestApplyStep:
         # of that edge with its overlapping neighbor
         spec = random_model(LatticeSpec(1, 3), 2, 0.05, seed=22)
         state = initial_state(spec)
-        new, _ = apply_step(state, Rect((1,), (1,)), spec)
+        new, _ = apply_step(state)
         grown = new.interactions.get(Rect((2,), (1,)))
         assert grown is not None and np.linalg.norm(grown.matrix, 2) > 1e-6
 
     def test_history_snapshot_leaves_caller_state_alone(self):
         spec = random_model(LatticeSpec(1, 3), 2, 0.05, seed=23)
         state = initial_state(spec, keep_history=True)
-        new, _ = apply_step(state, Rect((1,), (1,)), spec)
+        new, _ = apply_step(state)
         assert state.map_snapshots == []
         assert new.map_snapshots is not state.map_snapshots
         assert new.map_snapshots == [new.interactions]
@@ -195,20 +198,20 @@ class TestApplyStep:
         # drags its excited block below 1/2
         spec = sxsx_chain(3, 0.05)
         state = initial_state(spec)
-        state, _ = apply_step(state, Rect((1,), (1,)), spec)
+        state, _ = apply_step(state)
         sabotage = Rect((1,), (2,))
         bad = np.diag([0.0, -12.0, -12.0, -12.0]).astype(complex)
         state.interactions[sabotage] = LocalOp(sabotage, bad, 2)
-        state, _ = apply_step(state, sabotage, spec)
+        state, _ = apply_step(state)
         with pytest.raises(GapError, match="inductive gap hypothesis"):
-            apply_step(state, Rect((2,), (1,)), spec)
+            apply_step(state)
 
 
 class TestAssembleAndConsistency:
     def test_initial_assembly_matches_build(self):
         spec = random_model(LatticeSpec(2, 2), 2, 0.05, seed=23)
         state = initial_state(spec)
-        a = assemble_hamiltonian(state, spec).matrix
+        a = assemble_hamiltonian(state).matrix
         b = build_hamiltonian(spec).matrix
         assert np.linalg.norm(a - b, 2) < 1e-14
 
@@ -216,10 +219,10 @@ class TestAssembleAndConsistency:
     def test_stepwise_consistency(self, d, N):
         spec = random_model(LatticeSpec(d, N), 2, 0.05, seed=24)
         state = initial_state(spec)
-        before = assemble_hamiltonian(state, spec)
+        before = assemble_hamiltonian(state)
         for J in enumerate_steps(spec.lat):
-            state, _ = apply_step(state, J, spec, j_max=12)
-            res, before = consistency_check(before, state, J, spec)
+            state, _ = apply_step(state, j_max=12)
+            res, before = consistency_check(before, state)
             assert res <= 1e-9
 
     @pytest.mark.parametrize("d,N", [(1, 4), (2, 2)])
@@ -229,14 +232,14 @@ class TestAssembleAndConsistency:
         spec = random_model(LatticeSpec(d, N), 2, 0.05, seed=24)
         full = spec.lat.full_rect()
         state = initial_state(spec)
-        before = assemble_hamiltonian(state, spec)
+        before = assemble_hamiltonian(state)
         checked = 0
         for J in enumerate_steps(spec.lat):
             prev = before
-            state, ops = apply_step(state, J, spec, j_max=12)
-            res, before = consistency_check(prev, state, J, spec)
+            state, ops = apply_step(state, j_max=12)
+            res, before = consistency_check(prev, state)
             # the check hands back the assembly after the step, for the next one
-            assert np.array_equal(before.matrix, assemble_hamiltonian(state, spec).matrix)
+            assert np.array_equal(before.matrix, assemble_hamiltonian(state).matrix)
             if ops is None:
                 continue
             x = state.history[-1].generator
@@ -252,7 +255,7 @@ class TestAssembleAndConsistency:
     def test_final_block_diagonality(self):
         spec = random_model(LatticeSpec(1, 4), 2, 0.05, seed=25)
         state = run_flow(spec)
-        kt = assemble_hamiltonian(state, spec).matrix
+        kt = assemble_hamiltonian(state).matrix
         assert np.linalg.norm(kt[0, 1:]) <= 1e-10
 
 
@@ -260,7 +263,7 @@ class TestRunFlow:
     def test_closed_form_gap(self):
         spec = sxsx_chain(2, 0.1)
         state = run_flow(spec)
-        w = hermitian_spectrum(assemble_hamiltonian(state, spec))
+        w = hermitian_spectrum(assemble_hamiltonian(state))
         expected = np.sqrt(1 + 0.01) - 0.1
         assert abs((w[1] - w[0]) - expected) < 1e-9
         assert w[1] - w[0] >= 0.5
@@ -268,7 +271,7 @@ class TestRunFlow:
     def test_t_zero_is_identity(self):
         spec = sxsx_chain(3, 0.0)
         state = run_flow(spec)
-        kt = assemble_hamiltonian(state, spec).matrix
+        kt = assemble_hamiltonian(state).matrix
         k0 = build_hamiltonian(spec).matrix
         assert np.linalg.norm(kt - k0, 2) < 1e-14
         assert all(rec.s_norm < 1e-15 for rec in state.history)
@@ -277,7 +280,7 @@ class TestRunFlow:
         spec = random_model(LatticeSpec(1, 5), 2, 0.05, seed=26)
         state = run_flow(spec)
         w0 = hermitian_spectrum(build_hamiltonian(spec))
-        w1 = hermitian_spectrum(assemble_hamiltonian(state, spec))
+        w1 = hermitian_spectrum(assemble_hamiltonian(state))
         assert np.max(np.abs(w0 - w1)) < 1e-8
 
     def test_diagonalized_entries_stay_block_diagonal(self):
@@ -317,7 +320,7 @@ class TestRunFlow:
         state = run_flow(spec)
         assert state.status == "hypothesis-violated"
         assert state.failures == ["norm decay hypothesis violated at circumference 2: 1 > t^(1/4)"]
-        report = verify_main_theorem(state, spec)
+        report = verify_main_theorem(state)
         assert report.status == "hypothesis-violated"
         assert [c for c in report.failed_clauses if c.startswith("norm-decay")] == [
             f"norm-decay: circumference 2 norm 1 above bound {0.05 ** 0.25:.6g}"
@@ -326,7 +329,7 @@ class TestRunFlow:
     def test_vacuum_energy_cross_check(self):
         # the transformed vacuum energy Kt[0,0] is the original ground energy
         spec = random_model(LatticeSpec(1, 4), 2, 0.05, seed=30)
-        report = verify_main_theorem(run_flow(spec), spec)
+        report = verify_main_theorem(run_flow(spec))
         ground = np.linalg.eigvalsh(build_hamiltonian(spec).matrix)[0]
         assert abs(report.final["vacuum_energy"] - ground) < 1e-10
 
@@ -348,10 +351,10 @@ class TestRunFlow:
         spec = random_model(LatticeSpec(3, 2), 2, 0.02, seed=60)
         state = run_flow(spec, check_consistency="final")
         w0 = hermitian_spectrum(build_hamiltonian(spec))
-        w1 = hermitian_spectrum(assemble_hamiltonian(state, spec))
+        w1 = hermitian_spectrum(assemble_hamiltonian(state))
         assert np.max(np.abs(w0 - w1)) < 1e-8
         assert min(r.g_gap for r in state.history) >= 0.5
-        kt = assemble_hamiltonian(state, spec).matrix
+        kt = assemble_hamiltonian(state).matrix
         assert np.linalg.norm(kt[0, 1:]) <= 1e-10
 
     def test_longer_range_initial_data(self):
@@ -370,7 +373,7 @@ class TestRunFlow:
         )
         state = run_flow(spec)
         w0 = hermitian_spectrum(build_hamiltonian(spec))
-        w1 = hermitian_spectrum(assemble_hamiltonian(state, spec))
+        w1 = hermitian_spectrum(assemble_hamiltonian(state))
         assert np.max(np.abs(w0 - w1)) < 1e-8
 
     def test_negative_coupling_runs(self):
@@ -379,7 +382,7 @@ class TestRunFlow:
         state = run_flow(spec)
         assert state.status == "completed"
         w0 = hermitian_spectrum(build_hamiltonian(spec))
-        w1 = hermitian_spectrum(assemble_hamiltonian(state, spec))
+        w1 = hermitian_spectrum(assemble_hamiltonian(state))
         assert np.max(np.abs(w0 - w1)) < 1e-8
 
 

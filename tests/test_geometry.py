@@ -14,10 +14,8 @@ from gapflow.geometry import (
     count_shapes,
     enumerate_steps,
     g_set,
-    initial_step,
     minimal_rectangle,
     step_sort_key,
-    successor,
 )
 
 from oracles import three_clause_compare
@@ -153,13 +151,10 @@ class TestEnumeration:
             assert steps[0].circumference == 1
             assert steps[-1] == Rect((N - 1,) * d, (1,) * d) == lat.full_rect()
 
-    def test_successor(self):
-        lat = LatticeSpec(2, 3)
-        first = successor(initial_step(lat), lat)
-        assert first == Rect((1, 0), (1, 1))
-        assert successor(lat.full_rect(), lat) is None
-        lat1 = LatticeSpec(1, 3)
-        assert successor(Rect((1,), (1,)), lat1) == Rect((1,), (2,))
+    def test_first_steps(self):
+        steps = enumerate_steps(LatticeSpec(2, 3))
+        assert steps[:2] == [Rect((1, 0), (1, 1)), Rect((1, 0), (2, 1))]
+        assert enumerate_steps(LatticeSpec(1, 3))[:2] == [Rect((1,), (1,)), Rect((1,), (2,))]
 
 
 class TestMinimalRectangle:

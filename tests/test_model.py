@@ -7,6 +7,7 @@ import pytest
 
 from gapflow.geometry import LatticeSpec, Rect
 from gapflow.model import (
+    coupled,
     ModelSpec,
     build_hamiltonian,
     default_onsite,
@@ -90,6 +91,13 @@ class TestBuildHamiltonian:
         spec = random_model(LatticeSpec(2, 2), 2, 0.3, seed=5)
         k = build_hamiltonian(spec).matrix
         assert np.linalg.norm(k - k.conj().T, 2) < 1e-12 * np.linalg.norm(k, 2)
+
+    def test_coupled_weights_points_one_and_the_rest_t(self):
+        spec = chain_model(3, 0.05)
+        entries = list(initial_interactions(spec).values())
+        pairs = coupled(entries, 0.05)
+        assert [id(op) for _, op in pairs] == [id(op) for op in entries]
+        assert [c for c, _ in pairs] == [1.0] * 3 + [0.05] * 2
 
     def test_vacuum_block_zero_at_t0(self):
         k = build_hamiltonian(chain_model(3, 0.0)).matrix

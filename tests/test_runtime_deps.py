@@ -21,7 +21,7 @@ SCRIPT = textwrap.dedent(
 
     spec = random_model(LatticeSpec(1, 3), 2, 0.05, seed=3)
     state = run_flow(spec, keep_history=True)
-    assert verify_main_theorem(state, spec).status == "pass"
+    assert verify_main_theorem(state).status == "pass"
     root = state.history[-1].rect
     assert enumerate_branches(root, root, state).branches
 

@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq
@@ -425,6 +425,8 @@ class TestRotationDeltaBound:
         worst=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    # a theta whose square underflows
+    @example(case=(1, 4, 2, "corner"), theta=7.121692753022683e-161, worst=True, seed=1)
     def test_bounds_the_rotated_norm(self, case, theta, worst, seed):
         # ||u A u^+ - A|| <= 4 sin(theta/2) ||A|| for a random Hermitian A,
         # or for A = (v w^+ + w v^+) (x) I with v, w the eigenvectors of u

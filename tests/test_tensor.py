@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapflow.geometry import LatticeSpec, Rect, all_rects
+from gapflow import tensor
 from gapflow.tensor import (
     LocalOp,
     SiteSpace,
@@ -13,8 +14,10 @@ from gapflow.tensor import (
     border_norm,
     conjugate_on_legs,
     embed,
+    embedded_sum,
     hermitian_norm,
     hermitian_spectrum,
+    is_hermitian,
     offdiag_norm,
     op_norm,
     permute_legs,
@@ -138,6 +141,21 @@ class TestAddEmbedded:
         ref = (0.3 - 1.7j) * kron_embed(a, full).matrix - 2.1j * kron_embed(b, full).matrix
         assert np.max(np.abs(total - ref)) <= 1e-14
         assert np.array_equal(embed(a, full).matrix, kron_embed(a, full).matrix)
+
+    @pytest.mark.parametrize("d, N, M, place", LEG_PARAMS)
+    def test_embedded_sum_adds_in_the_given_order(self, d, N, M, place):
+        # the same bits as add_embedded term by term, in the given order
+        full, J = leg_case(d, N, place)
+        rng = np.random.default_rng(3 * d + N + 10 * M)
+        point = Rect((0,) * d, J.sites()[0])
+        terms = [(1.0, random_local(rng, point, M)), (0.3 - 1.7j, random_local(rng, J, M))]
+        dim = M**full.n_sites
+        total = np.zeros((dim, dim), dtype=complex)
+        for coeff, op in terms:
+            add_embedded(total, op, full, coeff)
+        got = embedded_sum(terms, full, M)
+        assert got.support == full and np.array_equal(got.matrix, total)
+        assert not embedded_sum([], full, M).matrix.any()
 
     def test_non_contiguous_destination_rejected(self):
         edge = Rect((1,), (1,))
@@ -274,6 +292,15 @@ class TestNormsAndSpectra:
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_spectrum(bad)
 
+    def test_is_hermitian_refuses_what_a_two_norm_test_accepts(self):
+        # ||A - A^+||_2 = 5e-11 is within 1e-10 max(||A||, 1), but the
+        # Frobenius test against ||A||_F / sqrt(n) refuses it
+        mat = np.zeros((4, 4), dtype=complex)
+        mat[0, 1], mat[1, 0] = 0.5, 0.50000000005
+        assert np.linalg.norm(mat - mat.conj().T, 2) <= 1e-10 * max(np.linalg.norm(mat, 2), 1)
+        assert not is_hermitian(mat)
+        assert is_hermitian(mat + mat.conj().T) and is_hermitian(np.zeros((4, 4)))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
             LocalOp(Rect((1,), (1,)), np.eye(3), 2)
@@ -299,6 +326,20 @@ class TestHermitianNorm:
 
     def test_zero_matrix(self):
         assert hermitian_norm(np.zeros((4, 4))) == 0.0
+
+    def test_local_op_norms_taken_once(self, monkeypatch):
+        # LocalOp.norm and .fro_norm are hermitian_norm and the Frobenius
+        # norm bit for bit, each computed on first use only
+        op = random_local(np.random.default_rng(12), Rect((2,), (1,)))
+        want = hermitian_norm(op), float(np.linalg.norm(op.matrix))
+        normed = []
+        monkeypatch.setattr(
+            tensor, "hermitian_norm", lambda a: normed.append(a) or hermitian_norm(a)
+        )
+        assert (op.norm, op.fro_norm) == want
+        assert (op.norm, op.fro_norm) == want
+        assert normed == [op]
+        assert op.fro_norm is op.fro_norm
 
     def test_non_hermitian_rejected(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])

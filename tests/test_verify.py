@@ -30,7 +30,7 @@ def sxsx_chain(N, t):
 class TestVerifyMainTheorem:
     def test_unperturbed(self):
         spec = sxsx_chain(3, 0.0)
-        report = verify_main_theorem(run_flow(spec), spec)
+        report = verify_main_theorem(run_flow(spec))
         assert report.passed()
         assert report.final["delta"] == pytest.approx(1.0, abs=1e-12)
         assert report.final["pvac_offblock"] == 0.0
@@ -38,7 +38,7 @@ class TestVerifyMainTheorem:
 
     def test_two_site_closed_form_gap(self):
         spec = sxsx_chain(2, 0.1)
-        report = verify_main_theorem(run_flow(spec), spec)
+        report = verify_main_theorem(run_flow(spec))
         assert report.passed()
         assert report.final["delta"] == pytest.approx(
             np.sqrt(1.01) - 0.1, abs=1e-9
@@ -46,7 +46,7 @@ class TestVerifyMainTheorem:
 
     def test_random_model_passes(self):
         spec = random_model(LatticeSpec(1, 4), 2, 0.05, seed=50)
-        report = verify_main_theorem(run_flow(spec), spec)
+        report = verify_main_theorem(run_flow(spec))
         assert report.passed(), report.failed_clauses
 
     def test_weak_gap_flagged(self):
@@ -57,7 +57,7 @@ class TestVerifyMainTheorem:
         v = np.diag([0.0, -1.0, -1.0, -1.0]).astype(complex)
         pots = [(Rect((1,), (q,)), v) for q in (1, 2)]
         spec = ModelSpec(lat, SiteSpace(2), default_onsite(2), pots, 0.6)
-        report = verify_main_theorem(run_flow(spec, force=True), spec)
+        report = verify_main_theorem(run_flow(spec, force=True))
         assert not report.passed()
         assert any(clause.startswith("step-gap") for clause in report.failed_clauses)
         assert any(clause.startswith("gap:") for clause in report.failed_clauses)
@@ -66,7 +66,7 @@ class TestVerifyMainTheorem:
         # the unflowed operator at coupling 0.6 has its lowest two levels
         # closer than 1/2; that shortfall is one failed clause, not two
         spec = sxsx_chain(3, 0.6)
-        report = verify_main_theorem(initial_state(spec), spec)
+        report = verify_main_theorem(initial_state(spec))
         delta = report.final["delta"]
         assert delta < 0.5
         shortfall = [c for c in report.failed_clauses if f"{delta:.9g}" in c]
@@ -77,13 +77,13 @@ class TestVerifyMainTheorem:
         # t * delta = 1e-6; per-step values fixed during the flow cannot see it
         spec = random_model(LatticeSpec(1, 4), 2, 0.05, seed=56)
         state = run_flow(spec)
-        assert verify_main_theorem(state, spec).passed()
+        assert verify_main_theorem(state).passed()
         key = next(k for k in state.interactions if k.circumference >= 1)
         op = state.interactions[key]
         bumped = op.matrix.copy()
         bumped[0, 0] += 1e-6 / spec.t
         state.interactions[key] = LocalOp(key, bumped, op.M)
-        report = verify_main_theorem(state, spec)
+        report = verify_main_theorem(state)
         assert any(c.startswith("vacuum-energy") for c in report.failed_clauses)
         ground = np.linalg.eigvalsh(build_hamiltonian(spec).matrix)[0]
         assert report.final["vacuum_energy"] - ground == pytest.approx(1e-6, rel=1e-6)
@@ -91,8 +91,8 @@ class TestVerifyMainTheorem:
     def test_report_deterministic(self):
         spec_a = random_model(LatticeSpec(1, 3), 2, 0.05, seed=51)
         spec_b = random_model(LatticeSpec(1, 3), 2, 0.05, seed=51)
-        rep_a = verify_main_theorem(run_flow(spec_a), spec_a).to_dict()
-        rep_b = verify_main_theorem(run_flow(spec_b), spec_b).to_dict()
+        rep_a = verify_main_theorem(run_flow(spec_a)).to_dict()
+        rep_b = verify_main_theorem(run_flow(spec_b)).to_dict()
         assert rep_a == rep_b
 
     def test_fingerprint_tracks_model_content(self):
@@ -114,32 +114,29 @@ class TestNormDecayAudit:
         pots = [(Rect((1,), (q,)), v) for q in (1, 2)]
         spec = ModelSpec(lat, SiteSpace(2), default_onsite(2), pots, 0.0)
         state = run_flow(spec)
-        assert norm_decay_audit(state, 0.0) == []
+        assert norm_decay_audit(state) == []
 
     def test_unit_circumference_reports_but_never_fails(self):
         spec = random_model(LatticeSpec(1, 4), 2, 0.05, seed=54)
         state = run_flow(spec)
-        rows = norm_decay_audit(state, 0.05)
+        rows = norm_decay_audit(state)
         r1 = [row for row in rows if row["circumference"] == 1]
         assert r1 and all(row["pass"] for row in r1)
 
     def test_rows_follow_replaced_entries(self):
-        # a state hands back its audit until a stored entry is replaced
+        # an entry replaced after the flow is audited by its own norm
         spec = random_model(LatticeSpec(1, 4), 2, 0.05, seed=54)
         state = run_flow(spec)
-        rows = norm_decay_audit(state, 0.05)
-        assert norm_decay_audit(state, 0.05) is rows
         norms = {k: hermitian_norm(op) for k, op in state.interactions.items()}
         key = max((k for k in norms if k.circumference == 2), key=norms.get)
         state.interactions[key] = LocalOp(key, 2 * state.interactions[key].matrix, 2)
-        fresh = norm_decay_audit(state, 0.05)
-        (row,) = [row for row in fresh if row["circumference"] == 2]
+        (row,) = [row for row in norm_decay_audit(state) if row["circumference"] == 2]
         assert row["max_norm"] == pytest.approx(2 * norms[key], rel=1e-14)
 
     def test_chain_passes_at_small_coupling(self):
         spec = random_model(LatticeSpec(1, 5), 2, 0.05, seed=55)
         state = run_flow(spec)
-        for row in norm_decay_audit(state, 0.05):
+        for row in norm_decay_audit(state):
             if row["circumference"] >= 2:
                 assert row["pass"]
                 assert row["max_norm"] <= row["bound"]
