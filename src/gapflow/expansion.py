@@ -7,7 +7,8 @@ surviving term of that unfolding is a branch: an ordered list of generator
 rectangles applied to one leaf potential. Branches are the countable
 objects the norm bookkeeping (weights, paths, component decompositions)
 is built on. A term whose rotation ``schwinger.rotation_delta_bound``
-already puts at or below the prune norm is dropped before it is rotated.
+already puts at or below ``flow.PRUNE_THRESHOLD`` is dropped before it is
+rotated.
 """
 
 from __future__ import annotations
@@ -16,12 +17,10 @@ import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .flow import FlowState
+from .flow import PRUNE_THRESHOLD, FlowState
 from .geometry import LatticeSpec, Rect, enumerate_steps, g_set, minimal_rectangle
 from .schwinger import rotation_delta_bound, rotation_delta_norm
 from .tensor import LocalOp, embed, embedded_sum
-
-BRANCH_PRUNE_NORM = 1e-14
 
 
 @dataclass
@@ -262,17 +261,17 @@ class _Expander:
         """The branch one level up: the commutator series of the step
         generator applied to the branch operator; None if it would be
         pruned. A sub-branch whose ``rotation_delta_bound`` is already at or
-        below the prune norm is neither embedded nor rotated."""
+        below the prune threshold is neither embedded nor rotated."""
         x = sub.op
         if label not in self.generators:
             return None
         if not label.overlaps(x.support):
             return None
-        if rotation_delta_bound(self.generators[label], sub.norm) <= BRANCH_PRUNE_NORM:
+        if rotation_delta_bound(self.generators[label], sub.norm) <= PRUNE_THRESHOLD:
             return None
         common = minimal_rectangle(label, x.support)
         out, nrm = rotation_delta_norm(embed(x, common), label, self.generators[label])
-        if nrm <= BRANCH_PRUNE_NORM:
+        if nrm <= PRUNE_THRESHOLD:
             return None
         result = LocalOp(common, out, x.M)
         return Branch((label,) + sub.labels, sub.leaf, sub.leaf_norm, result, nrm)

@@ -94,9 +94,17 @@ class StepRecord:
     skipped: bool = False
 
 
+@dataclass
+class Tolerances:
+    spectral: float = 1e-8
+    consistency: float = 1e-8
+    gap_slack: float = 1e-6
+
+
 @dataclass(eq=False)
 class FlowState:
-    """Flow progress: the model, the current map and one record per
+    """Flow progress: the model, the run settings (series truncation order
+    ``j_max`` and ``tolerances``), the current map and one record per
     completed step; the steps run in ``enumerate_steps`` order.
 
     A state hashes by identity: ``expansion`` caches its branch memo per
@@ -106,6 +114,8 @@ class FlowState:
 
     spec: ModelSpec
     interactions: dict[Rect, LocalOp]
+    j_max: int = 12
+    tolerances: Tolerances = field(default_factory=Tolerances)
     history: list[StepRecord] = field(default_factory=list)
     map_snapshots: list[dict[Rect, LocalOp]] | None = None
     initial_map: dict[Rect, LocalOp] | None = None
@@ -113,13 +123,20 @@ class FlowState:
     failures: list[str] = field(default_factory=list)
 
 
-def initial_state(spec: ModelSpec, keep_history: bool = False) -> FlowState:
+def initial_state(
+    spec: ModelSpec,
+    keep_history: bool = False,
+    j_max: int = 12,
+    tolerances: Tolerances | None = None,
+) -> FlowState:
     imap: dict[Rect, LocalOp] = {}
     for key, op in initial_interactions(spec).items():
         set_entry(imap, key, op)
     return FlowState(
         spec=spec,
         interactions=imap,
+        j_max=j_max,
+        tolerances=tolerances or Tolerances(),
         map_snapshots=[] if keep_history else None,
         initial_map=dict(imap),
     )
@@ -183,12 +200,11 @@ def _transform_map(
     return new_map
 
 
-def apply_step(
-    state: FlowState, j_max: int = 12, force: bool = False
-) -> tuple[FlowState, StepOperators | None]:
+def apply_step(state: FlowState, force: bool = False) -> tuple[FlowState, StepOperators | None]:
     """Advance the flow by its next step, the rectangle J after the
     ``len(state.history)`` steps already run; a ValueError once every step
-    has run.
+    has run. Unless ``force``, a GapError when ``_step_failures`` fails the
+    step's gap.
 
     A step with no stored potential on J rotates nothing and returns
     ``None`` for its operators, but its gap is still checked: the inductive
@@ -202,15 +218,8 @@ def apply_step(
 
     v1 = state.interactions.get(J)
     g, e0 = assemble_g(J, state.interactions, spec.t)
-    ops = None if v1 is None else lie_schwinger_series(J, g, e0, v1, spec.t, j_max=j_max)
-    gap = check_g_gap(g, e0, J) if ops is None else ops.gap
-    if gap < GAP_FLOOR and not force:
-        raise GapError(
-            f"gap of the local operator on {J} is {gap:.6g} < {GAP_FLOOR}; "
-            "the inductive gap hypothesis fails at this coupling"
-        )
-
-    series, interactions = {}, state.interactions
+    ops = None if v1 is None else lie_schwinger_series(J, g, e0, v1, spec.t, j_max=state.j_max)
+    series = {}
     if ops is not None:
         series = dict(
             s_norm=ops.s_norm,
@@ -223,24 +232,28 @@ def apply_step(
             case_b_value=ops.v_diag_total,
             generator=ops.generator,
         )
-        interactions = _transform_map(state.interactions, J, ops)
     record = StepRecord(
         index=len(state.history),
         rect=J,
         circumference=J.circumference,
-        g_gap=gap,
+        g_gap=check_g_gap(g, e0, J) if ops is None else ops.gap,
         e0=e0,
         regime=regime_of(J, spec.lat.full_rect()),
         skipped=ops is None,
         **series,
     )
+    # the record has no residual yet, so only its gap can fail here
+    failed = _step_failures(record, state.tolerances)
+    if failed and not force:
+        raise GapError(f"{failed[0]}; the inductive gap hypothesis fails at this coupling")
+
+    interactions = state.interactions if ops is None else _transform_map(state.interactions, J, ops)
     snapshots = state.map_snapshots
     return replace(
         state,
         interactions=interactions,
         history=state.history + [record],
         map_snapshots=None if snapshots is None else snapshots + [dict(interactions)],
-        failures=list(state.failures),
     ), ops
 
 
@@ -271,13 +284,6 @@ def consistency_check(before: LocalOp, state_after: FlowState) -> tuple[float, L
     return float(np.linalg.norm(after.matrix - conj)), after
 
 
-@dataclass
-class Tolerances:
-    spectral: float = 1e-8
-    consistency: float = 1e-8
-    gap_slack: float = 1e-6
-
-
 def run_flow(
     spec: ModelSpec,
     j_max: int = 12,
@@ -286,18 +292,19 @@ def run_flow(
     force: bool = False,
     keep_history: bool = False,
 ) -> FlowState:
-    """Execute every step in order and leave final verdicts to the verifier.
+    """Execute every step in order; ``state.failures`` lists the claims
+    ``failed_claims`` fails, and a failed norm-decay row downgrades
+    ``state.status`` to ``hypothesis-violated`` instead of aborting.
 
     ``check_consistency``: one of ``never | final | every-step | auto``
     (auto = every step for N <= 3, final step only otherwise).
     """
-    tol = tolerances or Tolerances()
     if check_consistency == "auto":
         check_consistency = "every-step" if spec.lat.N <= 3 else "final"
     if check_consistency not in ("never", "final", "every-step"):
         raise ValueError(f"unknown consistency mode {check_consistency!r}")
 
-    state = initial_state(spec, keep_history=keep_history)
+    state = initial_state(spec, keep_history, j_max, tolerances)
     n_steps = len(enumerate_steps(spec.lat))
     # full-lattice operator before the next checked step; each check hands
     # back the one it assembled after its step
@@ -308,34 +315,47 @@ def run_flow(
         )
         if want_check and before is None:
             before = assemble_hamiltonian(state)
-        state, _ = apply_step(state, j_max=j_max, force=force)
-        rec = state.history[-1]
-        J = rec.rect
+        state, _ = apply_step(state, force=force)
         if want_check:
-            residual, before = consistency_check(before, state)
-            rec.residual = residual
-            if residual > tol.consistency:
-                if not force:
-                    raise RuntimeError(
-                        f"consistency residual {residual:.3g} above tolerance "
-                        f"{tol.consistency:.3g} at step {J}"
-                    )
-                state.failures.append(f"consistency residual {residual:.3g} at step {J}")
-        if rec.g_gap < GAP_FLOOR:
-            state.failures.append(f"gap {rec.g_gap:.6g} below 1/2 at step {J}")
+            rec = state.history[-1]
+            rec.residual, before = consistency_check(before, state)
+            # apply_step has passed the gap, so only the residual can fail
+            failed = _step_failures(rec, state.tolerances)
+            if failed and not force:
+                raise RuntimeError(
+                    f"{failed[0]}, above tolerance {state.tolerances.consistency:.3g}"
+                )
 
-    # audit the norm-decay hypothesis; violations downgrade, never abort
+    state.failures = failed_claims(state)
+    violated = any(clause.startswith("norm-decay:") for clause in state.failures)
+    state.status = "hypothesis-violated" if violated else "completed"
+    return state
+
+
+def _step_failures(rec: StepRecord, tolerances: Tolerances) -> list[str]:
+    """The failed claims of one step, in report wording: its gap below
+    ``GAP_FLOOR - gap_slack`` (the inductive gap hypothesis), its checked
+    residual above ``tolerances.consistency``."""
+    failed = []
+    if rec.g_gap < GAP_FLOOR - tolerances.gap_slack:
+        failed.append(f"step-gap: gap {rec.g_gap:.9g} below 1/2 at step {rec.rect}")
+    if rec.residual is not None and rec.residual > tolerances.consistency:
+        failed.append(f"consistency: residual {rec.residual:.3g} at step {rec.rect}")
+    return failed
+
+
+def failed_claims(state: FlowState) -> list[str]:
+    """Every failed per-step claim of the flow, judged with
+    ``state.tolerances`` and in step order, then every failed norm-decay
+    row: the verdicts ``run_flow`` and ``verify_main_theorem`` share."""
+    failed = [clause for rec in state.history for clause in _step_failures(rec, state.tolerances)]
     for row in norm_decay_audit(state):
         if not row["pass"]:
-            r = row["circumference"]
-            state.status = "hypothesis-violated"
-            state.failures.append(
-                f"norm decay hypothesis violated at circumference {r}: "
-                f"{row['max_norm']:.6g} > t^({r - 1}/4)"
+            failed.append(
+                f"norm-decay: circumference {row['circumference']} norm "
+                f"{row['max_norm']:.6g} above bound {row['bound']:.6g}"
             )
-    if state.status == "running":
-        state.status = "completed"
-    return state
+    return failed
 
 
 def max_norm_by_circumference(state: FlowState) -> dict[int, float]:

@@ -76,10 +76,9 @@ class ModelSpec:
             # the test every later norm and spectrum of the flow applies
             if not is_hermitian(mat):
                 raise ValueError(f"potential on {J} must be Hermitian")
-            if np.linalg.norm(mat, 2) > 1.0 + 1e-12:
-                raise ValueError(
-                    f"potential on {J} has operator norm {np.linalg.norm(mat, 2):.6g} > 1"
-                )
+            nrm = np.linalg.norm(mat, 2)
+            if nrm > 1.0 + 1e-12:
+                raise ValueError(f"potential on {J} has operator norm {nrm:.6g} > 1")
             checked.append((J, mat))
         seen = set()
         for J, _ in checked:

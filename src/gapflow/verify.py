@@ -1,7 +1,8 @@
 """End-of-run verification: spectral claims, operator inequalities, norm audits.
 
-``verify_main_theorem`` reads the model from ``state.spec``; the norm audit
-it reports reads each stored entry's cached ``LocalOp.norm``.
+``verify_main_theorem`` reads the model, ``j_max`` and the tolerances from
+the state; the norm audit it reports reads each stored entry's cached
+``LocalOp.norm``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .flow import FlowState, assemble_hamiltonian, norm_decay_audit
+from .flow import FlowState, assemble_hamiltonian, failed_claims, norm_decay_audit
 from .geometry import LatticeSpec, Rect
 from .model import ModelSpec, build_hamiltonian
 from .schwinger import GAP_FLOOR
@@ -30,7 +31,7 @@ class RunReport:
     M: int
     t: float
     seed: int | None
-    j_max: int | None
+    j_max: int
     status: str
     failed_clauses: list[str] = field(default_factory=list)
     steps: list[dict] = field(default_factory=list)
@@ -98,18 +99,14 @@ def _step_dict(rec) -> dict:
     }
 
 
-def verify_main_theorem(
-    state: FlowState,
-    tol: float = 1e-8,
-    j_max: int | None = None,
-    gap_slack: float = 1e-6,
-) -> RunReport:
+def verify_main_theorem(state: FlowState) -> RunReport:
     """Check the end-of-flow claims: unique gapped ground state, block
     diagonality with respect to the all-vacuum projection, spectrum
     preservation, the vacuum as ground state of the transformed operator
     (its energy ``Kt[0,0]`` against the lowest eigenvalue of the original
-    one), and the per-step gap hypothesis."""
+    one); then list the flow's own failed claims (``flow.failed_claims``)."""
     spec = state.spec
+    tol = state.tolerances.spectral
     failed: list[str] = []
     K = build_hamiltonian(spec)
     Kt = assemble_hamiltonian(state)
@@ -122,9 +119,8 @@ def verify_main_theorem(
     pvac_offblock = float(np.linalg.norm(Kt.matrix[0, 1:]))
     ground_overlap = float(np.abs(vecs[0, 0]))
     vacuum_energy = float(Kt.matrix[0, 0].real)
-    gap_floor = GAP_FLOOR - gap_slack
 
-    if delta < gap_floor:
+    if delta < GAP_FLOOR - state.tolerances.gap_slack:
         failed.append(f"gap: transformed gap {delta:.9g} below 1/2")
     if pvac_offblock > tol:
         failed.append(f"block-diagonal: vacuum off-block norm {pvac_offblock:.3g} above {tol:.1g}")
@@ -142,19 +138,7 @@ def verify_main_theorem(
             f"vacuum-energy: transformed vacuum energy differs from the original "
             f"ground energy by {abs(vacuum_energy - w[0]):.3g}"
         )
-    for rec in state.history:
-        if rec.g_gap < gap_floor:
-            failed.append(f"step-gap: gap {rec.g_gap:.9g} below 1/2 at step {rec.rect}")
-        if rec.residual is not None and rec.residual > tol:
-            failed.append(f"consistency: residual {rec.residual:.3g} at step {rec.rect}")
-
-    audit = norm_decay_audit(state)
-    for row in audit:
-        if not row["pass"]:
-            failed.append(
-                f"norm-decay: circumference {row['circumference']} norm "
-                f"{row['max_norm']:.6g} above bound {row['bound']:.6g}"
-            )
+    failed += failed_claims(state)
 
     status = "pass" if not failed else "fail"
     if state.status == "hypothesis-violated":
@@ -166,7 +150,7 @@ def verify_main_theorem(
         M=spec.M,
         t=spec.t,
         seed=spec.rng_seed,
-        j_max=j_max,
+        j_max=state.j_max,
         status=status,
         failed_clauses=failed,
         steps=[_step_dict(r) for r in state.history],
@@ -187,7 +171,7 @@ def verify_main_theorem(
             ),
             "flow_status": state.status,
         },
-        norm_audit=audit,
+        norm_audit=norm_decay_audit(state),
     )
 
 

@@ -91,7 +91,7 @@ class TestCriterion1:
 class TestCriterion2:
     def test_main_theorem_desk_scale(self, c2_runs):
         for (d, N, t), (spec, state) in c2_runs.items():
-            report = verify_main_theorem(state, tol=1e-8)
+            report = verify_main_theorem(state)
             assert report.passed(), ((d, N, t), report.failed_clauses)
             assert report.final["delta"] >= 0.5 - 1e-6
             assert report.final["pvac_offblock"] <= 1e-8
@@ -109,7 +109,7 @@ class TestCriterion3:
             before = assemble_hamiltonian(state)
             worst = 0.0
             for _ in enumerate_steps(spec.lat):
-                state, _ = apply_step(state, j_max=12)
+                state, _ = apply_step(state)
                 residual, before = consistency_check(before, state)
                 worst = max(worst, residual)
             assert worst <= 1e-9, (d, N, worst)

@@ -1,6 +1,7 @@
 """Config parsing, exit codes, report and CSV emission."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -18,7 +19,7 @@ from gapflow.cli import (
     main,
     parse_config,
 )
-from gapflow.flow import norm_decay_audit, run_flow
+from gapflow.flow import Tolerances, norm_decay_audit, run_flow
 from gapflow.tensor import hermitian_norm
 
 
@@ -81,7 +82,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="broken.json:2"):
             parse_config(str(path))
 
-    def test_overlarge_potential_rejected(self, tmp_path):
+    def test_overlarge_potential_rejected(self, tmp_path, capsys):
         payload = {
             "d": 1,
             "N": 2,
@@ -90,9 +91,39 @@ class TestParseConfig:
                 {"k": [1], "q": [1], "matrix": [[1.5 if i == j else 0.0 for j in range(4)] for i in range(4)]}
             ],
         }
-        cfg = parse_config(write_config(tmp_path, payload))
-        with pytest.raises(ConfigError, match="exceeds the unit bound"):
-            build_model(cfg)
+        path = write_config(tmp_path, payload)
+        with pytest.raises(ValueError, match="operator norm 1.5 > 1"):
+            build_model(parse_config(path))
+        assert main(["--config", path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: potential on Rect(k=(1,), q=(1,)) has operator norm 1.5 > 1"]
+
+
+class TestReadmeSchema:
+    """README's config blocks and CSV column list against the parser's key
+    sets, so a schema change that misses the README fails here."""
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+
+    def block(self, lead):
+        return json.loads(re.search(lead + r".*?```json\n(.*?)```", self.readme, re.S).group(1))
+
+    def test_full_schema_lists_every_key(self):
+        full = self.block("Full schema")
+        assert set(full) == cli._TOP_KEYS
+        assert set(full["tolerances"]) == cli._TOL_KEYS
+        assert cli._TOL_KEYS == {f.name for f in dataclasses.fields(Tolerances)}
+        assert set(full["checks"]) == cli._CHECK_KEYS
+        assert set(full["output"]) == cli._OUTPUT_KEYS
+        assert [set(entry) for entry in full["potentials"]] == [cli._POTENTIAL_KEYS]
+
+    def test_minimal_config_parses(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, self.block("Minimal config")))
+        assert (cfg.d, cfg.N, cfg.t) == (1, 6, 0.05)
+
+    def test_csv_columns(self):
+        listed = re.search(r"CSV columns are\s+fixed:\s+`([^`]*)`", self.readme).group(1)
+        assert [name.strip() for name in listed.split(",")] == CSV_COLUMNS
 
 
 MALFORMED_VALUES = [
@@ -203,6 +234,25 @@ class TestRun:
         rep = json.loads(report.read_text())
         assert rep["status"] == "fail"
         assert any(clause.startswith("step-gap") for clause in rep["failed_clauses"])
+
+    def test_report_judges_residuals_with_the_consistency_tolerance(self, tmp_path):
+        # j_max = 3 leaves residuals between the default 1e-8 and the
+        # configured 1e-3: the flow accepts them and so must the report
+        report = tmp_path / "report.json"
+        payload = {
+            "d": 1,
+            "N": 3,
+            "t": 0.05,
+            "seed": 1,
+            "j_max": 3,
+            "tolerances": {"consistency": 1e-3},
+            "checks": {"consistency": "every-step"},
+            "output": {"report": str(report)},
+        }
+        main(["--config", write_config(tmp_path, payload)])
+        rep = json.loads(report.read_text())
+        assert 1e-8 < rep["final"]["max_consistency_residual"] <= 1e-3
+        assert not [c for c in rep["failed_clauses"] if c.startswith("consistency:")]
 
     def test_seed_override(self, tmp_path):
         base = {"d": 1, "N": 3, "t": 0.05, "seed": 1}

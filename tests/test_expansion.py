@@ -18,7 +18,7 @@ from gapflow.expansion import (
     is_connected_family,
     weighted_branch_sum,
 )
-from gapflow.flow import run_flow
+from gapflow.flow import PRUNE_THRESHOLD, run_flow
 from gapflow.geometry import (
     LatticeSpec,
     Rect,
@@ -325,7 +325,7 @@ class DenseNormExpander(expansion._Expander):
         out = rotation_delta(embed(x, common), label, self.generators[label])
         out = LocalOp(common, out, x.M)
         nrm = hermitian_norm(out)
-        if nrm <= expansion.BRANCH_PRUNE_NORM:
+        if nrm <= PRUNE_THRESHOLD:
             return None
         return expansion.Branch((label,) + sub.labels, sub.leaf, sub.leaf_norm, out, nrm)
 

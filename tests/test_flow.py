@@ -11,6 +11,7 @@ from gapflow import flow
 from gapflow.flow import (
     PRUNE_THRESHOLD,
     StepRecord,
+    Tolerances,
     apply_step,
     assemble_hamiltonian,
     consistency_check,
@@ -221,7 +222,7 @@ class TestAssembleAndConsistency:
         state = initial_state(spec)
         before = assemble_hamiltonian(state)
         for J in enumerate_steps(spec.lat):
-            state, _ = apply_step(state, j_max=12)
+            state, _ = apply_step(state)
             res, before = consistency_check(before, state)
             assert res <= 1e-9
 
@@ -236,7 +237,7 @@ class TestAssembleAndConsistency:
         checked = 0
         for J in enumerate_steps(spec.lat):
             prev = before
-            state, ops = apply_step(state, j_max=12)
+            state, ops = apply_step(state)
             res, before = consistency_check(prev, state)
             # the check hands back the assembly after the step, for the next one
             assert np.array_equal(before.matrix, assemble_hamiltonian(state).matrix)
@@ -319,12 +320,26 @@ class TestRunFlow:
         spec = ModelSpec(LatticeSpec(1, 3), SiteSpace(2), default_onsite(2), pots, 0.05, k_bar=2)
         state = run_flow(spec)
         assert state.status == "hypothesis-violated"
-        assert state.failures == ["norm decay hypothesis violated at circumference 2: 1 > t^(1/4)"]
+        clause = f"norm-decay: circumference 2 norm 1 above bound {0.05 ** 0.25:.6g}"
+        assert state.failures == [clause]
         report = verify_main_theorem(state)
         assert report.status == "hypothesis-violated"
-        assert [c for c in report.failed_clauses if c.startswith("norm-decay")] == [
-            f"norm-decay: circumference 2 norm 1 above bound {0.05 ** 0.25:.6g}"
-        ]
+        assert [c for c in report.failed_clauses if c.startswith("norm-decay")] == [clause]
+
+    def test_gap_slack_moves_the_step_gap_abort(self):
+        # block-diagonal potentials lowering every excited level put the
+        # gap of the step on Rect((2,), (1,)) at 0.4996: under the default
+        # slack the flow aborts there, under a slack of 1e-3 it completes
+        # and the report, which judges the same gap, has no step-gap clause
+        v = np.diag([0.0, -1.0, -1.0, -1.0]).astype(complex)
+        pots = [(Rect((1,), (q,)), v) for q in (1, 2)]
+        spec = ModelSpec(LatticeSpec(1, 3), SiteSpace(2), default_onsite(2), pots, 0.2502)
+        with pytest.raises(GapError, match=r"0\.4996 .*inductive gap hypothesis"):
+            run_flow(spec)
+        state = run_flow(spec, tolerances=Tolerances(gap_slack=1e-3))
+        assert 0.499 < min(rec.g_gap for rec in state.history) < 0.5
+        report = verify_main_theorem(state)
+        assert not [c for c in report.failed_clauses if c.startswith("step-gap")]
 
     def test_vacuum_energy_cross_check(self):
         # the transformed vacuum energy Kt[0,0] is the original ground energy

@@ -62,6 +62,23 @@ class TestVerifyMainTheorem:
         assert any(clause.startswith("step-gap") for clause in report.failed_clauses)
         assert any(clause.startswith("gap:") for clause in report.failed_clauses)
 
+    def test_flow_failures_are_the_reports_flow_clauses(self):
+        # one judge: the forced failing run above lists in state.failures
+        # exactly the report's step-gap, consistency and norm-decay clauses
+        lat = LatticeSpec(1, 3)
+        v = np.diag([0.0, -1.0, -1.0, -1.0]).astype(complex)
+        pots = [(Rect((1,), (q,)), v) for q in (1, 2)]
+        spec = ModelSpec(lat, SiteSpace(2), default_onsite(2), pots, 0.6)
+        state = run_flow(spec, force=True)
+        report = verify_main_theorem(state)
+        flow_keys = ("step-gap:", "consistency:", "norm-decay:")
+        flow_clauses = [c for c in report.failed_clauses if c.startswith(flow_keys)]
+        assert flow_clauses and state.failures == flow_clauses
+
+    def test_report_carries_the_flows_j_max(self):
+        spec = random_model(LatticeSpec(1, 3), 2, 0.05, seed=1)
+        assert verify_main_theorem(run_flow(spec, j_max=8)).to_dict()["j_max"] == 8
+
     def test_gap_shortfall_fails_one_clause(self):
         # the unflowed operator at coupling 0.6 has its lowest two levels
         # closer than 1/2; that shortfall is one failed clause, not two
