@@ -15,7 +15,6 @@ from .tensor import (
     add_embedded,
     embed,
     hermitian_spectrum,
-    op_norm,
 )
 from .model import ModelSpec, build_hamiltonian, initial_interactions, random_model
 from .schwinger import (

@@ -33,7 +33,7 @@ from .schwinger import (
     rotation_delta,
     rotation_delta_bound,
 )
-from .tensor import LocalOp, conjugate_on_legs, embed, embedded_sum, op_norm
+from .tensor import LocalOp, conjugate_on_legs, embed, embedded_sum
 
 PRUNE_THRESHOLD = 1e-14
 
@@ -45,8 +45,10 @@ def set_entry(interactions: dict[Rect, LocalOp], key: Rect, op: LocalOp) -> None
     if op.support != key:
         raise ValueError(f"entry support {op.support} does not match key {key}")
     # ||A|| lies between ||A||_F / sqrt(n) and ||A||_F, and between the
-    # largest column norm and sqrt(||A||_1 ||A||_inf); the SVD runs only
-    # when all four bounds leave the decision open
+    # largest column norm and sqrt(||A||_1 ||A||_inf); the entry's own
+    # cached norm, which the audit reads later anyway, is taken only when
+    # all four bounds leave the decision open (a potential is Hermitian, so
+    # a non-Hermitian entry is refused there)
     mat = op.matrix
     if op.fro_norm <= PRUNE_THRESHOLD:
         keep = False
@@ -57,7 +59,7 @@ def set_entry(interactions: dict[Rect, LocalOp], key: Rect, op: LocalOp) -> None
     else:
         absolute = np.abs(mat)
         upper = np.sqrt(absolute.sum(0).max() * absolute.sum(1).max())
-        keep = upper > PRUNE_THRESHOLD and op_norm(op) > PRUNE_THRESHOLD
+        keep = upper > PRUNE_THRESHOLD and op.norm > PRUNE_THRESHOLD
     if keep:
         interactions[key] = op
     else:
@@ -86,7 +88,7 @@ class StepRecord:
     tail_bound: float = 0.0
     tail_certified: bool = True
     od_residual: float = 0.0
-    spectrum_drift: float = 0.0
+    step_defect: float = 0.0
     term_norms: list[float] = field(default_factory=list)
     case_b_value: LocalOp | None = None
     generator: np.ndarray | None = None
@@ -227,7 +229,7 @@ def apply_step(state: FlowState, force: bool = False) -> tuple[FlowState, StepOp
             tail_bound=ops.tail_bound,
             tail_certified=ops.tail_certified,
             od_residual=ops.od_residual,
-            spectrum_drift=ops.spectrum_drift,
+            step_defect=ops.step_defect,
             term_norms=list(ops.term_norms),
             case_b_value=ops.v_diag_total,
             generator=ops.generator,

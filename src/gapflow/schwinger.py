@@ -45,6 +45,7 @@ from .geometry import Rect
 from .model import coupled
 from .tensor import (
     LocalOp,
+    adjoint,
     border_norm,
     diag_part,
     embedded_sum,
@@ -151,6 +152,10 @@ class StepOperators:
     V = ``v1``, at most 3 j_max columns wide, with Z[:, 0] = e0. ``v_coords`` holds the coefficients
     v_j for j >= 2 as Hermitian coordinate matrices v = Z^+ v_j Z against its
     first len(v) columns, so v_j = Z v Z^+; v_1 is ``v1`` itself.
+    ``od_residual`` is the off-block norm of the conjugated local operator
+    u L u^+ (u = exp(S), L = G + t V), and ``step_defect`` its Frobenius
+    distance ||u L u^+ - (G + t v_diag)||_F to what the step stores: the
+    series truncation plus rounding, taken in O(n^2).
     """
 
     rect: Rect
@@ -170,7 +175,7 @@ class StepOperators:
     term_norms: list[float]
     majorant: MajorantSeries | None
     od_residual: float
-    spectrum_drift: float
+    step_defect: float
 
 
 def assemble_g(
@@ -294,15 +299,18 @@ def _rotation_border(op: LocalOp, J: Rect, x: np.ndarray) -> tuple[np.ndarray, n
     a = permute_legs(op.matrix, op.support, J, op.M)
     dim, dim_j = op.dim, x.size
     rest = dim // dim_j
-    kh = (a.reshape(-1, dim_j) @ basis).reshape(dim, 2 * rest).conj().T
+    kh = adjoint((a.reshape(-1, dim_j) @ basis).reshape(dim, 2 * rest))
     m = (kh.reshape(-1, dim_j) @ basis).reshape(-1, 2)
-    return p, kh + 0.5 * (m @ p.conj().T).reshape(2 * rest, dim)
+    kh += 0.5 * (m @ p.conj().T).reshape(2 * rest, dim)
+    return p, kh
 
 
 def _border_delta(op: LocalOp, J: Rect, p: np.ndarray, c: np.ndarray) -> np.ndarray:
     """B C + C^+ B^+ for B = I_rest (x) P, with J's legs put back in place."""
-    w = (c.conj().T.reshape(-1, 2) @ p.conj().T).reshape(op.dim, op.dim)
-    return permute_legs(w + w.conj().T, op.support, J, op.M, back=True)
+    w = (adjoint(c).reshape(-1, 2) @ p.conj().T).reshape(op.dim, op.dim)
+    h = adjoint(w)
+    h += w
+    return permute_legs(h, op.support, J, op.M, back=True)
 
 
 def rotation_delta(op: LocalOp, J: Rect, x: np.ndarray) -> np.ndarray:
@@ -466,9 +474,13 @@ def lie_schwinger_series(
     v_diag = diag_part(V + Zw @ rest[:width, :width] @ Zh[:width])
     local = G + t * V
     conj = local + rotation_delta(LocalOp(J, local, v1.M), J, X)
-    drift = float(
-        np.max(np.abs(np.linalg.eigvalsh(conj) - np.linalg.eigvalsh(local)))
-    )
+    od_residual = offdiag_norm(conj)
+    # the step defect ||u L u^+ - (G + t v_diag)||_F, formed in the buffer
+    # of L, which nothing reads any more
+    np.multiply(v_diag, t, out=local)
+    local += G
+    np.subtract(conj, local, out=local)
+    defect = float(np.linalg.norm(local))
     return StepOperators(
         rect=J,
         g=g,
@@ -486,6 +498,6 @@ def lie_schwinger_series(
         s_norm=float(np.linalg.norm(X)),
         term_norms=term_norms,
         majorant=maj,
-        od_residual=offdiag_norm(conj),
-        spectrum_drift=drift,
+        od_residual=od_residual,
+        step_defect=defect,
     )

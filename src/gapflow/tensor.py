@@ -187,10 +187,12 @@ def offdiag_norm(matrix: np.ndarray) -> float:
     return float(max(np.linalg.norm(matrix[1:, 0]), np.linalg.norm(matrix[0, 1:])))
 
 
-def op_norm(op: LocalOp | np.ndarray) -> float:
-    """Largest singular value."""
-    mat = op.matrix if isinstance(op, LocalOp) else np.asarray(op)
-    return float(np.linalg.norm(mat, 2))
+def adjoint(x: np.ndarray) -> np.ndarray:
+    """A fresh C-contiguous x^+: one transposing copy, conjugated in place,
+    instead of a conjugated copy read back through a strided transpose."""
+    out = x.T.copy()
+    np.conjugate(out, out=out)
+    return out
 
 
 def is_hermitian(mat: np.ndarray) -> bool:
@@ -198,7 +200,9 @@ def is_hermitian(mat: np.ndarray) -> bool:
     2-norms from above and below, so this refuses every matrix the 2-norm
     test ||A - A^+|| > rtol max(||A||, 1) refuses."""
     scale = max(np.linalg.norm(mat) / np.sqrt(mat.shape[0]), 1e-300)
-    return bool(np.linalg.norm(mat - mat.conj().T) <= HERMITICITY_RTOL * scale)
+    skew = adjoint(mat)
+    np.subtract(mat, skew, out=skew)
+    return bool(np.linalg.norm(skew) <= HERMITICITY_RTOL * scale)
 
 
 def hermitian_spectrum(op: LocalOp | np.ndarray) -> np.ndarray:
@@ -212,8 +216,7 @@ def hermitian_spectrum(op: LocalOp | np.ndarray) -> np.ndarray:
 
 def hermitian_norm(op: LocalOp | np.ndarray) -> float:
     """Operator norm of a Hermitian operator, its largest |eigenvalue|, from
-    ``hermitian_spectrum`` (same Hermiticity refusal); cheaper than the SVD
-    of ``op_norm``."""
+    ``hermitian_spectrum`` (same Hermiticity refusal); cheaper than an SVD."""
     w = hermitian_spectrum(op)
     return float(max(-w[0], w[-1]))
 

@@ -43,7 +43,7 @@ class RunReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": "gapflow-report/1",
+            "schema": "gapflow-report/2",
             "fingerprint": self.fingerprint,
             "model": {
                 "d": self.d,
@@ -93,7 +93,7 @@ def _step_dict(rec) -> dict:
         "tail_bound": rec.tail_bound,
         "tail_certified": rec.tail_certified,
         "od_residual": rec.od_residual,
-        "spectrum_drift": rec.spectrum_drift,
+        "step_defect": rec.step_defect,
         "residual": rec.residual,
         "regime": rec.regime,
     }

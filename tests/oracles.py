@@ -18,7 +18,7 @@ from scipy.linalg import expm
 from gapflow.flow import set_entry
 from gapflow.geometry import LatticeSpec, Rect, minimal_rectangle
 from gapflow.schwinger import _series_tail, check_g_gap, majorants, rotation_delta
-from gapflow.tensor import LocalOp, diag_part, embed, op_norm
+from gapflow.tensor import LocalOp, border_norm, diag_part, embed, permute_legs
 from gapflow.verify import _shape_vectors
 
 
@@ -50,6 +50,12 @@ def three_clause_compare(a: Rect, b: Rect) -> int:
         if qa != qb:
             return 1 if qa > qb else -1
     return 0
+
+
+def op_norm(op: LocalOp | np.ndarray) -> float:
+    """Largest singular value."""
+    mat = op.matrix if isinstance(op, LocalOp) else np.asarray(op)
+    return float(np.linalg.norm(mat, 2))
 
 
 def identity_op(support: Rect, M: int) -> LocalOp:
@@ -177,6 +183,37 @@ def leg_case(d, N, place):
     return full, full if place == "whole" else LEG_CASES[(d, N)][place]
 
 
+def frozen_rotation_border(op: LocalOp, J: Rect, x: np.ndarray):
+    """The rotation kernel's border (P, C) as written before
+    ``tensor.adjoint``, with conjugated copies read through strided
+    transposes: the bit reference of ``schwinger._rotation_border``."""
+    theta = float(np.linalg.norm(x))
+    basis = np.zeros((x.size, 2), dtype=complex)
+    basis[0, 0] = 1.0
+    if theta > 0:
+        basis[:, 1] = x / theta
+    cos, sin = np.cos(theta), np.sin(theta)
+    p = basis @ np.array([[cos - 1.0, -sin], [sin, cos - 1.0]])
+    a = permute_legs(op.matrix, op.support, J, op.M)
+    dim, dim_j = op.dim, x.size
+    rest = dim // dim_j
+    kh = (a.reshape(-1, dim_j) @ basis).reshape(dim, 2 * rest).conj().T
+    m = (kh.reshape(-1, dim_j) @ basis).reshape(-1, 2)
+    return p, kh + 0.5 * (m @ p.conj().T).reshape(2 * rest, dim)
+
+
+def frozen_rotation_delta_norm(op: LocalOp, J: Rect, x: np.ndarray):
+    """``rotation_delta`` and ``rotation_delta_norm`` as written before
+    ``tensor.adjoint``: the bit reference of both."""
+    p, c = frozen_rotation_border(op, J, x)
+    w = (c.conj().T.reshape(-1, 2) @ p.conj().T).reshape(op.dim, op.dim)
+    delta = permute_legs(w + w.conj().T, op.support, J, op.M, back=True)
+    rest = c.shape[0] // 2
+    b = np.zeros((rest, x.size, rest, 2), dtype=complex)
+    b[np.arange(rest), :, np.arange(rest)] = p
+    return delta, border_norm(b.reshape(op.dim, 2 * rest), c)
+
+
 def dense_conjugation(op: LocalOp, J: Rect, u: np.ndarray) -> np.ndarray:
     """(u (x) I) A (u (x) I)^+ with u kron-embedded on op's support."""
     big = kron_embed(LocalOp(J, u, op.M), op.support).matrix
@@ -231,15 +268,14 @@ def dense_series_oracle(G, V, e0, t, j_max):
     local = G + t * V
     u = expm(s_total)
     conj = u @ local @ u.conj().T
+    v_diag = sum(t ** (j - 1) * diag_part(vj) for j, vj in enumerate(v_terms, 1))
     return {
         "s_terms": [S[j] for j in sorted(S)],
         "v_terms": v_terms,
         "term_norms": [np.linalg.norm(vj, 2) for vj in v_terms],
-        "v_diag_total": sum(t ** (j - 1) * diag_part(vj) for j, vj in enumerate(v_terms, 1)),
+        "v_diag_total": v_diag,
         "od_residual": np.linalg.norm(offdiag_part(conj), 2),
-        "spectrum_drift": np.max(
-            np.abs(np.linalg.eigvalsh(conj) - np.linalg.eigvalsh(local))
-        ),
+        "step_defect": np.linalg.norm(conj - (G + t * v_diag)),
     }
 
 
@@ -309,9 +345,7 @@ def dense_step_series(J, g, e0, v1, t, j_max=12):
         v1=v1,
         v_diag_total=LocalOp(J, v_diag, v1.M),
         od_residual=float(np.linalg.norm(offdiag_part(conj), 2)),
-        spectrum_drift=float(
-            np.max(np.abs(np.linalg.eigvalsh(conj) - np.linalg.eigvalsh(local)))
-        ),
+        step_defect=float(np.linalg.norm(conj - (G + t * v_diag))),
     )
 
 

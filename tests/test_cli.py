@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from gapflow import cli, tensor
+from gapflow import cli, tensor, verify
 from gapflow.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -19,7 +19,8 @@ from gapflow.cli import (
     main,
     parse_config,
 )
-from gapflow.flow import Tolerances, norm_decay_audit, run_flow
+from gapflow.flow import StepRecord, Tolerances, norm_decay_audit, run_flow
+from gapflow.geometry import Rect
 from gapflow.tensor import hermitian_norm
 
 
@@ -124,6 +125,11 @@ class TestReadmeSchema:
     def test_csv_columns(self):
         listed = re.search(r"CSV columns are\s+fixed:\s+`([^`]*)`", self.readme).group(1)
         assert [name.strip() for name in listed.split(",")] == CSV_COLUMNS
+
+    def test_step_keys(self):
+        listed = re.search(r"`steps` list has exactly\s+the keys\s+`([^`]*)`", self.readme)
+        rec = StepRecord(0, Rect((1,), (1,)), 1, g_gap=1.0, e0=0.0, regime="R3")
+        assert [name.strip() for name in listed.group(1).split(",")] == list(verify._step_dict(rec))
 
 
 MALFORMED_VALUES = [

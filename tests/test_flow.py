@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gapflow import flow
+from gapflow import flow, tensor
 from gapflow.flow import (
     PRUNE_THRESHOLD,
     StepRecord,
@@ -24,7 +24,14 @@ from gapflow.flow import (
 from gapflow.geometry import LatticeSpec, Rect, compare_step, enumerate_steps
 from gapflow.model import ModelSpec, build_hamiltonian, default_onsite, random_model
 from gapflow.schwinger import GapError, generator_exponential, rotation_delta
-from gapflow.tensor import LocalOp, SiteSpace, embed, hermitian_spectrum, offdiag_norm, op_norm
+from gapflow.tensor import (
+    LocalOp,
+    SiteSpace,
+    embed,
+    hermitian_norm,
+    hermitian_spectrum,
+    offdiag_norm,
+)
 from gapflow.verify import verify_main_theorem
 
 import oracles
@@ -32,6 +39,7 @@ from oracles import (
     dense_generator,
     dense_step_series,
     kron_embed,
+    op_norm,
     projector_minus,
     projector_plus,
 )
@@ -60,13 +68,13 @@ class TestInteractionMap:
         assert imap == {}
 
     @pytest.mark.parametrize(
-        "mat, svd",
+        "mat, normed",
         [
-            # Frobenius norm just below the threshold: pruned without an SVD
+            # Frobenius norm just below the threshold: pruned without a norm
             pytest.param(np.diag([1 - 1e-9, 0, 0, 0]), False, id="below threshold"),
             # just above it, sqrt(||A||_1 ||A||_inf) at or below the
             # threshold prunes, and a column norm above it keeps, either
-            # way without an SVD
+            # way without a norm
             pytest.param(
                 np.diag([0.5 + 1e-9, 0.5, 0.5, 0.5]), False, id="above threshold, spread"
             ),
@@ -75,32 +83,44 @@ class TestInteractionMap:
             # just above it the entry is kept by the Frobenius norm
             pytest.param(np.diag([1 - 1e-9] * 4), False, id="below sqrt(n) bound"),
             pytest.param(np.diag([1 + 1e-9] * 4), False, id="above sqrt(n) bound"),
-            # when all four bounds straddle the threshold the SVD decides
+            # when all four bounds straddle the threshold the entry's own
+            # (Hermitian) norm decides
             pytest.param((1 + 1e-9) / 4 * np.ones((4, 4)), True, id="straddled, above"),
             pytest.param((1 - 1e-9) / 2 * HADAMARD, True, id="straddled, below"),
-            # ||A||_1 alone is no upper bound: one row has ||A|| = 2 ||A||_1
+            # a non-Hermitian entry is no potential: where the bounds leave
+            # the decision open (here one row has ||A|| = 2 ||A||_1), its
+            # norm refuses it
             pytest.param(
-                (1 + 1e-9) / 2 * np.outer([1, 0, 0, 0], [1, 1, 1, 1]), True, id="straddled, one row"
+                (1 + 1e-9) / 2 * np.outer([1, 0, 0, 0], [1, 1, 1, 1]),
+                True,
+                id="straddled, one row",
             ),
         ],
     )
-    def test_prune_bounds(self, monkeypatch, mat, svd):
+    def test_prune_bounds(self, monkeypatch, mat, normed):
         edge = Rect((1,), (1,))
         op = LocalOp(edge, PRUNE_THRESHOLD * mat, 2)
         keep = np.linalg.norm(op.matrix, 2) > PRUNE_THRESHOLD
         calls = []
-        monkeypatch.setattr(flow, "op_norm", lambda a: calls.append(1) or op_norm(a))
+        monkeypatch.setattr(
+            tensor, "hermitian_norm", lambda a: calls.append(1) or hermitian_norm(a)
+        )
         imap = {}
-        set_entry(imap, edge, op)
-        assert (edge in imap) == keep
-        assert bool(calls) == svd
+        if np.array_equal(mat, mat.conj().T):
+            set_entry(imap, edge, op)
+            assert (edge in imap) == keep
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                set_entry(imap, edge, op)
+        assert bool(calls) == normed
 
     @pytest.mark.parametrize("dim", [4, 16, 64])
     @pytest.mark.parametrize("rank", ["one", "full"])
     @pytest.mark.parametrize("hermitian", [True, False])
     def test_prune_agrees_with_svd_at_threshold(self, dim, rank, hermitian):
         # matrices scaled to just above and just below the threshold are
-        # kept or dropped exactly as the SVD rule decides
+        # kept or dropped exactly as the SVD rule decides; a non-Hermitian
+        # one is either decided by the bounds or refused by its norm
         rng = np.random.default_rng(dim)
         n_sites = int(np.log2(dim))
         rect = Rect((n_sites - 1,), (1,))
@@ -117,7 +137,11 @@ class TestInteractionMap:
             for scale in (1 - 1e-9, 1 + 1e-9):
                 op = LocalOp(rect, PRUNE_THRESHOLD * scale * unit, 2)
                 imap = {}
-                set_entry(imap, rect, op)
+                try:
+                    set_entry(imap, rect, op)
+                except ValueError as exc:
+                    assert not hermitian and "not Hermitian" in str(exc)
+                    continue
                 assert (rect in imap) == (np.linalg.norm(op.matrix, 2) > PRUNE_THRESHOLD)
 
 

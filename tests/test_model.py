@@ -39,6 +39,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="annihilate the vacuum"):
             ModelSpec(LatticeSpec(1, 2), SiteSpace(2), h, [], 0.0)
 
+    @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
+    def test_onsite_hermiticity_is_the_is_hermitian_bound(self, factor, accepted):
+        # a skew entry in the excited block of diag(0, 1, 1): ||h - h^+||_F
+        # = sqrt(2) eps against is_hermitian's 1e-10 ||h||_F / sqrt(3) =
+        # 1e-10 sqrt(2/3), so eps = 1e-10 / sqrt(3) is the boundary (the old
+        # 2-norm test refused both sides at 1e-12)
+        h = default_onsite(3)
+        h[1, 2] = factor * 1e-10 / np.sqrt(3)
+        lat = LatticeSpec(1, 2)
+        if accepted:
+            ModelSpec(lat, SiteSpace(3), h, [], 0.0)
+        else:
+            with pytest.raises(ValueError, match="onsite matrix must be Hermitian"):
+                ModelSpec(lat, SiteSpace(3), h, [], 0.0)
+
     def test_potential_norm_cap(self):
         big = 1.5 * np.kron(SX, SX)
         with pytest.raises(ValueError, match="norm"):

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
+from gapflow import flow
 from gapflow.geometry import LatticeSpec, Rect
-from gapflow.model import ModelSpec, default_onsite, initial_interactions
+from gapflow.model import ModelSpec, default_onsite, initial_interactions, random_model
 from gapflow.schwinger import (
     GP_MINUS_TOL,
     MAJORANT_A,
@@ -25,7 +26,7 @@ from gapflow.schwinger import (
     rotation_delta_bound,
     rotation_delta_norm,
 )
-from gapflow.tensor import LocalOp, SiteSpace, embed, hermitian_norm, offdiag_norm, op_norm
+from gapflow.tensor import LocalOp, SiteSpace, embed, hermitian_norm, offdiag_norm
 
 from oracles import (
     LEG_PARAMS,
@@ -35,8 +36,10 @@ from oracles import (
     dense_generator,
     dense_series_oracle,
     dense_terms,
+    frozen_rotation_delta_norm,
     leg_case,
     offdiag_part,
+    op_norm,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -158,7 +161,7 @@ def assert_matches_dense_oracle(rect, g, v1, e0, t, j_max):
         assert abs(got - ref) < 1e-12 * max(1.0, ref)
     assert relative_gap(ops.v_diag_total.matrix, want["v_diag_total"]) < 1e-12
     assert abs(ops.od_residual - want["od_residual"]) < 1e-12
-    assert abs(ops.spectrum_drift - want["spectrum_drift"]) < 1e-12
+    assert abs(ops.step_defect - want["step_defect"]) < 1e-12
     # the stored basis is orthonormal, starts at e0 and spans every generator
     Q = ops.basis
     assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1]), 2) < 1e-13
@@ -222,8 +225,35 @@ class TestSeries:
             assert offdiag_norm(conj) <= t * ops.tail_bound + 1e-13
 
     def test_spectrum_preserved(self):
-        ops, g, e0, v1 = edge_series(0.05, seed=12)
-        assert ops.spectrum_drift < 1e-10
+        # the conjugated local operator, from the rotation kernel, keeps the
+        # spectrum of L = G + t V
+        t = 0.05
+        ops, g, e0, v1 = edge_series(t, seed=12)
+        local = g.matrix + t * v1.matrix
+        conj = local + rotation_delta(LocalOp(EDGE, local, 2), EDGE, ops.generator)
+        drift = np.max(np.abs(np.linalg.eigvalsh(conj) - np.linalg.eigvalsh(local)))
+        assert drift < 1e-10
+
+    def test_solve_budget(self, monkeypatch):
+        # one series step makes three O(n^3) solves: the eigenvalues of G's
+        # excited block (the gap), the resolvent's inverse and the
+        # eigenvalues of v1 (its norm); every other solve is of order 3 j_max
+        rect, g, v1 = gapped_step(2, 6, 0.0, seed=4)
+        n = g.dim
+        calls = []
+        for name in ("eigvalsh", "eigh", "inv", "svd"):
+            real = getattr(np.linalg, name)
+
+            def counted(a, *args, _name=name, _real=real, **kwargs):
+                if np.shape(a)[-1] >= n - 1:
+                    calls.append(_name)
+                return _real(a, *args, **kwargs)
+
+            # np.linalg.norm(a, 2) reaches svd through numpy's own module
+            for module in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
+                monkeypatch.setattr(module, name, counted)
+        lie_schwinger_series(rect, g, 0.0, LocalOp(rect, v1.matrix, 2), 0.5 * RADIUS, j_max=12)
+        assert sorted(calls) == ["eigvalsh", "eigvalsh", "inv"]
 
     def test_transformed_norm_within_factor_two(self):
         # inside the certified region the transformed potential stays small
@@ -330,6 +360,30 @@ class TestSeries:
         assert np.linalg.norm(generator_exponential(ops.generator) - expm(s), 2) < 1e-14
 
 
+class TestStepDefect:
+    @pytest.mark.parametrize(
+        "d, N, t",
+        [(1, 8, 0.05), (1, 8, 0.2), (3, 2, 0.02), (2, 3, 0.02), (2, 3, 0.1), (1, 6, 0.05)],
+    )
+    def test_bounded_by_tail_and_rounding(self, monkeypatch, d, N, t):
+        # ||u L u^+ - (G + t v_diag)||_F <= sqrt(n) |t| tail + rounding on
+        # every series step of a flow: the truncated orders, in operator
+        # norm, widened to Frobenius, plus 1e-14 of ||L||_F
+        steps = []
+
+        def series(*args, **kwargs):
+            steps.append(lie_schwinger_series(*args, **kwargs))
+            return steps[-1]
+
+        monkeypatch.setattr(flow, "lie_schwinger_series", series)
+        flow.run_flow(random_model(LatticeSpec(d, N), 2, t, seed=1), check_consistency="never")
+        assert steps
+        for ops in steps:
+            local = ops.g.matrix + t * ops.v1.matrix
+            bound = np.sqrt(ops.g.dim) * abs(t) * ops.tail_bound
+            assert ops.step_defect <= bound + 1e-14 * np.linalg.norm(local)
+
+
 class TestGeneratorExponential:
     @pytest.mark.parametrize("theta", [0.0, 1e-9, 0.7, 1.3])
     @pytest.mark.parametrize("M", [2, 3])
@@ -389,6 +443,26 @@ class TestRotationDelta:
         a = LocalOp(EDGE, np.eye(4), 2)
         with pytest.raises(ValueError, match="not contained"):
             rotation_delta(a, Rect((1,), (2,)), np.zeros(4))
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-9, 0.7, 1.3])
+    @pytest.mark.parametrize("d, N, M, place", LEG_PARAMS)
+    def test_bits_match_frozen_kernel(self, d, N, M, place, theta):
+        # the kernel builds its conjugate transposes with tensor.adjoint and
+        # adds in place; IEEE addition commutes, so every bit is the one the
+        # copy-and-stride formula gives
+        T, J = leg_case(d, N, place)
+        rng = np.random.default_rng(3 * d + N + 10 * M + int(100 * theta))
+        dim, dim_j = M**T.n_sites, M**J.n_sites
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        a = LocalOp(T, (raw + raw.conj().T) / 2, M)
+        x = np.zeros(dim_j, dtype=complex)
+        x[1:] = rng.standard_normal(dim_j - 1) + 1j * rng.standard_normal(dim_j - 1)
+        x *= theta / np.linalg.norm(x)
+        want_delta, want_norm = frozen_rotation_delta_norm(a, J, x)
+        delta, nrm = rotation_delta_norm(a, J, x)
+        assert np.array_equal(rotation_delta(a, J, x), want_delta)
+        assert np.array_equal(delta, want_delta)
+        assert nrm == want_norm
 
 
 class TestRotationBorderNorm:

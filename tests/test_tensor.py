@@ -11,6 +11,7 @@ from gapflow.tensor import (
     LocalOp,
     SiteSpace,
     add_embedded,
+    adjoint,
     border_norm,
     conjugate_on_legs,
     embed,
@@ -19,7 +20,6 @@ from gapflow.tensor import (
     hermitian_spectrum,
     is_hermitian,
     offdiag_norm,
-    op_norm,
     permute_legs,
 )
 
@@ -30,6 +30,7 @@ from oracles import (
     kron_embed,
     leg_case,
     offdiag_part,
+    op_norm,
     projector_minus,
     projector_plus,
     vacuum_projector,
@@ -300,6 +301,17 @@ class TestNormsAndSpectra:
         assert np.linalg.norm(mat - mat.conj().T, 2) <= 1e-10 * max(np.linalg.norm(mat, 2), 1)
         assert not is_hermitian(mat)
         assert is_hermitian(mat + mat.conj().T) and is_hermitian(np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_adjoint_is_a_contiguous_conjugate_transpose(self, dtype):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((6, 10)).astype(dtype)
+        if dtype is complex:
+            x += 1j * rng.standard_normal((6, 10))
+        for src in (x, x[:, ::2], x.T):
+            got = adjoint(src)
+            assert got.flags.c_contiguous and not np.shares_memory(got, src)
+            assert np.array_equal(got, src.conj().T)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
