@@ -12,6 +12,17 @@ the same order either way, so the skip changes no stored bit.
 
 The flow functions take a ``FlowState`` alone: it holds the model
 (``state.spec``) and the position (``len(state.history)`` steps run).
+
+Steps of one circumference form a level, and ``run_flow`` computes the
+series of a level's steps together when the level starts. That is sound
+because a level's series inputs are fixed once it starts. A step's inputs
+are its potential V_J and the stored entries strictly inside J (G_J and
+its vacuum energy). The step on J writes only keys that contain J: J
+itself, its supersets and the minimal rectangles [J u K]. A key that
+contains J lies inside another rectangle J' only if J' contains J, which a
+rectangle of J's circumference does only when it is J. So no step of a
+level changes another's inputs. Each step is still judged and committed on
+its own, in flow order, by ``apply_step``.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from .model import ModelSpec, coupled, initial_interactions
 from .schwinger import (
     GAP_FLOOR,
     GapError,
+    SeriesTerms,
     StepOperators,
     assemble_g,
     check_g_gap,
@@ -32,6 +44,8 @@ from .schwinger import (
     lie_schwinger_series,
     rotation_delta,
     rotation_delta_bound,
+    series_stack,
+    stack_limit,
 )
 from .tensor import LocalOp, conjugate_on_legs, embed, embedded_sum
 
@@ -191,22 +205,27 @@ def _transform_map(
         ):
             continue
         # the summation order, contributors in map order after the superset
-        # itself, fixes the kept entry's bits
-        y = embed(group[0], target).matrix
-        for op in group[1:]:
-            y = y + embed(op, target).matrix
-        new_val = rotation_delta(LocalOp(target, y, M), J, ops.generator)
+        # itself, fixes the kept entry's bits; they are added in place into
+        # one buffer
+        if len(group) == 1:
+            y = embed(group[0], target)
+        else:
+            y = embedded_sum([(1.0, op) for op in group], target, M)
+        new_val = rotation_delta(y, J, ops.generator)
         if old is not None:
             new_val += old.matrix
         set_entry(new_map, target, LocalOp(target, new_val, M))
     return new_map
 
 
-def apply_step(state: FlowState, force: bool = False) -> tuple[FlowState, StepOperators | None]:
+def apply_step(
+    state: FlowState, force: bool = False, terms: SeriesTerms | None = None
+) -> tuple[FlowState, StepOperators | None]:
     """Advance the flow by its next step, the rectangle J after the
     ``len(state.history)`` steps already run; a ValueError once every step
     has run. Unless ``force``, a GapError when ``_step_failures`` fails the
-    step's gap.
+    step's gap. ``terms`` is J's series from ``level_series`` on a state of
+    the same level, if one has been run; otherwise the step runs its own.
 
     A step with no stored potential on J rotates nothing and returns
     ``None`` for its operators, but its gap is still checked: the inductive
@@ -217,10 +236,14 @@ def apply_step(state: FlowState, force: bool = False) -> tuple[FlowState, StepOp
     if len(state.history) >= len(steps):
         raise ValueError(f"the flow has already run all {len(steps)} steps")
     J = steps[len(state.history)]
+    if terms is not None and terms.rect != J:
+        raise ValueError(f"series of {terms.rect} handed to the step on {J}")
 
     v1 = state.interactions.get(J)
-    g, e0 = assemble_g(J, state.interactions, spec.t)
-    ops = None if v1 is None else lie_schwinger_series(J, g, e0, v1, spec.t, j_max=state.j_max)
+    g, e0 = assemble_g(J, state.interactions, spec.t) if terms is None else (terms.g, terms.e0)
+    ops = None
+    if v1 is not None:
+        ops = lie_schwinger_series(J, g, e0, v1, spec.t, j_max=state.j_max, terms=terms)
     series = {}
     if ops is not None:
         series = dict(
@@ -259,6 +282,34 @@ def apply_step(state: FlowState, force: bool = False) -> tuple[FlowState, StepOp
     ), ops
 
 
+def level_series(state: FlowState) -> dict[Rect, SeriesTerms]:
+    """The series of the steps left in the level of the state's next step,
+    for those ``stack_limit`` lets share a stacked run, keyed by rectangle.
+
+    A step whose G does not assemble is left out; ``apply_step`` raises its
+    error again in flow order.
+    """
+    spec = state.spec
+    steps = enumerate_steps(spec.lat)[len(state.history) :]
+    groups: dict[int, list] = {}
+    for J in steps:
+        if J.circumference != steps[0].circumference:
+            break
+        v1 = state.interactions.get(J)
+        if v1 is None or stack_limit(v1.dim, state.j_max) == 1:
+            continue
+        try:
+            g, e0 = assemble_g(J, state.interactions, spec.t)
+        except GapError:
+            continue
+        groups.setdefault(v1.dim, []).append((J, g, e0, v1))
+    return {
+        terms.rect: terms
+        for group in groups.values()
+        for terms in series_stack(group, spec.t, state.j_max)
+    }
+
+
 def assemble_hamiltonian(state: FlowState) -> LocalOp:
     """Full-lattice operator: on-site entries plus t times all other entries."""
     spec = state.spec
@@ -283,7 +334,8 @@ def consistency_check(before: LocalOp, state_after: FlowState) -> tuple[float, L
         # the step carried no potential, so nothing was conjugated
         return float(np.linalg.norm(after.matrix - before.matrix)), after
     conj = conjugate_on_legs(before, rec.rect, generator_exponential(rec.generator))
-    return float(np.linalg.norm(after.matrix - conj)), after
+    conj -= after.matrix
+    return float(np.linalg.norm(conj)), after
 
 
 def run_flow(
@@ -299,7 +351,9 @@ def run_flow(
     ``state.status`` to ``hypothesis-violated`` instead of aborting.
 
     ``check_consistency``: one of ``never | final | every-step | auto``
-    (auto = every step for N <= 3, final step only otherwise).
+    (auto = every step for N <= 3, final otherwise). ``final`` checks the
+    last step that ran a series: a skipped step conjugates nothing, so its
+    residual would be zero by construction.
     """
     if check_consistency == "auto":
         check_consistency = "every-step" if spec.lat.N <= 3 else "final"
@@ -307,31 +361,46 @@ def run_flow(
         raise ValueError(f"unknown consistency mode {check_consistency!r}")
 
     state = initial_state(spec, keep_history, j_max, tolerances)
-    n_steps = len(enumerate_steps(spec.lat))
+    steps = enumerate_steps(spec.lat)
     # full-lattice operator before the next checked step; each check hands
     # back the one it assembled after its step
     before = None
-    for i in range(n_steps):
-        want_check = check_consistency == "every-step" or (
-            check_consistency == "final" and i == n_steps - 1
-        )
-        if want_check and before is None:
+    # final mode: the states around the last step that ran a series (maps
+    # are never mutated, so holding them is safe)
+    last_series = None
+    level: dict[Rect, SeriesTerms] = {}
+    for i, J in enumerate(steps):
+        if i == 0 or J.circumference != steps[i - 1].circumference:
+            level = level_series(state)
+        if check_consistency == "every-step" and before is None:
             before = assemble_hamiltonian(state)
-        state, _ = apply_step(state, force=force)
-        if want_check:
-            rec = state.history[-1]
-            rec.residual, before = consistency_check(before, state)
-            # apply_step has passed the gap, so only the residual can fail
-            failed = _step_failures(rec, state.tolerances)
-            if failed and not force:
-                raise RuntimeError(
-                    f"{failed[0]}, above tolerance {state.tolerances.consistency:.3g}"
-                )
+        prev = state
+        state, ops = apply_step(state, force=force, terms=level.pop(J, None))
+        if check_consistency == "every-step":
+            before = _check_step(before, state, force)
+        elif check_consistency == "final" and ops is not None:
+            last_series = prev, state
+    if last_series is not None:
+        prev, after = last_series
+        _check_step(assemble_hamiltonian(prev), after, force)
 
     state.failures = failed_claims(state)
     violated = any(clause.startswith("norm-decay:") for clause in state.failures)
     state.status = "hypothesis-violated" if violated else "completed"
     return state
+
+
+def _check_step(before: LocalOp, state: FlowState, force: bool) -> LocalOp:
+    """Run the consistency oracle on the last step of ``state`` and record
+    its residual; unless ``force``, a RuntimeError when the residual fails.
+    Returns the operator assembled after the step."""
+    rec = state.history[-1]
+    rec.residual, after = consistency_check(before, state)
+    # apply_step has passed the gap, so only the residual can fail
+    failed = _step_failures(rec, state.tolerances)
+    if failed and not force:
+        raise RuntimeError(f"{failed[0]}, above tolerance {state.tolerances.consistency:.3g}")
+    return after
 
 
 def _step_failures(rec: StepRecord, tolerances: Tolerances) -> list[str]:

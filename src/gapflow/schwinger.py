@@ -19,18 +19,30 @@ consumes generators already built.
 The vacuum projection of the step rectangle is the rank-one E_00, so every
 generator is rank two: S_j = x_j e0^+ - e0 x_j^+ with x_j orthogonal to e0,
 and only the vectors x_j are kept. A commutator [S_r, T] needs only T x_r,
-x_r^+ T, T e0 and e0^+ T, and each of its terms has e0 or x_r on one side;
-for T = G or V the other side is T e0 or T x_r. So every table entry is a
-Hermitian operator that vanishes off
-Z = span(e0, G e0, V e0, x_r, G x_r, V x_r : r < j_max), of dimension
-D <= min(n, 3 j_max) whatever the support dimension n, and is stored as its
-D x D coordinate matrix Z^+ T Z against an orthonormal basis of Z. In those
-coordinates [S, T] = W + W^+ with W = c (e0^+ T) - e0 (c^+ T) for x = Z c,
-so one batched commutator gives every chain length of an order.
-Per order the only O(n^2) work is one matvec with G, one with V and one
-with the resolvent (G' - e0)^-1 of the excited block, inverted once per
-step; the rest costs O(n j_max) for the basis and O(j_max^2 D^2) for the
-table. The term norms come from one stacked D x D eigenvalue solve.
+x_r^+ T, T e0 and e0^+ T. For T = V the other side is V e0 or V x_r. For
+T = G it needs no product with G at all: x_r = R b_r for the resolvent
+R = (G' - e0)^-1 of the excited block and b_r the excited part of v_r e0,
+so G x_r = e0 x_r + b_r + (g^+ x_r) e0 with g = G[1:, 0], and
+
+  [S_r, G] = -(b_r e0^+ + e0 b_r^+) + (x_r g^+ + g x_r^+) - 2 Re(g^+ x_r) E_00,
+
+exactly, for any Hermitian G. So every table entry is a Hermitian operator
+that vanishes off Z = span(e0, G e0, V e0, x_r, V x_r : r < j_max), of
+dimension D <= min(n, 2 j_max + 1) whatever the support dimension n, and is
+stored as its D x D coordinate matrix Z^+ T Z against an orthonormal basis
+of Z. In those coordinates [S, T] = W + W^+ with W = c (e0^+ T) - e0 (c^+ T)
+for x = Z c, so one batched commutator gives every chain length of an order.
+Per order the only O(n^2) work is one matvec with V and one with the
+resolvent, inverted once per step; the rest costs O(n j_max) for the basis
+and O(j_max^2 D^2) for the table. The term norms come from one stacked
+D x D eigenvalue solve.
+
+``series_stack`` runs this for several steps of one dimension at once,
+with a leading stack axis on every array: a step with n <= 2 j_max + 1
+takes C^n as its basis, so such steps share one run, and a larger step
+runs as a stack of one through the same code. ``lie_schwinger_series``
+then judges each step on its own: the gap warning, the majorants and the
+truncation tail.
 """
 
 from __future__ import annotations
@@ -47,8 +59,8 @@ from .tensor import (
     LocalOp,
     adjoint,
     border_norm,
-    diag_part,
     embedded_sum,
+    hermitian_norms,
     offdiag_norm,
     permute_legs,
 )
@@ -58,10 +70,12 @@ GAP_WARN = 0.25
 INNER_OD_TOL = 1e-9
 GP_MINUS_TOL = 1e-10
 EMPIRICAL_TAIL_SAFETY = 2.0
-# a vector (x_r, or G or V applied to e0 or x_r) whose part outside the
-# series basis built so far is at most this fraction of its norm lies in
-# that span to rounding and adds no column
+# a vector (G e0, V e0, x_r or V x_r) whose part outside the series basis
+# built so far is at most this fraction of its norm lies in that span to
+# rounding and adds no column
 BASIS_DEPENDENCE_TOL = 1e-14
+# chain-table memory of one stacked series run (see ``stack_limit``)
+STACK_TABLE_BYTES = 1 << 23
 
 
 class ConvergenceError(RuntimeError):
@@ -141,21 +155,24 @@ def majorants(v1_norm: float, j_max: int) -> MajorantSeries:
 
 
 @dataclass
-class StepOperators:
-    """Everything produced by one local block-diagonalization step.
+class SeriesTerms:
+    """What ``series_stack`` makes for one step: the series up to its
+    truncation certificate.
 
     ``generators`` holds the vectors x_j of S_j = x_j e0^+ - e0 x_j^+, and
     ``generator`` the vector X = sum_j t^j x_j of the step generator
     S = X e0^+ - e0 X^+; ``generator_exponential(generator)`` is exp(S).
     ``basis`` is an orthonormal basis Z of
-    span(e0, G e0, V e0, x_r, G x_r, V x_r : r < j_max) for G = ``g`` and
-    V = ``v1``, at most 3 j_max columns wide, with Z[:, 0] = e0. ``v_coords`` holds the coefficients
-    v_j for j >= 2 as Hermitian coordinate matrices v = Z^+ v_j Z against its
-    first len(v) columns, so v_j = Z v Z^+; v_1 is ``v1`` itself.
-    ``od_residual`` is the off-block norm of the conjugated local operator
-    u L u^+ (u = exp(S), L = G + t V), and ``step_defect`` its Frobenius
-    distance ||u L u^+ - (G + t v_diag)||_F to what the step stores: the
-    series truncation plus rounding, taken in O(n^2).
+    span(e0, G e0, V e0, x_r, V x_r : r < j_max) for G = ``g`` and
+    V = ``v1``, with Z[:, 0] = e0: all of C^n for a support dimension
+    n <= 2 j_max + 1, otherwise at most 2 j_max + 1 columns wide, built
+    without any product with G (see the module docstring). ``v_coords``
+    holds the coefficients v_j for j >= 2 as Hermitian coordinate matrices
+    v = Z^+ v_j Z against its first len(v) columns, so v_j = Z v Z^+; v_1 is
+    ``v1`` itself. ``od_residual`` is the off-block norm of the conjugated
+    local operator u L u^+ (u = exp(S), L = G + t V), and ``step_defect``
+    its Frobenius distance ||u L u^+ - (G + t v_diag)||_F to what the step
+    stores: the series truncation plus rounding, taken in O(n^2).
     """
 
     rect: Rect
@@ -167,15 +184,23 @@ class StepOperators:
     basis: np.ndarray
     v_coords: list[np.ndarray]
     v_diag_total: LocalOp
-    tail_bound: float
-    tail_certified: bool
     gap: float
     v1_norm: float
     s_norm: float
     term_norms: list[float]
-    majorant: MajorantSeries | None
     od_residual: float
     step_defect: float
+
+
+@dataclass
+class StepOperators(SeriesTerms):
+    """Everything produced by one local block-diagonalization step: its
+    ``SeriesTerms`` and the truncation certificate ``lie_schwinger_series``
+    adds, the majorants and the tail bound."""
+
+    tail_bound: float
+    tail_certified: bool
+    majorant: MajorantSeries | None
 
 
 def assemble_g(
@@ -346,37 +371,257 @@ def rotation_delta_norm(op: LocalOp, J: Rect, x: np.ndarray) -> tuple[np.ndarray
     return _border_delta(op, J, p, c), border_norm(b.reshape(op.dim, 2 * rest), c)
 
 
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a_i x_i for every i along the leading stack axis."""
+    return (a @ x[..., None])[..., 0]
+
+
 def _ad(tab: np.ndarray, c: np.ndarray) -> np.ndarray:
     """sum_q [S_q, T_iq] for every i, for Hermitian coordinate matrices
-    T_iq = ``tab[i, q]`` and S_q = c_q e0^+ - e0 c_q^+ with c_q = ``c[q]``.
+    T_iq = ``tab[:, i, q]`` and S_q = c_q e0^+ - e0 c_q^+ with
+    c_q = ``c[:, q]``, along the leading stack axis.
 
     e0 is the first coordinate vector, and T Hermitian gives
     [S, T] = W + W^+ for W = c (e0^+ T) - e0 (c^+ T). Both contractions are
     batched matmuls, which take the sliced table without copying it.
     """
-    w = c.T @ tab[:, :, 0]
-    w[:, 0] -= (c.conj()[:, None, :] @ tab)[:, :, 0, :].sum(1)
-    return w + w.conj().swapaxes(1, 2)
+    w = c.swapaxes(1, 2)[:, None] @ tab[..., 0, :]
+    w[..., 0, :] -= (c.conj()[:, None, :, None, :] @ tab)[..., 0, :].sum(2)
+    w += adjoint(w)
+    return w
 
 
-def _extend_basis(
-    q: np.ndarray, qh: np.ndarray, width: int, x: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Coordinates c of x in the basis Q (x = Q c), after adding the part of
-    x orthogonal to the built columns as a new column (two Gram-Schmidt
-    passes) unless it is negligible or the basis already spans the space."""
-    c = qh @ x
-    y = x - q @ c
-    d = qh @ y
-    c += d
-    y -= q @ d
-    nrm = float(np.linalg.norm(y))
-    if width < q.shape[1] and nrm > BASIS_DEPENDENCE_TOL * np.linalg.norm(x):
-        q[:, width] = y / nrm
-        qh[width] = q[:, width].conj()
-        c[width] = nrm
-        width += 1
-    return c, width
+def _ad_first(c: np.ndarray, a0: np.ndarray, ax: np.ndarray) -> np.ndarray:
+    """[S, A] = W + W^+ for W = x (A e0)^+ - e0 (A x)^+, from the coordinates
+    of x = Z c, A e0 and A x (leading axes stack)."""
+    h = c[..., :, None] * a0.conj()[..., None, :]
+    h[..., 0, :] -= ax.conj()
+    h += adjoint(h)
+    return h
+
+
+def _ad_g(c: np.ndarray, leak: np.ndarray, excited: np.ndarray) -> np.ndarray:
+    """[S, G] for S = x e0^+ - e0 x^+ with x = Z c, from no product with G.
+
+    For x = R b, where R = (G' - e0)^-1 on the excited block and b (with
+    b[0] = 0) is ``excited``, and g = G[1:, 0] (``leak``, with g[0] = 0),
+    G x = e0 x + b + (g^+ x) e0, so
+    [S, G] = -(b e0^+ + e0 b^+) + (x g^+ + g x^+) - 2 Re(g^+ x) E_00.
+    """
+    h = c[..., :, None] * leak.conj()[..., None, :]
+    h[..., :, 0] -= excited
+    h[..., 0, 0] -= (leak.conj() * c).sum(-1).real
+    h += adjoint(h)
+    return h
+
+
+class _SeriesBasis:
+    """Orthonormal bases Z (Z[:, 0] = e0) of the series spans of a stack of
+    steps of dimension n. For n <= 2 j_max + 1 each basis is C^n itself, so
+    coordinates are the vectors; otherwise (a stack of one, see
+    ``stack_limit``) it grows by two-pass Gram-Schmidt up to 2 j_max + 1
+    columns, one per vector the series offers, and unbuilt columns stay
+    zero, so coordinates keep their meaning as it grows."""
+
+    def __init__(self, k: int, n: int, j_max: int):
+        self.full = n <= 2 * j_max + 1
+        if self.full:
+            self.width = self.width_max = n
+            return
+        self.width, self.width_max = 1, 2 * j_max + 1
+        self.q = np.zeros((k, n, self.width_max), dtype=complex)
+        self.qh = np.zeros((k, self.width_max, n), dtype=complex)
+        self.q[:, 0, 0] = self.qh[:, 0, 0] = 1.0
+
+    def coords(self, x: np.ndarray) -> np.ndarray:
+        """Coordinates c of the vectors x = Z c, after adding the part of x
+        orthogonal to Z as a new column unless it is negligible for every
+        step of the stack."""
+        if self.full:
+            return x
+        q, qh = self.q, self.qh
+        c = _matvec(qh, x)
+        y = x - _matvec(q, c)
+        d = _matvec(qh, y)
+        c += d
+        y -= _matvec(q, d)
+        nrm = np.linalg.norm(y, axis=-1)
+        new = nrm > BASIS_DEPENDENCE_TOL * np.linalg.norm(x, axis=-1)
+        if new.any():
+            col = self.width
+            q[new, :, col] = y[new] / nrm[new, None]
+            qh[new, col] = q[new, :, col].conj()
+            c[new, col] = nrm[new]
+            self.width += 1
+        return c
+
+    def vectors(self, c: np.ndarray) -> np.ndarray:
+        """The vectors Z c."""
+        return c if self.full else _matvec(self.q, c)
+
+    def operators(self, t: np.ndarray) -> np.ndarray:
+        """The operators Z t Z^+ for coordinate matrices t."""
+        if self.full:
+            return t
+        w = self.width
+        return self.q[:, :, :w] @ t[:, :w, :w] @ self.qh[:, :w]
+
+    def columns(self, i: int) -> np.ndarray:
+        """The built columns of step i's basis."""
+        return np.eye(self.width, dtype=complex) if self.full else self.q[i, :, : self.width]
+
+
+def _stacked(mats: list[np.ndarray]) -> np.ndarray:
+    """The matrices along a new leading axis (a view for a single one)."""
+    return mats[0][None] if len(mats) == 1 else np.stack(mats)
+
+
+def stack_limit(dim: int, j_max: int) -> int:
+    """How many steps of dimension ``dim`` one stacked series run takes.
+
+    A step with dim <= 2 j_max + 1 takes C^dim as its series basis, and such
+    steps share a run while their chain tables, (j_max + 1)^2 dim^2 complex
+    numbers each, fit in ``STACK_TABLE_BYTES``; a larger step runs alone.
+    """
+    if dim > 2 * j_max + 1:
+        return 1
+    return max(1, STACK_TABLE_BYTES // (16 * (j_max + 1) ** 2 * dim**2))
+
+
+def series_stack(
+    steps: list[tuple[Rect, LocalOp, float, LocalOp]], t: float, j_max: int = 12
+) -> list[SeriesTerms]:
+    """The series of several steps (J, G, e0, V) of one dimension n, in runs
+    of at most ``stack_limit(n, j_max)`` steps along a leading stack axis.
+
+    Nothing here warns or judges a step: the gap warning, the truncation
+    tail and its convergence verdict are ``lie_schwinger_series``'s, per
+    step.
+    """
+    if j_max < 1:
+        raise ValueError("j_max must be >= 1")
+    for _, g, _, v1 in steps:
+        if g.matrix.shape != v1.matrix.shape:
+            raise ValueError("g and v1 must live on the same support")
+    dims = {g.dim for _, g, _, _ in steps}
+    if len(dims) != 1:
+        raise ValueError(f"a stack holds steps of one dimension, got {sorted(dims)}")
+    size = stack_limit(dims.pop(), j_max)
+    out: list[SeriesTerms] = []
+    for i in range(0, len(steps), size):
+        out += _run_stack(steps[i : i + size], t, j_max)
+    return out
+
+
+def _run_stack(
+    steps: list[tuple[Rect, LocalOp, float, LocalOp]], t: float, j_max: int
+) -> list[SeriesTerms]:
+    rects, gs, e0s, v1s = zip(*steps)
+    G = _stacked([g.matrix for g in gs])
+    V = _stacked([v1.matrix for v1 in v1s])
+    e0 = np.array(e0s, dtype=float)
+    k, dim = G.shape[:2]
+    # the three O(n^3) solves, each once for the whole stack: the gaps, the
+    # resolvents (G' - e0)^-1 of the excited blocks and the norms of V
+    gaps = np.linalg.eigvalsh(G[:, 1:, 1:])[:, 0] - e0
+    shifted = G[:, 1:, 1:].copy()
+    diag = np.arange(dim - 1)
+    shifted[:, diag, diag] -= e0[:, None]
+    resolvent = np.linalg.inv(shifted)
+    del shifted
+    v1_norms = hermitian_norms(v1s)
+
+    basis = _SeriesBasis(k, dim, j_max)
+    width_max = basis.width_max
+    g0 = basis.coords(G[:, :, 0])  # G e0
+    leak = g0.copy()  # g = G[1:, 0], G e0 less its vacuum part
+    leak[:, 0] = 0.0
+    v0 = basis.coords(V[:, :, 0])  # V e0
+    xs = np.zeros((k, j_max, dim), dtype=complex)  # [:, r - 1] holds x_r
+    cs = np.zeros((k, j_max, width_max), dtype=complex)  # x_r = Z c_r
+
+    # chain table: [:, p, j] holds the coordinates Z^+ T Z of the order-j
+    # chains of length p, the sums over compositions r_1+..+r_p = j of
+    # ad S_{r_1}(.. ad S_{r_p}(G)) and over r_1+..+r_p = j-1 of
+    # ad S_{r_1}(.. ad S_{r_p}(V)), r_1 outermost; [:, p, j] = 0 for j < p.
+    # Both parts obey [p, j] = sum_q [S_{j-q}, [p-1, q]], so v_j is
+    # sum_p [p, j] / p!, read before [S_j, G] enters [1, j]
+    tab = np.zeros((k, j_max + 1, j_max + 1, width_max, width_max), dtype=complex)
+    inv_fact = np.array([1.0 / factorial(p) for p in range(j_max + 1)])
+    vs = np.zeros((k, j_max - 1, width_max, width_max), dtype=complex)  # v_j, j >= 2
+    for j in range(1, j_max + 1):
+        if j == 1:
+            excited = v0.copy()
+        else:
+            # [p, j] for p = 2..j, on the first width coordinates, outside
+            # which every entry so far vanishes
+            w = basis.width
+            tab[:, 2 : j + 1, j, :w, :w] = _ad(
+                tab[:, 1:j, 1:j, :w, :w], cs[:, : j - 1, :w][:, ::-1]
+            )
+            vs[:, j - 2] = (inv_fact[1 : j + 1] @ tab[:, 1 : j + 1, j].reshape(k, j, -1)).reshape(
+                k, width_max, width_max
+            )
+            excited = vs[:, j - 2, :, 0].copy()  # v_j e0
+        excited[:, 0] = 0.0
+        x = xs[:, j - 1]
+        x[:, 1:] = _matvec(resolvent, basis.vectors(excited)[:, 1:])
+        if j < j_max:
+            # with R b_j above, V x_j is this order's O(n^2) work
+            cs[:, j - 1] = cx = basis.coords(x)
+            vx = basis.coords(_matvec(V, x))
+            # [S_j, G] has order j, [S_j, V] order j + 1
+            tab[:, 1, j] += _ad_g(cx, leak, excited)
+            tab[:, 1, j + 1] = _ad_first(cx, v0, vx)
+
+    # zero padding to the final width adds only zero eigenvalues, so each
+    # largest |eigenvalue| is the term's norm
+    width = basis.width
+    term_norms = np.abs(np.linalg.eigvalsh(vs[:, :, :width, :width])).max(-1).tolist()
+
+    powers = float(t) ** np.arange(1, j_max + 1)
+    X = powers @ xs  # sum_j t^j x_j
+    rest = np.tensordot(vs, powers[:-1], axes=(1, 0))  # sum_{j>=2} t^{j-1} v_j
+    v_diag = V + basis.operators(rest)
+    v_diag[:, 0, 1:] = 0.0
+    v_diag[:, 1:, 0] = 0.0
+    local = G + t * V
+    conj = _stacked(
+        [
+            rotation_delta(LocalOp(J, mat, v1.M), J, x)
+            for J, mat, v1, x in zip(rects, local, v1s, X)
+        ]
+    )
+    conj += local
+    od_residuals = np.maximum(
+        np.linalg.norm(conj[:, 1:, 0], axis=-1), np.linalg.norm(conj[:, 0, 1:], axis=-1)
+    )
+    # the step defect ||u L u^+ - (G + t v_diag)||_F, formed in the buffer
+    # of L, which nothing reads any more
+    np.multiply(v_diag, t, out=local)
+    local += G
+    np.subtract(conj, local, out=local)
+    defects = [np.linalg.norm(diff) for diff in local]
+    return [
+        SeriesTerms(
+            rect=J,
+            g=g,
+            v1=v1,
+            e0=e0s[i],
+            generators=list(xs[i]),
+            generator=X[i],
+            basis=basis.columns(i),
+            v_coords=list(vs[i, :, :width, :width]),
+            v_diag_total=LocalOp(J, v_diag[i], v1.M),
+            gap=float(gaps[i]),
+            v1_norm=float(v1_norms[i]),
+            s_norm=float(np.linalg.norm(X[i])),
+            term_norms=[float(v1_norms[i]), *term_norms[i]],
+            od_residual=float(od_residuals[i]),
+            step_defect=float(defects[i]),
+        )
+        for i, (J, g, v1) in enumerate(zip(rects, gs, v1s))
+    ]
 
 
 def lie_schwinger_series(
@@ -386,118 +631,24 @@ def lie_schwinger_series(
     v1: LocalOp,
     t: float,
     j_max: int = 12,
+    terms: SeriesTerms | None = None,
 ) -> StepOperators:
-    """Generator series and transformed block-diagonal potential for one step."""
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
-    if g.matrix.shape != v1.matrix.shape:
-        raise ValueError("g and v1 must live on the same support")
-    G = g.matrix
-    V = v1.matrix
-    dim = G.shape[0]
-    gap = check_g_gap(g, e0, J)
-    if gap < GAP_WARN:
+    """Generator series, transformed block-diagonal potential and truncation
+    certificate of one step. ``terms`` is the step's ``series_stack`` output
+    when a stacked run has made it already; otherwise the step runs as a
+    stack of one."""
+    if terms is None:
+        terms = series_stack([(J, g, e0, v1)], t, j_max)[0]
+    if terms.gap < GAP_WARN:
         warnings.warn(
-            f"gap degradation on {J}: excited block starts {gap:.3g} above the "
+            f"gap degradation on {J}: excited block starts {terms.gap:.3g} above the "
             "vacuum energy"
         )
-    # the resolvent (G' - e0)^-1 on the excited block, formed once per step
-    resolvent = np.linalg.inv(G[1:, 1:] - e0 * np.eye(dim - 1))
-
-    v1_norm = v1.norm
-    maj = majorants(v1_norm, j_max) if v1_norm > 0 else None
-
-    # orthonormal basis Z of span(e0, G e0, V e0, x_r, G x_r, V x_r : r < j_max)
-    # with Z[:, 0] = e0; unbuilt columns stay zero, and a vector's coordinates
-    # (y = Z a) keep their meaning as the basis grows
-    width_max = min(dim, 3 * j_max)
-    Z = np.zeros((dim, width_max), dtype=complex)
-    Zh = np.zeros((width_max, dim), dtype=complex)
-    Z[0, 0] = Zh[0, 0] = 1.0
-    g0, width = _extend_basis(Z, Zh, 1, G[:, 0])
-    v0, width = _extend_basis(Z, Zh, width, V[:, 0])
-    xs = np.zeros((j_max, dim), dtype=complex)  # row r-1 holds x_r
-    cs = np.zeros((j_max, width_max), dtype=complex)  # x_r = Z c_r
-
-    def ad_first(c: np.ndarray, a0: np.ndarray, ax: np.ndarray) -> np.ndarray:
-        # [S, A] = W + W^+ for W = x (A e0)^+ - e0 (A x)^+, x = Z c
-        h = np.outer(c, a0.conj())
-        h[0] -= ax.conj()
-        return h + h.conj().T
-
-    # chain table: [p, j] holds the coordinates Z^+ T Z of the order-j chains
-    # of length p, the sums over compositions r_1+..+r_p = j of
-    # ad S_{r_1}(.. ad S_{r_p}(G)) and over r_1+..+r_p = j-1 of
-    # ad S_{r_1}(.. ad S_{r_p}(V)), r_1 outermost; [p, j] = 0 for j < p.
-    # Both parts obey [p, j] = sum_q [S_{j-q}, [p-1, q]], so v_j is
-    # sum_p [p, j] / p!, read before [S_j, G] enters [1, j]
-    tab = np.zeros((j_max + 1, j_max + 1, width_max, width_max), dtype=complex)
-    inv_fact = np.array([1.0 / factorial(p) for p in range(j_max + 1)])
-    vs = np.zeros((j_max - 1, width_max, width_max), dtype=complex)  # v_j, j >= 2
-    v_coords: list[np.ndarray] = []
-    for j in range(1, j_max + 1):
-        if j == 1:
-            col = V[:, 0]
-        else:
-            # [p, j] for p = 2..j, on the first width coordinates, outside
-            # which every entry so far vanishes
-            tab[2 : j + 1, j, :width, :width] = _ad(
-                tab[1:j, 1:j, :width, :width], cs[: j - 1, :width][::-1]
-            )
-            vj = vs[j - 2]
-            np.matmul(inv_fact[1 : j + 1], tab[1 : j + 1, j].reshape(j, -1), out=vj.reshape(-1))
-            v_coords.append(vj[:width, :width])
-            col = Z @ vj[:, 0]  # v_j e0
-        x = xs[j - 1]
-        x[1:] = resolvent @ col[1:]
-        if j < j_max:
-            cs[j - 1], width = _extend_basis(Z, Zh, width, x)
-            # the two dense products of this order
-            gx, width = _extend_basis(Z, Zh, width, G @ x)
-            vx, width = _extend_basis(Z, Zh, width, V @ x)
-            # [S_j, G] has order j, [S_j, V] order j + 1
-            tab[1, j] += ad_first(cs[j - 1], g0, gx)
-            tab[1, j + 1] = ad_first(cs[j - 1], v0, vx)
-
-    # one stacked solve: zero padding to the final width adds only zero
-    # eigenvalues, so each largest |eigenvalue| is the term's norm
-    term_norms = [v1_norm, *np.abs(np.linalg.eigvalsh(vs[:, :width, :width])).max(1).tolist()]
+    maj = majorants(terms.v1_norm, j_max) if terms.v1_norm > 0 else None
     if maj is not None:
-        tail_bound, certified = _series_tail(term_norms, t, maj, j_max)
+        tail_bound, certified = _series_tail(terms.term_norms, t, maj, j_max)
     else:
         tail_bound, certified = 0.0, True
-
-    powers = float(t) ** np.arange(1, j_max + 1)
-    X = powers @ xs  # sum_j t^j x_j
-    rest = np.tensordot(powers[:-1], vs, 1)  # sum_{j>=2} t^{j-1} v_j
-    Zw = Z[:, :width]
-    v_diag = diag_part(V + Zw @ rest[:width, :width] @ Zh[:width])
-    local = G + t * V
-    conj = local + rotation_delta(LocalOp(J, local, v1.M), J, X)
-    od_residual = offdiag_norm(conj)
-    # the step defect ||u L u^+ - (G + t v_diag)||_F, formed in the buffer
-    # of L, which nothing reads any more
-    np.multiply(v_diag, t, out=local)
-    local += G
-    np.subtract(conj, local, out=local)
-    defect = float(np.linalg.norm(local))
     return StepOperators(
-        rect=J,
-        g=g,
-        v1=v1,
-        e0=e0,
-        generators=list(xs),
-        generator=X,
-        basis=Zw.copy(),
-        v_coords=v_coords,
-        v_diag_total=LocalOp(J, v_diag, v1.M),
-        tail_bound=tail_bound,
-        tail_certified=certified,
-        gap=gap,
-        v1_norm=v1_norm,
-        s_norm=float(np.linalg.norm(X)),
-        term_norms=term_norms,
-        majorant=maj,
-        od_residual=od_residual,
-        step_defect=defect,
+        **vars(terms), tail_bound=tail_bound, tail_certified=certified, majorant=maj
     )

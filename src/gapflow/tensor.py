@@ -168,7 +168,9 @@ def conjugate_on_legs(op: LocalOp, J: Rect, u: np.ndarray) -> np.ndarray:
     dim, dim_j = op.dim, u.shape[0]
     a = permute_legs(op.matrix, op.support, J, op.M)
     right = (a.reshape(-1, dim_j) @ u.conj().T).reshape(dim // dim_j, dim_j, dim)
+    del a  # at most two n x n temporaries live at once
     both = (u @ right).reshape(dim, dim)
+    del right
     return permute_legs(both, op.support, J, op.M, back=True)
 
 
@@ -188,9 +190,10 @@ def offdiag_norm(matrix: np.ndarray) -> float:
 
 
 def adjoint(x: np.ndarray) -> np.ndarray:
-    """A fresh C-contiguous x^+: one transposing copy, conjugated in place,
-    instead of a conjugated copy read back through a strided transpose."""
-    out = x.T.copy()
+    """A fresh C-contiguous x^+ (of each matrix along leading stack axes):
+    one transposing copy, conjugated in place, instead of a conjugated copy
+    read back through a strided transpose."""
+    out = x.swapaxes(-1, -2).copy()
     np.conjugate(out, out=out)
     return out
 
@@ -219,6 +222,21 @@ def hermitian_norm(op: LocalOp | np.ndarray) -> float:
     ``hermitian_spectrum`` (same Hermiticity refusal); cheaper than an SVD."""
     w = hermitian_spectrum(op)
     return float(max(-w[0], w[-1]))
+
+
+def hermitian_norms(ops: list[LocalOp]) -> np.ndarray:
+    """``LocalOp.norm`` of several Hermitian operators of one dimension. The
+    norms not cached yet come from one stacked eigenvalue solve, behind the
+    same Hermiticity refusal as ``hermitian_spectrum``, and are cached."""
+    todo = [op for op in ops if "norm" not in op.__dict__]
+    if todo:
+        if not all(is_hermitian(op.matrix) for op in todo):
+            raise ValueError("operator is not Hermitian within tolerance")
+        mats = todo[0].matrix[None] if len(todo) == 1 else np.stack([op.matrix for op in todo])
+        w = np.linalg.eigvalsh(mats)
+        for op, norm in zip(todo, np.maximum(-w[:, 0], w[:, -1]).tolist()):
+            op.__dict__["norm"] = norm  # where the cached_property keeps it
+    return np.array([op.norm for op in ops])
 
 
 def border_norm(b: np.ndarray, c: np.ndarray) -> float:

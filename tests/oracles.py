@@ -279,10 +279,11 @@ def dense_series_oracle(G, V, e0, t, j_max):
     }
 
 
-def dense_step_series(J, g, e0, v1, t, j_max=12):
+def dense_step_series(J, g, e0, v1, t, j_max=12, terms=None):
     """The step series with dense n x n chain tables, a dense resolvent and
     expm: the reference path for whole flows. The flow reads the generator
-    as its vector, column 0 of the dense S."""
+    as its vector, column 0 of the dense S. ``terms``, a stacked series the
+    flow hands over, is ignored: every step is computed here."""
     G = g.matrix
     dim = G.shape[0]
     gap = check_g_gap(g, e0, J)

@@ -1,10 +1,14 @@
 """Flow driver: step application, recombination, consistency, full runs."""
 
 import dataclasses
+import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from gapflow import flow, tensor
@@ -21,7 +25,7 @@ from gapflow.flow import (
     run_flow,
     set_entry,
 )
-from gapflow.geometry import LatticeSpec, Rect, compare_step, enumerate_steps
+from gapflow.geometry import LatticeSpec, Rect, all_rects, compare_step, enumerate_steps
 from gapflow.model import ModelSpec, build_hamiltonian, default_onsite, random_model
 from gapflow.schwinger import GapError, generator_exponential, rotation_delta
 from gapflow.tensor import (
@@ -365,6 +369,16 @@ class TestRunFlow:
         report = verify_main_theorem(state)
         assert not [c for c in report.failed_clauses if c.startswith("step-gap")]
 
+    def test_final_mode_checks_the_last_series_step(self):
+        # only the first edge carries a potential, so the last step is
+        # skipped; its residual would be zero by construction
+        pots = [(Rect((1,), (1,)), np.kron(SX, SX))]
+        spec = ModelSpec(LatticeSpec(1, 3), SiteSpace(2), default_onsite(2), pots, 0.05)
+        state = run_flow(spec, check_consistency="final")
+        assert [rec.skipped for rec in state.history] == [False, True, True]
+        assert [rec.residual is not None for rec in state.history] == [True, False, False]
+        assert state.history[0].residual <= state.tolerances.consistency
+
     def test_vacuum_energy_cross_check(self):
         # the transformed vacuum energy Kt[0,0] is the original ground energy
         spec = random_model(LatticeSpec(1, 4), 2, 0.05, seed=30)
@@ -438,21 +452,137 @@ def assert_close(got, want, tol=1e-12):
         assert got == want
 
 
+def assert_flow_matches_dense_path(spec, **kwargs):
+    """``run_flow`` against the same flow with every series step computed by
+    ``dense_step_series``: status, failures, every record field and every
+    final entry within 1e-12."""
+    fast = run_flow(spec, **kwargs)
+    routed = []
+
+    def dense_series(J, *args, **kw):
+        routed.append(J)
+        return dense_step_series(J, *args, **kw)
+
+    with mock.patch.object(flow, "lie_schwinger_series", dense_series):
+        dense = run_flow(spec, **kwargs)
+    # every series step, stacked or not, went through the dense path
+    assert routed and routed == [rec.rect for rec in dense.history if not rec.skipped]
+    assert (fast.status, fast.failures) == (dense.status, dense.failures)
+    assert len(fast.history) == len(dense.history)
+    for a, b in zip(fast.history, dense.history):
+        for f in dataclasses.fields(StepRecord):
+            assert_close(getattr(a, f.name), getattr(b, f.name))
+    assert fast.interactions.keys() == dense.interactions.keys()
+    for key, op in dense.interactions.items():
+        assert_close(fast.interactions.get(key), op)
+
+
 class TestDensePathAgreement:
     @pytest.mark.parametrize("d, N, t", [(1, 6, 0.05), (3, 2, 0.02)])
-    def test_flow_matches_dense_series(self, monkeypatch, d, N, t):
+    def test_flow_matches_dense_series(self, d, N, t):
         spec = random_model(LatticeSpec(d, N), 2, t, seed=1)
-        fast = run_flow(spec, check_consistency="every-step")
-        monkeypatch.setattr(flow, "lie_schwinger_series", dense_step_series)
-        dense = run_flow(spec, check_consistency="every-step")
-        assert (fast.status, fast.failures) == (dense.status, dense.failures)
-        assert len(fast.history) == len(dense.history)
-        for a, b in zip(fast.history, dense.history):
+        assert_flow_matches_dense_path(spec, check_consistency="every-step")
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_flows_match_dense_series(self, data):
+        # potentials on a random non-empty subset of the edges, so skipped
+        # and stacked steps share levels, over a non-default on-site term
+        # whose vacuum column may leak (the g terms of [S_j, G])
+        d, N = data.draw(st.sampled_from([(1, 2), (1, 3), (2, 2)]), label="d, N")
+        lat = LatticeSpec(d, N)
+        edges = [J for J in all_rects(lat, min_circ=1) if J.circumference == 1]
+        chosen = data.draw(st.lists(st.sampled_from(edges), min_size=1, unique=True))
+        gap = data.draw(st.floats(1.0, 3.0), label="on-site gap")
+        leak = data.draw(st.floats(0.0, 5e-11 / np.sqrt(lat.n_sites)), label="leak")
+        t = data.draw(st.floats(0.0, 0.05), label="t")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        onsite = np.diag([0.0, gap]).astype(complex)
+        onsite[1, 0] = leak * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        onsite[0, 1] = np.conj(onsite[1, 0])
+        pots = []
+        for J in chosen:
+            raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            v = (raw + raw.conj().T) / 2
+            pots.append((J, v / np.linalg.norm(v, 2)))
+        assert_flow_matches_dense_path(ModelSpec(lat, SiteSpace(2), onsite, pots, t))
+
+
+class TestLevelStacks:
+    def test_stepwise_flow_matches_run_flow(self, monkeypatch):
+        # run_flow runs each level's series in stacks; apply_step alone runs
+        # every step as a stack of one
+        spec = random_model(LatticeSpec(3, 2), 2, 0.02, seed=3)
+        sizes = []
+        real = flow.series_stack
+
+        def counted(steps, *args, **kwargs):
+            sizes.append(len(steps))
+            return real(steps, *args, **kwargs)
+
+        monkeypatch.setattr(flow, "series_stack", counted)
+        stacked = run_flow(spec, check_consistency="never")
+        assert sorted(sizes) == [6, 12]
+        state = initial_state(spec)
+        for _ in enumerate_steps(spec.lat):
+            state, _ = apply_step(state)
+        for a, b in zip(state.history, stacked.history):
             for f in dataclasses.fields(StepRecord):
-                assert_close(getattr(a, f.name), getattr(b, f.name))
-        assert fast.interactions.keys() == dense.interactions.keys()
-        for key, op in dense.interactions.items():
-            assert_close(fast.interactions.get(key), op)
+                assert_close(getattr(a, f.name), getattr(b, f.name), tol=1e-13)
+        assert state.interactions.keys() == stacked.interactions.keys()
+        for key, op in stacked.interactions.items():
+            assert_close(state.interactions.get(key), op, tol=1e-13)
+
+    def test_gap_failure_inside_a_stacked_level(self, monkeypatch):
+        # d=1 N=4: the level of circumference 2 stacks the steps on [1,3] and
+        # [2,4]. Block-diagonal potentials on [2,3] and [3,4] pull the gap of
+        # [2,4] to 1 - 2t = 0.2: it warns and fails there, in flow order,
+        # after [1,3] has been committed, and nothing later runs
+        lat = LatticeSpec(1, 4)
+        rng = np.random.default_rng(5)
+
+        def weak(dim):
+            raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            v = (raw + raw.conj().T) / 2
+            return 0.1 * v / np.linalg.norm(v, 2)
+
+        lower = np.diag([0.0, -1.0, -1.0, -1.0]).astype(complex)
+        first, second = Rect((2,), (1,)), Rect((2,), (2,))
+        pots = [
+            (Rect((1,), (1,)), weak(4)),
+            (Rect((1,), (2,)), lower),
+            (Rect((1,), (3,)), lower),
+            (first, weak(8)),
+            (second, weak(8)),
+        ]
+        spec = ModelSpec(lat, SiteSpace(2), default_onsite(2), pots, 0.4, k_bar=2)
+        events = []
+        real_apply, real_stack = flow.apply_step, flow.series_stack
+
+        def apply(state, *args, **kwargs):
+            new, ops = real_apply(state, *args, **kwargs)
+            events.append(("commit", new.history[-1].rect, len(caught), new))
+            return new, ops
+
+        def stack(steps, *args, **kwargs):
+            events.append(("stack", tuple(s[0] for s in steps), len(caught), None))
+            return real_stack(steps, *args, **kwargs)
+
+        monkeypatch.setattr(flow, "apply_step", apply)
+        monkeypatch.setattr(flow, "series_stack", stack)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(GapError, match=r"gap 0\.2 .* at step .*q=\(2,\)"):
+                run_flow(spec)
+        assert ("stack", (first, second), 0, None) in events
+        # the last commit is [1,3]'s, made before any warning
+        kind, rect, n_warned, state = events[-1]
+        assert (kind, rect, n_warned) == ("commit", first, 0)
+        assert state.history[-1].g_gap >= 0.5
+        assert offdiag_norm(state.interactions[first].matrix) <= 1e-12
+        assert [str(w.message) for w in caught] == [
+            f"gap degradation on {second}: excited block starts 0.2 above the vacuum energy"
+        ]
 
 
 class TestMapUpdateSkip:

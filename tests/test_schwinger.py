@@ -1,5 +1,6 @@
 """Single-step generator series, majorants, and truncation certificates."""
 
+import dataclasses
 import tracemalloc
 from math import comb
 
@@ -16,6 +17,7 @@ from gapflow.model import ModelSpec, default_onsite, initial_interactions, rando
 from gapflow.schwinger import (
     GP_MINUS_TOL,
     MAJORANT_A,
+    STACK_TABLE_BYTES,
     ConvergenceError,
     assemble_g,
     check_g_gap,
@@ -25,6 +27,8 @@ from gapflow.schwinger import (
     rotation_delta,
     rotation_delta_bound,
     rotation_delta_norm,
+    series_stack,
+    stack_limit,
 )
 from gapflow.tensor import LocalOp, SiteSpace, embed, hermitian_norm, offdiag_norm
 
@@ -166,7 +170,7 @@ def assert_matches_dense_oracle(rect, g, v1, e0, t, j_max):
     Q = ops.basis
     assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1]), 2) < 1e-13
     assert np.array_equal(Q[:, 0], np.eye(Q.shape[0])[:, 0])
-    assert Q.shape[1] <= min(Q.shape[0], 3 * j_max)
+    assert Q.shape[1] <= min(Q.shape[0], 2 * j_max + 1)
     for x in ops.generators[:-1]:
         assert np.linalg.norm(x - Q @ (Q.conj().T @ x)) <= 1e-13 * max(1.0, np.linalg.norm(x))
     return ops
@@ -237,23 +241,70 @@ class TestSeries:
     def test_solve_budget(self, monkeypatch):
         # one series step makes three O(n^3) solves: the eigenvalues of G's
         # excited block (the gap), the resolvent's inverse and the
-        # eigenvalues of v1 (its norm); every other solve is of order 3 j_max
+        # eigenvalues of v1 (its norm); every other solve is of order
+        # 2 j_max + 1. A stack of steps with n <= 2 j_max + 1 makes each of
+        # the three once for the whole stack, and its only other solve is
+        # the term norms', over the j_max - 1 coordinate matrices of each
         rect, g, v1 = gapped_step(2, 6, 0.0, seed=4)
-        n = g.dim
-        calls = []
+        steps = [(J, g, 0.0, v1) for J, g, v1 in (gapped_step(2, 4, 0.0, s) for s in (1, 2, 3))]
+        calls, dims = [], [g.dim]
         for name in ("eigvalsh", "eigh", "inv", "svd"):
             real = getattr(np.linalg, name)
 
             def counted(a, *args, _name=name, _real=real, **kwargs):
-                if np.shape(a)[-1] >= n - 1:
-                    calls.append(_name)
+                if np.shape(a)[-1] >= dims[-1] - 1:
+                    calls.append((_name, np.shape(a)[:-2]))
                 return _real(a, *args, **kwargs)
 
             # np.linalg.norm(a, 2) reaches svd through numpy's own module
             for module in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
                 monkeypatch.setattr(module, name, counted)
+
         lie_schwinger_series(rect, g, 0.0, LocalOp(rect, v1.matrix, 2), 0.5 * RADIUS, j_max=12)
-        assert sorted(calls) == ["eigvalsh", "eigvalsh", "inv"]
+        assert sorted(calls) == [("eigvalsh", (1,)), ("eigvalsh", (1,)), ("inv", (1,))]
+
+        dims.append(steps[0][1].dim)
+        calls.clear()
+        series_stack(steps, 0.5 * RADIUS, j_max=12)
+        assert sorted(calls) == [
+            ("eigvalsh", (3,)),
+            ("eigvalsh", (3,)),
+            ("eigvalsh", (3, 11)),
+            ("inv", (3,)),
+        ]
+
+    @pytest.mark.parametrize("M, n_sites, j_max", [(2, 2, 8), (2, 4, 12), (3, 2, 4)])
+    def test_stack_matches_each_step_alone(self, M, n_sites, j_max):
+        # stacked steps agree with the same steps run as stacks of one
+        steps = []
+        for e0, seed in ((0.0, 1), (-0.3, 2), (0.4, 3)):
+            rect, g, v1 = gapped_step(M, n_sites, e0, seed)
+            steps.append((rect, g, e0, v1))
+        assert stack_limit(steps[0][1].dim, j_max) >= len(steps)
+        t = 0.5 * RADIUS
+        for got, step in zip(series_stack(steps, t, j_max), steps):
+            want = series_stack([step], t, j_max)[0]
+            for field in dataclasses.fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                if isinstance(b, LocalOp):
+                    a, b = a.matrix, b.matrix
+                if isinstance(b, (float, list, np.ndarray)):
+                    a, b = np.asarray(a), np.asarray(b)
+                    assert a.shape == b.shape, field.name
+                    scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+                    assert np.max(np.abs(a - b), initial=0.0) <= 1e-13 * scale, field.name
+                else:
+                    assert a is b or a == b, field.name
+
+    def test_stack_limit(self):
+        # steps wider than 2 j_max + 1 run alone; narrower ones share runs
+        # within the chain-table budget
+        assert stack_limit(26, 12) == 1
+        assert stack_limit(25, 12) == STACK_TABLE_BYTES // (16 * 13**2 * 25**2)
+        assert stack_limit(4, 12) > stack_limit(16, 12) > 1
+        small, big = gapped_step(2, 2, 0.0, 1), gapped_step(2, 3, 0.0, 1)
+        with pytest.raises(ValueError, match="one dimension"):
+            series_stack([(J, g, 0.0, v1) for J, g, v1 in (small, big)], 0.01)
 
     def test_transformed_norm_within_factor_two(self):
         # inside the certified region the transformed potential stays small
@@ -330,7 +381,7 @@ class TestSeries:
         assert_matches_dense_oracle(rect, LocalOp(rect, G, 2), v1, 0.3, 0.5 * RADIUS, 8)
 
     def test_peak_memory_at_dim_256(self):
-        # the chain table holds D x D coordinates with D <= 3 j_max, so one
+        # the chain table holds D x D coordinates with D <= 2 j_max + 1, so one
         # call at n = 256 and j_max = 12 peaks near 11 MB of new allocations
         rect, g, v1 = gapped_step(2, 8, 0.0, seed=3)
         tracemalloc.start()
