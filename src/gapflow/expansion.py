@@ -244,12 +244,10 @@ class _Expander:
     """
 
     def __init__(self, state: FlowState):
-        if state.initial_map is None:
-            raise ValueError("flow state is missing its initial interaction map")
         self.lat = state.spec.lat
         self.steps = enumerate_steps(self.lat)
         self.initial_map = state.initial_map
-        self.case_b = {rec.rect: rec.case_b_value for rec in state.history}
+        self.case_b = {rec.rect: rec.v_diag_total for rec in state.history}
         self.generators = {rec.rect: rec.generator for rec in state.history if not rec.skipped}
         self.memo: dict[tuple[int, Rect], tuple[list[Branch], float]] = {}
         self.t = state.spec.t

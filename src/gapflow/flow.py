@@ -36,7 +36,6 @@ from .model import ModelSpec, coupled, initial_interactions
 from .schwinger import (
     GAP_FLOOR,
     GapError,
-    SeriesTerms,
     StepOperators,
     assemble_g,
     check_g_gap,
@@ -104,10 +103,24 @@ class StepRecord:
     od_residual: float = 0.0
     step_defect: float = 0.0
     term_norms: list[float] = field(default_factory=list)
-    case_b_value: LocalOp | None = None
+    v_diag_total: LocalOp | None = None
     generator: np.ndarray | None = None
     residual: float | None = None
     skipped: bool = False
+
+
+# the StepRecord fields a series step copies from its StepOperators
+_SERIES_FIELDS = (
+    "s_norm",
+    "v1_norm",
+    "tail_bound",
+    "tail_certified",
+    "od_residual",
+    "step_defect",
+    "term_norms",
+    "v_diag_total",
+    "generator",
+)
 
 
 @dataclass
@@ -130,11 +143,11 @@ class FlowState:
 
     spec: ModelSpec
     interactions: dict[Rect, LocalOp]
+    initial_map: dict[Rect, LocalOp]
     j_max: int = 12
     tolerances: Tolerances = field(default_factory=Tolerances)
     history: list[StepRecord] = field(default_factory=list)
     map_snapshots: list[dict[Rect, LocalOp]] | None = None
-    initial_map: dict[Rect, LocalOp] | None = None
     status: str = "running"
     failures: list[str] = field(default_factory=list)
 
@@ -151,10 +164,10 @@ def initial_state(
     return FlowState(
         spec=spec,
         interactions=imap,
+        initial_map=dict(imap),
         j_max=j_max,
         tolerances=tolerances or Tolerances(),
         map_snapshots=[] if keep_history else None,
-        initial_map=dict(imap),
     )
 
 
@@ -219,13 +232,15 @@ def _transform_map(
 
 
 def apply_step(
-    state: FlowState, force: bool = False, terms: SeriesTerms | None = None
+    state: FlowState, force: bool = False, terms: StepOperators | None = None
 ) -> tuple[FlowState, StepOperators | None]:
     """Advance the flow by its next step, the rectangle J after the
     ``len(state.history)`` steps already run; a ValueError once every step
     has run. Unless ``force``, a GapError when ``_step_failures`` fails the
     step's gap. ``terms`` is J's series from ``level_series`` on a state of
-    the same level, if one has been run; otherwise the step runs its own.
+    the same level, if one has been run; otherwise the step runs its own
+    through ``series_stack``, as a stack of one. Either way
+    ``lie_schwinger_series`` judges it.
 
     A step with no stored potential on J rotates nothing and returns
     ``None`` for its operators, but its gap is still checked: the inductive
@@ -239,33 +254,24 @@ def apply_step(
     if terms is not None and terms.rect != J:
         raise ValueError(f"series of {terms.rect} handed to the step on {J}")
 
-    v1 = state.interactions.get(J)
-    g, e0 = assemble_g(J, state.interactions, spec.t) if terms is None else (terms.g, terms.e0)
-    ops = None
-    if v1 is not None:
-        ops = lie_schwinger_series(J, g, e0, v1, spec.t, j_max=state.j_max, terms=terms)
-    series = {}
-    if ops is not None:
-        series = dict(
-            s_norm=ops.s_norm,
-            v1_norm=ops.v1_norm,
-            tail_bound=ops.tail_bound,
-            tail_certified=ops.tail_certified,
-            od_residual=ops.od_residual,
-            step_defect=ops.step_defect,
-            term_norms=list(ops.term_norms),
-            case_b_value=ops.v_diag_total,
-            generator=ops.generator,
-        )
+    if terms is None:
+        g, e0 = assemble_g(J, state.interactions, spec.t)
+        v1 = state.interactions.get(J)
+        if v1 is not None:
+            terms = series_stack([(J, g, e0, v1)], spec.t, state.j_max)[0]
+    if terms is None:
+        ops, fields = None, dict(g_gap=float(check_g_gap(g.matrix, e0)), e0=e0)
+    else:
+        ops = lie_schwinger_series(terms, spec.t)
+        fields = {name: getattr(ops, name) for name in _SERIES_FIELDS}
+        fields.update(g_gap=ops.gap, e0=ops.e0)
     record = StepRecord(
         index=len(state.history),
         rect=J,
         circumference=J.circumference,
-        g_gap=check_g_gap(g, e0, J) if ops is None else ops.gap,
-        e0=e0,
         regime=regime_of(J, spec.lat.full_rect()),
         skipped=ops is None,
-        **series,
+        **fields,
     )
     # the record has no residual yet, so only its gap can fail here
     failed = _step_failures(record, state.tolerances)
@@ -282,7 +288,7 @@ def apply_step(
     ), ops
 
 
-def level_series(state: FlowState) -> dict[Rect, SeriesTerms]:
+def level_series(state: FlowState) -> dict[Rect, StepOperators]:
     """The series of the steps left in the level of the state's next step,
     for those ``stack_limit`` lets share a stacked run, keyed by rectangle.
 
@@ -368,7 +374,7 @@ def run_flow(
     # final mode: the states around the last step that ran a series (maps
     # are never mutated, so holding them is safe)
     last_series = None
-    level: dict[Rect, SeriesTerms] = {}
+    level: dict[Rect, StepOperators] = {}
     for i, J in enumerate(steps):
         if i == 0 or J.circumference != steps[i - 1].circumference:
             level = level_series(state)

@@ -41,14 +41,14 @@ D x D eigenvalue solve.
 with a leading stack axis on every array: a step with n <= 2 j_max + 1
 takes C^n as its basis, so such steps share one run, and a larger step
 runs as a stack of one through the same code. ``lie_schwinger_series``
-then judges each step on its own: the gap warning, the majorants and the
-truncation tail.
+computes nothing: it judges each step's ``series_stack`` output on its
+own, with the gap warning, the majorants and the truncation tail.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import factorial
 
 import numpy as np
@@ -60,7 +60,6 @@ from .tensor import (
     adjoint,
     border_norm,
     embedded_sum,
-    hermitian_norms,
     offdiag_norm,
     permute_legs,
 )
@@ -155,10 +154,10 @@ def majorants(v1_norm: float, j_max: int) -> MajorantSeries:
 
 
 @dataclass
-class SeriesTerms:
-    """What ``series_stack`` makes for one step: the series up to its
-    truncation certificate.
+class StepOperators:
+    """Everything produced by one local block-diagonalization step.
 
+    ``series_stack`` makes the series up to its truncation certificate.
     ``generators`` holds the vectors x_j of S_j = x_j e0^+ - e0 x_j^+, and
     ``generator`` the vector X = sum_j t^j x_j of the step generator
     S = X e0^+ - e0 X^+; ``generator_exponential(generator)`` is exp(S).
@@ -173,6 +172,10 @@ class SeriesTerms:
     local operator u L u^+ (u = exp(S), L = G + t V), and ``step_defect``
     its Frobenius distance ||u L u^+ - (G + t v_diag)||_F to what the step
     stores: the series truncation plus rounding, taken in O(n^2).
+
+    The truncation certificate (``tail_bound``, ``tail_certified`` and
+    ``majorant``) stays ``None`` until ``lie_schwinger_series`` has judged
+    the step.
     """
 
     rect: Rect
@@ -190,17 +193,9 @@ class SeriesTerms:
     term_norms: list[float]
     od_residual: float
     step_defect: float
-
-
-@dataclass
-class StepOperators(SeriesTerms):
-    """Everything produced by one local block-diagonalization step: its
-    ``SeriesTerms`` and the truncation certificate ``lie_schwinger_series``
-    adds, the majorants and the tail bound."""
-
-    tail_bound: float
-    tail_certified: bool
-    majorant: MajorantSeries | None
+    tail_bound: float | None = None
+    tail_certified: bool | None = None
+    majorant: MajorantSeries | None = None
 
 
 def assemble_g(
@@ -233,14 +228,13 @@ def assemble_g(
     return g, e0
 
 
-def check_g_gap(g: LocalOp, e0: float, J: Rect) -> float:
-    """Spectral gap of the excited block above the vacuum energy.
+def check_g_gap(g_matrix: np.ndarray, e0: float | np.ndarray) -> float | np.ndarray:
+    """Spectral gap of the excited block above the vacuum energy, of each
+    matrix along leading stack axes (``e0`` stacks with them).
 
     This is a report, not an assertion: negative values are returned.
     """
-    sub = g.matrix[1:, 1:]
-    w = np.linalg.eigvalsh(sub)
-    return float(w[0] - e0)
+    return np.linalg.eigvalsh(g_matrix[..., 1:, 1:])[..., 0] - e0
 
 
 def _series_tail(
@@ -300,6 +294,15 @@ def generator_exponential(x: np.ndarray) -> np.ndarray:
     return u
 
 
+def _theta(x: np.ndarray) -> float:
+    """The rotation angle theta = ||x|| of a generator vector x, accurate
+    also below 1e-150, where the squares of x's entries underflow."""
+    theta = float(np.linalg.norm(x))
+    if theta < 1e-150:
+        theta = float(np.hypot.reduce(np.abs(x)))
+    return theta
+
+
 def _rotation_border(op: LocalOp, J: Rect, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The border (P, C) of u A u^+ - A for the Hermitian A = ``op`` and
     u = exp(S) (x) I, where S = x e0^+ - e0 x^+ acts on the legs of J inside
@@ -313,10 +316,12 @@ def _rotation_border(op: LocalOp, J: Rect, x: np.ndarray) -> tuple[np.ndarray, n
     """
     if not op.support.contains(J):
         raise ValueError(f"rectangle {J} not contained in {op.support}")
-    theta = float(np.linalg.norm(x))
+    theta = _theta(x)
     basis = np.zeros((x.size, 2), dtype=complex)
     basis[0, 0] = 1.0
-    if theta > 0:
+    # below the smallest normal double 1/theta overflows, and the rotation
+    # moves no entry by more than rounding resolves, so it is the identity
+    if theta >= np.finfo(float).tiny:
         basis[:, 1] = x / theta
     cos, sin = np.cos(theta), np.sin(theta)
     p = basis @ np.array([[cos - 1.0, -sin], [sin, cos - 1.0]])
@@ -354,10 +359,7 @@ def rotation_delta_bound(x: np.ndarray, norm: float) -> float:
     the bound is 4 |sin(theta / 2)| ``norm``. A rotation whose bound is at
     or below a prune threshold can be skipped: its result would be pruned.
     """
-    theta = float(np.linalg.norm(x))
-    if theta < 1e-150:  # the squares of x's entries underflow
-        theta = float(np.hypot.reduce(np.abs(x)))
-    return 4.0 * abs(np.sin(0.5 * theta)) * norm
+    return 4.0 * abs(np.sin(0.5 * _theta(x))) * norm
 
 
 def rotation_delta_norm(op: LocalOp, J: Rect, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -490,7 +492,7 @@ def stack_limit(dim: int, j_max: int) -> int:
 
 def series_stack(
     steps: list[tuple[Rect, LocalOp, float, LocalOp]], t: float, j_max: int = 12
-) -> list[SeriesTerms]:
+) -> list[StepOperators]:
     """The series of several steps (J, G, e0, V) of one dimension n, in runs
     of at most ``stack_limit(n, j_max)`` steps along a leading stack axis.
 
@@ -507,7 +509,7 @@ def series_stack(
     if len(dims) != 1:
         raise ValueError(f"a stack holds steps of one dimension, got {sorted(dims)}")
     size = stack_limit(dims.pop(), j_max)
-    out: list[SeriesTerms] = []
+    out: list[StepOperators] = []
     for i in range(0, len(steps), size):
         out += _run_stack(steps[i : i + size], t, j_max)
     return out
@@ -515,21 +517,21 @@ def series_stack(
 
 def _run_stack(
     steps: list[tuple[Rect, LocalOp, float, LocalOp]], t: float, j_max: int
-) -> list[SeriesTerms]:
+) -> list[StepOperators]:
     rects, gs, e0s, v1s = zip(*steps)
     G = _stacked([g.matrix for g in gs])
     V = _stacked([v1.matrix for v1 in v1s])
     e0 = np.array(e0s, dtype=float)
     k, dim = G.shape[:2]
-    # the three O(n^3) solves, each once for the whole stack: the gaps, the
-    # resolvents (G' - e0)^-1 of the excited blocks and the norms of V
-    gaps = np.linalg.eigvalsh(G[:, 1:, 1:])[:, 0] - e0
+    # the three O(n^3) solves: the gaps and the resolvents (G' - e0)^-1 of
+    # the excited blocks, each once for the whole stack, and the norm of
+    # each V, once per entry (``LocalOp.norm``)
+    gaps = check_g_gap(G, e0)
     shifted = G[:, 1:, 1:].copy()
     diag = np.arange(dim - 1)
     shifted[:, diag, diag] -= e0[:, None]
     resolvent = np.linalg.inv(shifted)
     del shifted
-    v1_norms = hermitian_norms(v1s)
 
     basis = _SeriesBasis(k, dim, j_max)
     width_max = basis.width_max
@@ -603,7 +605,7 @@ def _run_stack(
     np.subtract(conj, local, out=local)
     defects = [np.linalg.norm(diff) for diff in local]
     return [
-        SeriesTerms(
+        StepOperators(
             rect=J,
             g=g,
             v1=v1,
@@ -614,9 +616,9 @@ def _run_stack(
             v_coords=list(vs[i, :, :width, :width]),
             v_diag_total=LocalOp(J, v_diag[i], v1.M),
             gap=float(gaps[i]),
-            v1_norm=float(v1_norms[i]),
+            v1_norm=v1.norm,
             s_norm=float(np.linalg.norm(X[i])),
-            term_norms=[float(v1_norms[i]), *term_norms[i]],
+            term_norms=[v1.norm, *term_norms[i]],
             od_residual=float(od_residuals[i]),
             step_defect=float(defects[i]),
         )
@@ -624,31 +626,18 @@ def _run_stack(
     ]
 
 
-def lie_schwinger_series(
-    J: Rect,
-    g: LocalOp,
-    e0: float,
-    v1: LocalOp,
-    t: float,
-    j_max: int = 12,
-    terms: SeriesTerms | None = None,
-) -> StepOperators:
-    """Generator series, transformed block-diagonal potential and truncation
-    certificate of one step. ``terms`` is the step's ``series_stack`` output
-    when a stacked run has made it already; otherwise the step runs as a
-    stack of one."""
-    if terms is None:
-        terms = series_stack([(J, g, e0, v1)], t, j_max)[0]
-    if terms.gap < GAP_WARN:
+def lie_schwinger_series(ops: StepOperators, t: float) -> StepOperators:
+    """Judge one step's ``series_stack`` output ``ops`` at coupling ``t``:
+    warn about its gap, then add the truncation certificate of its
+    j_max = len(ops.generators) orders, the majorants and the tail bound."""
+    if ops.gap < GAP_WARN:
         warnings.warn(
-            f"gap degradation on {J}: excited block starts {terms.gap:.3g} above the "
+            f"gap degradation on {ops.rect}: excited block starts {ops.gap:.3g} above the "
             "vacuum energy"
         )
-    maj = majorants(terms.v1_norm, j_max) if terms.v1_norm > 0 else None
-    if maj is not None:
-        tail_bound, certified = _series_tail(terms.term_norms, t, maj, j_max)
-    else:
-        tail_bound, certified = 0.0, True
-    return StepOperators(
-        **vars(terms), tail_bound=tail_bound, tail_certified=certified, majorant=maj
-    )
+    if ops.v1_norm <= 0:
+        return replace(ops, tail_bound=0.0, tail_certified=True)
+    j_max = len(ops.generators)
+    maj = majorants(ops.v1_norm, j_max)
+    tail_bound, certified = _series_tail(ops.term_norms, t, maj, j_max)
+    return replace(ops, tail_bound=tail_bound, tail_certified=certified, majorant=maj)

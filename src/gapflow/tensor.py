@@ -174,14 +174,6 @@ def conjugate_on_legs(op: LocalOp, J: Rect, u: np.ndarray) -> np.ndarray:
     return permute_legs(both, op.support, J, op.M, back=True)
 
 
-def diag_part(matrix: np.ndarray) -> np.ndarray:
-    """Block-diagonal part w.r.t. (vacuum, complement) of the local space."""
-    out = matrix.copy()
-    out[0, 1:] = 0.0
-    out[1:, 0] = 0.0
-    return out
-
-
 def offdiag_norm(matrix: np.ndarray) -> float:
     """Operator norm of the off-block part c e0^+ + e0 r (c, r^+ orthogonal
     to e0). Its Gram matrix is ||c||^2 E_00 + r^+ r, so the norm is exactly
@@ -222,21 +214,6 @@ def hermitian_norm(op: LocalOp | np.ndarray) -> float:
     ``hermitian_spectrum`` (same Hermiticity refusal); cheaper than an SVD."""
     w = hermitian_spectrum(op)
     return float(max(-w[0], w[-1]))
-
-
-def hermitian_norms(ops: list[LocalOp]) -> np.ndarray:
-    """``LocalOp.norm`` of several Hermitian operators of one dimension. The
-    norms not cached yet come from one stacked eigenvalue solve, behind the
-    same Hermiticity refusal as ``hermitian_spectrum``, and are cached."""
-    todo = [op for op in ops if "norm" not in op.__dict__]
-    if todo:
-        if not all(is_hermitian(op.matrix) for op in todo):
-            raise ValueError("operator is not Hermitian within tolerance")
-        mats = todo[0].matrix[None] if len(todo) == 1 else np.stack([op.matrix for op in todo])
-        w = np.linalg.eigvalsh(mats)
-        for op, norm in zip(todo, np.maximum(-w[:, 0], w[:, -1]).tolist()):
-            op.__dict__["norm"] = norm  # where the cached_property keeps it
-    return np.array([op.norm for op in ops])
 
 
 def border_norm(b: np.ndarray, c: np.ndarray) -> float:

@@ -18,7 +18,7 @@ from scipy.linalg import expm
 from gapflow.flow import set_entry
 from gapflow.geometry import LatticeSpec, Rect, minimal_rectangle
 from gapflow.schwinger import _series_tail, check_g_gap, majorants, rotation_delta
-from gapflow.tensor import LocalOp, border_norm, diag_part, embed, permute_legs
+from gapflow.tensor import LocalOp, border_norm, embed, permute_legs
 from gapflow.verify import _shape_vectors
 
 
@@ -80,6 +80,14 @@ def projector_plus(J: Rect, M: int) -> LocalOp:
 
 def vacuum_projector(lat: LatticeSpec, M: int) -> LocalOp:
     return projector_minus(lat.full_rect(), M)
+
+
+def diag_part(matrix: np.ndarray) -> np.ndarray:
+    """Block-diagonal part w.r.t. (vacuum, complement) of the local space."""
+    out = matrix.copy()
+    out[0, 1:] = 0.0
+    out[1:, 0] = 0.0
+    return out
 
 
 def offdiag_part(matrix: np.ndarray) -> np.ndarray:
@@ -279,14 +287,13 @@ def dense_series_oracle(G, V, e0, t, j_max):
     }
 
 
-def dense_step_series(J, g, e0, v1, t, j_max=12, terms=None):
+def dense_step_series(J, g, e0, v1, t, j_max=12):
     """The step series with dense n x n chain tables, a dense resolvent and
     expm: the reference path for whole flows. The flow reads the generator
-    as its vector, column 0 of the dense S. ``terms``, a stacked series the
-    flow hands over, is ignored: every step is computed here."""
+    as its vector, column 0 of the dense S."""
     G = g.matrix
     dim = G.shape[0]
-    gap = check_g_gap(g, e0, J)
+    gap = float(check_g_gap(G, e0))
     w, U = np.linalg.eigh(G[1:, 1:])
     resolvent = np.zeros((dim, dim), dtype=complex)
     resolvent[1:, 1:] = U @ np.diag(1.0 / (w - e0)) @ U.conj().T

@@ -459,9 +459,9 @@ def assert_flow_matches_dense_path(spec, **kwargs):
     fast = run_flow(spec, **kwargs)
     routed = []
 
-    def dense_series(J, *args, **kw):
-        routed.append(J)
-        return dense_step_series(J, *args, **kw)
+    def dense_series(ops, t):
+        routed.append(ops.rect)
+        return dense_step_series(ops.rect, ops.g, ops.e0, ops.v1, t, j_max=len(ops.generators))
 
     with mock.patch.object(flow, "lie_schwinger_series", dense_series):
         dense = run_flow(spec, **kwargs)
@@ -510,8 +510,9 @@ class TestDensePathAgreement:
 
 class TestLevelStacks:
     def test_stepwise_flow_matches_run_flow(self, monkeypatch):
-        # run_flow runs each level's series in stacks; apply_step alone runs
-        # every step as a stack of one
+        # run_flow runs each level's series in stacks, and apply_step runs the
+        # whole-lattice step, too wide to stack, as a stack of one; apply_step
+        # alone runs every step as a stack of one
         spec = random_model(LatticeSpec(3, 2), 2, 0.02, seed=3)
         sizes = []
         real = flow.series_stack
@@ -522,7 +523,7 @@ class TestLevelStacks:
 
         monkeypatch.setattr(flow, "series_stack", counted)
         stacked = run_flow(spec, check_consistency="never")
-        assert sorted(sizes) == [6, 12]
+        assert sorted(sizes) == [1, 6, 12]
         state = initial_state(spec)
         for _ in enumerate_steps(spec.lat):
             state, _ = apply_step(state)
