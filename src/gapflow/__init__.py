@@ -51,7 +51,6 @@ from .expansion import (
     weighted_branch_sum,
 )
 from .verify import (
-    RunReport,
     inequality_suite,
     verify_main_theorem,
 )

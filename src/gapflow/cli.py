@@ -18,12 +18,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .flow import Tolerances, run_flow
+from .flow import Tolerances, run_flow, verdict
 from .geometry import LatticeSpec, Rect
 from .model import ModelSpec, default_onsite, random_model
 from .schwinger import ConvergenceError, GapError
 from .tensor import SiteSpace
-from .verify import RunReport, inequality_suite, verify_main_theorem
+from .verify import inequality_suite, verify_main_theorem
 
 CSV_COLUMNS = [
     "step_index",
@@ -87,11 +87,16 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where}")
 
 
+def _is_int(value) -> bool:
+    # a JSON boolean parses to a Python bool, which is an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _number(mapping: dict, key: str, default, kind: type, minimum=None, where: str = ""):
     """``mapping[key]`` (``default`` when absent) as a finite ``kind``, int or
     float, of at least ``minimum``; JSON booleans are refused."""
     value = mapping.get(key, default)
-    integer = isinstance(value, int) and not isinstance(value, bool)
+    integer = _is_int(value)
     if not (integer or (kind is float and isinstance(value, float) and math.isfinite(value))):
         what = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{where}{key} must be {what}, got {value!r}")
@@ -142,12 +147,20 @@ def parse_config(path: str) -> RunConfig:
             for req in ("k", "q", "matrix"):
                 if req not in entry:
                     raise ConfigError(f"potentials[{i}] is missing {req!r}")
+            for key in ("k", "q"):
+                if not (isinstance(entry[key], list) and all(map(_is_int, entry[key]))):
+                    raise ConfigError(
+                        f"potentials[{i}].{key} must be a list of integers, got {entry[key]!r}"
+                    )
+            _check_entries(entry["matrix"], f"potentials[{i}].matrix")
     elif potentials != "random":
         raise ConfigError("potentials must be \"random\" or a list of entries")
 
     onsite = raw.get("onsite", "default")
     if not (onsite == "default" or isinstance(onsite, list)):
         raise ConfigError("onsite must be \"default\" or a matrix")
+    if onsite != "default":
+        _check_entries(onsite, "onsite")
 
     return RunConfig(
         d=_number(raw, "d", None, int, 1),
@@ -165,6 +178,20 @@ def parse_config(path: str) -> RunConfig:
         report_path=output.get("report"),
         csv_path=output.get("csv"),
     )
+
+
+def _check_entries(matrix, what: str) -> None:
+    """Refuse a config matrix with a value that is not a finite JSON number;
+    its shape (rows of numbers or of [re, im] pairs) is checked when it is built."""
+    values = [matrix]
+    while values:
+        value = values.pop()
+        if isinstance(value, list):
+            values += value
+        elif not (_is_int(value) or (isinstance(value, float) and math.isfinite(value))):
+            raise ConfigError(
+                f"{what}: entries must be finite numbers or [re, im] pairs, got {value!r}"
+            )
 
 
 def _matrix_from_config(entry: list, what: str) -> np.ndarray:
@@ -195,11 +222,11 @@ def build_model(config: RunConfig) -> ModelSpec:
     return ModelSpec(lat, SiteSpace(config.M), onsite, pots, config.t, rng_seed=config.seed)
 
 
-def write_csv(report: RunReport, path: str) -> None:
+def write_csv(report: dict, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for step in report.steps:
+        for step in report["steps"]:
             writer.writerow(
                 [
                     step["index"],
@@ -216,9 +243,9 @@ def write_csv(report: RunReport, path: str) -> None:
             )
 
 
-def write_report(report_dict: dict, path: str) -> None:
+def write_report(report: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(report_dict, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -244,27 +271,25 @@ def run(config: RunConfig, force: bool = False) -> int:
         return 2
 
     report = verify_main_theorem(state)
-    extra = {}
     if config.run_inequalities:
         rows = inequality_suite(spec.lat, spec.M, config.inequality_max_sites)
-        extra["inequalities"] = rows
+        report["inequalities"] = rows
         if not all(row["pass"] for row in rows):
-            report.failed_clauses.append("operator-inequalities: minimum eigenvalue check failed")
-            if report.status == "pass":
-                report.status = "fail"
-    report_dict = {**report.to_dict(), **extra}
-    report_dict["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+            clauses = report["failed_clauses"]
+            clauses.append("operator-inequalities: minimum eigenvalue check failed")
+            report["status"] = verdict(clauses)
+    report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
     if config.report_path:
-        write_report(report_dict, config.report_path)
+        write_report(report, config.report_path)
     if config.csv_path:
         write_csv(report, config.csv_path)
 
-    status = report_dict["status"]
+    status = report["status"]
     print(f"status: {status}")
-    for clause in report_dict["failed_clauses"]:
+    for clause in report["failed_clauses"]:
         print(f"failed: {clause}")
-    final = report_dict["final"]
+    final = report["final"]
     print(
         f"delta: {final['delta']:.9g}  min step gap: {final['min_step_gap']:.9g}  "
         f"vacuum off-block: {final['pvac_offblock']:.3g}"

@@ -9,56 +9,20 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
-from .flow import FlowState, assemble_hamiltonian, failed_claims, norm_decay_audit
+from .flow import FlowState, assemble_hamiltonian, failed_claims, norm_decay_audit, verdict
 from .geometry import LatticeSpec, Rect
 from .model import ModelSpec, build_hamiltonian
 from .schwinger import GAP_FLOOR
 from .tensor import hermitian_spectrum
 
 
-@dataclass
-class RunReport:
-    """Machine-readable record of one verified flow."""
-
-    fingerprint: str
-    d: int
-    N: int
-    M: int
-    t: float
-    seed: int | None
-    j_max: int
-    status: str
-    failed_clauses: list[str] = field(default_factory=list)
-    steps: list[dict] = field(default_factory=list)
-    final: dict = field(default_factory=dict)
-    norm_audit: list[dict] = field(default_factory=list)
-
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "gapflow-report/2",
-            "fingerprint": self.fingerprint,
-            "model": {
-                "d": self.d,
-                "N": self.N,
-                "M": self.M,
-                "t": self.t,
-                "seed": self.seed,
-            },
-            "j_max": self.j_max,
-            "status": self.status,
-            "failed_clauses": self.failed_clauses,
-            "steps": self.steps,
-            "final": self.final,
-            "norm_audit": self.norm_audit,
-        }
+def _rounded(mat: np.ndarray) -> np.ndarray:
+    # to 14 decimals; adding 0.0 turns a -0.0 (a tiny negative rounded) into 0.0
+    return np.round(mat, 14) + 0.0
 
 
 def model_fingerprint(spec: ModelSpec) -> str:
@@ -70,12 +34,12 @@ def model_fingerprint(spec: ModelSpec) -> str:
         "M": spec.M,
         "t": repr(spec.t),
         "seed": spec.rng_seed,
-        "onsite": np.round(spec.onsite_h, 14).tolist(),
+        "onsite": _rounded(spec.onsite_h).tolist(),
     }
     h.update(json.dumps(payload, sort_keys=True, default=str).encode())
     for J, mat in sorted(spec.potentials, key=lambda p: (p[0].k, p[0].q)):
         h.update(str((J.k, J.q)).encode())
-        h.update(np.round(mat, 14).tobytes())
+        h.update(_rounded(mat).tobytes())
     return h.hexdigest()[:16]
 
 
@@ -99,12 +63,13 @@ def _step_dict(rec) -> dict:
     }
 
 
-def verify_main_theorem(state: FlowState) -> RunReport:
-    """Check the end-of-flow claims: unique gapped ground state, block
-    diagonality with respect to the all-vacuum projection, spectrum
-    preservation, the vacuum as ground state of the transformed operator
-    (its energy ``Kt[0,0]`` against the lowest eigenvalue of the original
-    one); then list the flow's own failed claims (``flow.failed_claims``)."""
+def verify_main_theorem(state: FlowState) -> dict:
+    """The run's report, judged by ``flow.verdict``: check the end-of-flow
+    claims (unique gapped ground state, block diagonality with respect to
+    the all-vacuum projection, spectrum preservation, the vacuum as ground
+    state of the transformed operator: its energy ``Kt[0,0]`` against the
+    lowest eigenvalue of the original one), then add the flow's own failed
+    claims (``flow.failed_claims``)."""
     spec = state.spec
     tol = state.tolerances.spectral
     failed: list[str] = []
@@ -140,21 +105,15 @@ def verify_main_theorem(state: FlowState) -> RunReport:
         )
     failed += failed_claims(state)
 
-    status = "pass" if not failed else "fail"
-    if state.status == "hypothesis-violated":
-        status = "hypothesis-violated"
-    return RunReport(
-        fingerprint=model_fingerprint(spec),
-        d=spec.lat.d,
-        N=spec.lat.N,
-        M=spec.M,
-        t=spec.t,
-        seed=spec.rng_seed,
-        j_max=state.j_max,
-        status=status,
-        failed_clauses=failed,
-        steps=[_step_dict(r) for r in state.history],
-        final={
+    return {
+        "schema": "gapflow-report/2",
+        "fingerprint": model_fingerprint(spec),
+        "model": dict(d=spec.lat.d, N=spec.lat.N, M=spec.M, t=spec.t, seed=spec.rng_seed),
+        "j_max": state.j_max,
+        "status": verdict(failed),
+        "failed_clauses": failed,
+        "steps": [_step_dict(r) for r in state.history],
+        "final": {
             "ground_energy": float(wt[0]),
             "delta": delta,
             "delta_from_original": delta_original,
@@ -171,8 +130,8 @@ def verify_main_theorem(state: FlowState) -> RunReport:
             ),
             "flow_status": state.status,
         },
-        norm_audit=norm_decay_audit(state),
-    )
+        "norm_audit": norm_decay_audit(state),
+    }
 
 
 def _shape_vectors(lat: LatticeSpec, max_sites: int):

@@ -156,6 +156,68 @@ MALFORMED_VALUES = [
 ]
 
 
+SXSX = [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+
+
+def _with_entry(matrix, i, j, value):
+    rows = [list(row) for row in matrix]
+    rows[i][j] = value
+    return rows
+
+
+# (the key the error names, config change); each string, boolean and
+# non-integer ran to "status: pass" when values were converted with int()
+# and dtype=complex, and each non-finite entry was refused as not Hermitian
+MISTYPED_ENTRIES = [
+    ("potentials[0].k", {"potentials": [{"k": [1.5], "q": [1], "matrix": SXSX}]}),
+    ("potentials[0].q", {"potentials": [{"k": [1], "q": ["1"], "matrix": SXSX}]}),
+    ("potentials[0].k", {"potentials": [{"k": [True], "q": [1], "matrix": SXSX}]}),
+    ("potentials[0].k", {"potentials": [{"k": 1, "q": [1], "matrix": SXSX}]}),
+    (
+        "potentials[0].matrix",
+        {"potentials": [{"k": [1], "q": [1], "matrix": _with_entry(SXSX, 0, 0, "0.5")}]},
+    ),
+    (
+        "potentials[0].matrix",
+        {"potentials": [{"k": [1], "q": [1], "matrix": _with_entry(SXSX, 0, 3, True)}]},
+    ),
+    (
+        "potentials[0].matrix",
+        {"potentials": [{"k": [1], "q": [1], "matrix": _with_entry(SXSX, 0, 3, [1, "0"])}]},
+    ),
+    (
+        "potentials[0].matrix",
+        {"potentials": [{"k": [1], "q": [1], "matrix": _with_entry(SXSX, 0, 0, float("nan"))}]},
+    ),
+    ("onsite", {"onsite": [[0, 0], [0, "1"]]}),
+    ("onsite", {"onsite": [[0, 0], [0, [True, 0]]]}),
+    ("onsite", {"onsite": [[0, 0], [0, [float("inf"), 0]]]}),
+]
+
+
+class TestMistypedEntries:
+    @pytest.mark.parametrize("key, change", MISTYPED_ENTRIES, ids=json.dumps)
+    def test_refused_naming_the_key(self, tmp_path, capsys, key, change):
+        path = write_config(tmp_path, {"d": 1, "N": 2, "t": 0.05, **change})
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(path)
+        assert main(["--config", path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {key}"), lines
+
+    def test_well_typed_entries_parse(self, tmp_path):
+        pairs = [[[x, 0.0] for x in row] for row in SXSX]
+        payload = {
+            "d": 1,
+            "N": 2,
+            "t": 0.05,
+            "onsite": [[0, 0], [0, 1.0]],
+            "potentials": [{"k": [1], "q": [1], "matrix": pairs}],
+        }
+        cfg = parse_config(write_config(tmp_path, payload))
+        assert build_model(cfg).potentials[0][0] == Rect((1,), (1,))
+
+
 class TestMalformedValues:
     @pytest.mark.parametrize("change", MALFORMED_VALUES, ids=json.dumps)
     def test_exit_two_with_one_error_line(self, tmp_path, capsys, change):

@@ -186,7 +186,7 @@ class TestEnumerateBranches:
         )
         spec, state = flow_state(1, 4)
         v1n = {r.rect: r.v1_norm for r in state.history if not r.skipped}
-        assert verify_main_theorem(state).passed()
+        assert verify_main_theorem(state)["status"] == "pass"
         exps = [
             enumerate_branches(spec.lat.full_rect(), root, state)
             for root in enumerate_steps(spec.lat)

@@ -24,6 +24,7 @@ from gapflow.flow import (
     regime_of,
     run_flow,
     set_entry,
+    verdict,
 )
 from gapflow.geometry import LatticeSpec, Rect, all_rects, compare_step, enumerate_steps
 from gapflow.model import ModelSpec, build_hamiltonian, default_onsite, random_model
@@ -351,8 +352,8 @@ class TestRunFlow:
         clause = f"norm-decay: circumference 2 norm 1 above bound {0.05 ** 0.25:.6g}"
         assert state.failures == [clause]
         report = verify_main_theorem(state)
-        assert report.status == "hypothesis-violated"
-        assert [c for c in report.failed_clauses if c.startswith("norm-decay")] == [clause]
+        assert report["status"] == "hypothesis-violated"
+        assert [c for c in report["failed_clauses"] if c.startswith("norm-decay")] == [clause]
 
     def test_gap_slack_moves_the_step_gap_abort(self):
         # block-diagonal potentials lowering every excited level put the
@@ -367,7 +368,7 @@ class TestRunFlow:
         state = run_flow(spec, tolerances=Tolerances(gap_slack=1e-3))
         assert 0.499 < min(rec.g_gap for rec in state.history) < 0.5
         report = verify_main_theorem(state)
-        assert not [c for c in report.failed_clauses if c.startswith("step-gap")]
+        assert not [c for c in report["failed_clauses"] if c.startswith("step-gap")]
 
     def test_final_mode_checks_the_last_series_step(self):
         # only the first edge carries a potential, so the last step is
@@ -379,12 +380,29 @@ class TestRunFlow:
         assert [rec.residual is not None for rec in state.history] == [True, False, False]
         assert state.history[0].residual <= state.tolerances.consistency
 
+    def test_every_step_mode_checks_only_series_steps(self):
+        # the same flow in every-step mode: the skipped steps make no oracle
+        # call and keep no residual, as in final mode
+        pots = [(Rect((1,), (1,)), np.kron(SX, SX))]
+        spec = ModelSpec(LatticeSpec(1, 3), SiteSpace(2), default_onsite(2), pots, 0.05)
+        with mock.patch.object(flow, "consistency_check", wraps=flow.consistency_check) as oracle:
+            state = run_flow(spec, check_consistency="every-step")
+        assert oracle.call_count == 1
+        assert [rec.skipped for rec in state.history] == [False, True, True]
+        assert [rec.residual is not None for rec in state.history] == [True, False, False]
+        assert state.history[0].residual <= state.tolerances.consistency
+
+    def test_verdict_of_failed_clauses(self):
+        assert verdict([]) == "pass"
+        assert verdict(["gap: transformed gap 0.4 below 1/2"]) == "fail"
+        assert verdict(["step-gap: x", "norm-decay: y"]) == "hypothesis-violated"
+
     def test_vacuum_energy_cross_check(self):
         # the transformed vacuum energy Kt[0,0] is the original ground energy
         spec = random_model(LatticeSpec(1, 4), 2, 0.05, seed=30)
         report = verify_main_theorem(run_flow(spec))
         ground = np.linalg.eigvalsh(build_hamiltonian(spec).matrix)[0]
-        assert abs(report.final["vacuum_energy"] - ground) < 1e-10
+        assert abs(report["final"]["vacuum_energy"] - ground) < 1e-10
 
     def test_step_records_carry_generators(self):
         # non-skipped records carry a generator vector, skipped ones None
