@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -251,7 +252,11 @@ def write_report(report: dict, path: str) -> None:
 
 def run(config: RunConfig, force: bool = False) -> int:
     """Execute the flow plus requested checks; 0 pass, 1 check failure,
-    2 configuration or convergence error."""
+    2 configuration, output or convergence error."""
+    for path in (config.report_path, config.csv_path):
+        if path is not None and not (path and os.path.isdir(os.path.dirname(path) or ".")):
+            print(f"error: cannot write output {path!r}: no such directory", file=sys.stderr)
+            return 2
     try:
         spec = build_model(config)
     except (ConfigError, ValueError) as exc:
@@ -280,10 +285,14 @@ def run(config: RunConfig, force: bool = False) -> int:
             report["status"] = verdict(clauses)
     report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
-    if config.report_path:
-        write_report(report, config.report_path)
-    if config.csv_path:
-        write_csv(report, config.csv_path)
+    try:
+        if config.report_path:
+            write_report(report, config.report_path)
+        if config.csv_path:
+            write_csv(report, config.csv_path)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     status = report["status"]
     print(f"status: {status}")

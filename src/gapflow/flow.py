@@ -57,22 +57,18 @@ def set_entry(interactions: dict[Rect, LocalOp], key: Rect, op: LocalOp) -> None
     below the prune threshold. Entry matrices are shared, never mutated."""
     if op.support != key:
         raise ValueError(f"entry support {op.support} does not match key {key}")
-    # ||A|| lies between ||A||_F / sqrt(n) and ||A||_F, and between the
-    # largest column norm and sqrt(||A||_1 ||A||_inf); the entry's own
-    # cached norm, which the audit reads later anyway, is taken only when
-    # all four bounds leave the decision open (a potential is Hermitian, so
-    # a non-Hermitian entry is refused there)
-    mat = op.matrix
+    # ||A|| lies between ||A||_F / sqrt(n) and ||A||_F and is at least the
+    # largest column norm; the entry's cached norm, which the audit reads
+    # later anyway, decides only when these bounds do not (a potential is
+    # Hermitian, so a non-Hermitian entry is refused there)
     if op.fro_norm <= PRUNE_THRESHOLD:
         keep = False
     elif op.fro_norm > PRUNE_THRESHOLD * np.sqrt(op.dim) or (
-        np.linalg.norm(mat, axis=0).max() > PRUNE_THRESHOLD
+        np.linalg.norm(op.matrix, axis=0).max() > PRUNE_THRESHOLD
     ):
         keep = True
     else:
-        absolute = np.abs(mat)
-        upper = np.sqrt(absolute.sum(0).max() * absolute.sum(1).max())
-        keep = upper > PRUNE_THRESHOLD and op.norm > PRUNE_THRESHOLD
+        keep = op.norm > PRUNE_THRESHOLD
     if keep:
         interactions[key] = op
     else:
@@ -148,8 +144,20 @@ class FlowState:
     tolerances: Tolerances = field(default_factory=Tolerances)
     history: list[StepRecord] = field(default_factory=list)
     map_snapshots: list[dict[Rect, LocalOp]] | None = None
-    status: str = "running"
-    failures: list[str] = field(default_factory=list)
+
+    @property
+    def failures(self) -> list[str]:
+        """``failed_claims(self)``, however the flow ran."""
+        return failed_claims(self)
+
+    @property
+    def status(self) -> str:
+        """``running`` until every step has run, then ``hypothesis-violated``
+        if ``verdict`` says so for ``failures``, else ``completed``."""
+        if len(self.history) < len(enumerate_steps(self.spec.lat)):
+            return "running"
+        violated = verdict(self.failures) == "hypothesis-violated"
+        return "hypothesis-violated" if violated else "completed"
 
 
 def initial_state(
@@ -352,9 +360,9 @@ def run_flow(
     force: bool = False,
     keep_history: bool = False,
 ) -> FlowState:
-    """Execute every step in order; ``state.failures`` lists the claims
-    ``failed_claims`` fails, and a failed norm-decay row downgrades
-    ``state.status`` to ``hypothesis-violated`` instead of aborting.
+    """Execute every step in order. A failed norm-decay row does not abort:
+    it shows in ``state.failures`` and makes ``state.status``
+    ``hypothesis-violated``.
 
     ``check_consistency``: one of ``never | final | every-step | auto``
     (auto = every step for N <= 3, final otherwise). Either mode checks only
@@ -391,10 +399,6 @@ def run_flow(
     if last_series is not None:
         prev, after = last_series
         _check_step(assemble_hamiltonian(prev), after, force)
-
-    state.failures = failed_claims(state)
-    violated = verdict(state.failures) == "hypothesis-violated"
-    state.status = "hypothesis-violated" if violated else "completed"
     return state
 
 
@@ -426,7 +430,7 @@ def _step_failures(rec: StepRecord, tolerances: Tolerances) -> list[str]:
 def failed_claims(state: FlowState) -> list[str]:
     """Every failed per-step claim of the flow, judged with
     ``state.tolerances`` and in step order, then every failed norm-decay
-    row: the verdicts ``run_flow`` and ``verify_main_theorem`` share."""
+    row: the verdicts ``FlowState`` and ``verify_main_theorem`` share."""
     failed = [clause for rec in state.history for clause in _step_failures(rec, state.tolerances)]
     for row in norm_decay_audit(state):
         if not row["pass"]:

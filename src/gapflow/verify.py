@@ -106,7 +106,7 @@ def verify_main_theorem(state: FlowState) -> dict:
     failed += failed_claims(state)
 
     return {
-        "schema": "gapflow-report/2",
+        "schema": "gapflow-report/3",
         "fingerprint": model_fingerprint(spec),
         "model": dict(d=spec.lat.d, N=spec.lat.N, M=spec.M, t=spec.t, seed=spec.rng_seed),
         "j_max": state.j_max,
@@ -128,7 +128,6 @@ def verify_main_theorem(state: FlowState) -> dict:
                 (r.residual for r in state.history if r.residual is not None),
                 default=None,
             ),
-            "flow_status": state.status,
         },
         "norm_audit": norm_decay_audit(state),
     }

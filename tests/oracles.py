@@ -348,7 +348,6 @@ def dense_step_series(J, g, e0, v1, t, j_max=12):
         tail_bound=tail_bound,
         tail_certified=certified,
         term_norms=term_norms,
-        majorant=maj,
         generator=s_total[:, 0],
         v1=v1,
         v_diag_total=LocalOp(J, v_diag, v1.M),

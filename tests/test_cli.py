@@ -20,7 +20,8 @@ from gapflow.cli import (
     parse_config,
 )
 from gapflow.flow import StepRecord, Tolerances, norm_decay_audit, run_flow
-from gapflow.geometry import Rect
+from gapflow.geometry import LatticeSpec, Rect
+from gapflow.model import random_model
 from gapflow.tensor import hermitian_norm
 
 
@@ -130,6 +131,17 @@ class TestReadmeSchema:
         listed = re.search(r"`steps` list has exactly\s+the keys\s+`([^`]*)`", self.readme)
         rec = StepRecord(0, Rect((1,), (1,)), 1, g_gap=1.0, e0=0.0, regime="R3")
         assert [name.strip() for name in listed.group(1).split(",")] == list(verify._step_dict(rec))
+
+    def test_report_keys(self):
+        def listed(lead):
+            names = re.search(lead + r"\s+`([^`]*)`", self.readme).group(1)
+            return [name.strip() for name in names.split(",")]
+
+        report = verify.verify_main_theorem(run_flow(random_model(LatticeSpec(1, 2), 2, 0.05, 1)))
+        schema = re.search(r'`"schema": "([^"]*)"`', self.readme).group(1)
+        assert schema == report["schema"]
+        assert listed("returns exactly the top-level keys") == list(report)
+        assert listed("`final` object has exactly the keys") == list(report["final"])
 
 
 MALFORMED_VALUES = [
@@ -250,6 +262,35 @@ class TestRun:
             rows = list(csv.reader(fh))
         assert rows[0] == CSV_COLUMNS
         assert len(rows) == 1 + len(rep["steps"])
+
+    @pytest.mark.parametrize(
+        "output, argv",
+        [
+            ({"report": "{missing}/r.json"}, []),
+            ({"report": ""}, []),
+            ({"csv": "{missing}/x.csv"}, []),
+            ({}, ["--emit-csv", "{missing}/x.csv"]),
+        ],
+        ids=["report", "empty report", "csv", "--emit-csv"],
+    )
+    def test_unwritable_output_refused_before_the_flow(
+        self, tmp_path, capsys, monkeypatch, output, argv
+    ):
+        missing = str(tmp_path / "missing")
+        monkeypatch.setattr(cli, "run_flow", lambda *a, **k: pytest.fail("the flow ran"))
+        output = {key: path.format(missing=missing) for key, path in output.items()}
+        payload = {"d": 1, "N": 2, "t": 0.05, "output": output}
+        argv = [arg.format(missing=missing) for arg in argv]
+        assert main(["--config", write_config(tmp_path, payload), *argv]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write output"), lines
+
+    def test_write_error_exit_two(self, tmp_path, capsys):
+        # the directory exists, but the report path names a directory
+        payload = {"d": 1, "N": 2, "t": 0.05, "output": {"report": str(tmp_path)}}
+        assert main(["--config", write_config(tmp_path, payload)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
     def test_diverging_coupling_exit_two(self, tmp_path):
         payload = {"d": 1, "N": 2, "t": 3.0, "seed": 1}

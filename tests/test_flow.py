@@ -28,7 +28,7 @@ from gapflow.flow import (
 )
 from gapflow.geometry import LatticeSpec, Rect, all_rects, compare_step, enumerate_steps
 from gapflow.model import ModelSpec, build_hamiltonian, default_onsite, random_model
-from gapflow.schwinger import GapError, generator_exponential, rotation_delta
+from gapflow.schwinger import GapError, assemble_g, generator_exponential, rotation_delta
 from gapflow.tensor import (
     LocalOp,
     SiteSpace,
@@ -77,23 +77,22 @@ class TestInteractionMap:
         [
             # Frobenius norm just below the threshold: pruned without a norm
             pytest.param(np.diag([1 - 1e-9, 0, 0, 0]), False, id="below threshold"),
-            # just above it, sqrt(||A||_1 ||A||_inf) at or below the
-            # threshold prunes, and a column norm above it keeps, either
-            # way without a norm
+            # just above it, a column norm above the threshold keeps without
+            # a norm; with every column norm below it the norm prunes
             pytest.param(
-                np.diag([0.5 + 1e-9, 0.5, 0.5, 0.5]), False, id="above threshold, spread"
+                np.diag([0.5 + 1e-9, 0.5, 0.5, 0.5]), True, id="above threshold, spread"
             ),
             pytest.param(np.diag([1 + 1e-9, 0, 0, 0]), False, id="above threshold, rank one"),
-            # just below sqrt(n) times the threshold the row bound prunes;
-            # just above it the entry is kept by the Frobenius norm
-            pytest.param(np.diag([1 - 1e-9] * 4), False, id="below sqrt(n) bound"),
+            # just below sqrt(n) times the threshold the norm prunes; just
+            # above it the entry is kept by the Frobenius norm
+            pytest.param(np.diag([1 - 1e-9] * 4), True, id="below sqrt(n) bound"),
             pytest.param(np.diag([1 + 1e-9] * 4), False, id="above sqrt(n) bound"),
-            # when all four bounds straddle the threshold the entry's own
+            # when all three bounds straddle the threshold the entry's own
             # (Hermitian) norm decides
             pytest.param((1 + 1e-9) / 4 * np.ones((4, 4)), True, id="straddled, above"),
             pytest.param((1 - 1e-9) / 2 * HADAMARD, True, id="straddled, below"),
             # a non-Hermitian entry is no potential: where the bounds leave
-            # the decision open (here one row has ||A|| = 2 ||A||_1), its
+            # the decision open (here each column norm is half of ||A||), its
             # norm refuses it
             pytest.param(
                 (1 + 1e-9) / 2 * np.outer([1, 0, 0, 0], [1, 1, 1, 1]),
@@ -319,6 +318,28 @@ class TestRunFlow:
         for key, op in state.interactions.items():
             if key.circumference >= 1:
                 assert offdiag_norm(op.matrix) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "d, N, t",
+        [(1, 8, 0.05), (1, 8, 0.2), (2, 3, 0.1), (3, 2, 0.02), (1, 6, 0.05)],
+    )
+    def test_every_g_fixes_the_vacuum_exactly(self, monkeypatch, d, N, t):
+        # an entry strictly inside a step rectangle was stored by its own,
+        # earlier step as a block-diagonal v_diag_total, so every G the flow
+        # assembles has its vacuum row and column exactly zero off the
+        # diagonal; assemble_g's one vacuum check relies on this
+        seen = []
+
+        def checked(J, interactions, t):
+            g, e0 = assemble_g(J, interactions, t)
+            seen.append(offdiag_norm(g.matrix))
+            return g, e0
+
+        monkeypatch.setattr(flow, "assemble_g", checked)
+        spec = random_model(LatticeSpec(d, N), 2, t, seed=1)
+        state = run_flow(spec, check_consistency="never", force=True)
+        assert len(seen) >= len(state.history)
+        assert seen == [0.0] * len(seen)
 
     def test_block_diagonal_entry_has_no_cross_terms_upstairs(self):
         # a block-diagonal potential embedded in a larger rectangle connects

@@ -19,6 +19,7 @@ from gapflow.schwinger import (
     MAJORANT_A,
     STACK_TABLE_BYTES,
     ConvergenceError,
+    GapError,
     assemble_g,
     check_g_gap,
     generator_exponential,
@@ -99,13 +100,14 @@ class TestAssembleG:
         spec = edge_model(0.05)
         entries = initial_interactions(spec)
         target = Rect((1,), (1,))
-        bad = np.kron(SX, np.eye(2)) @ np.kron(np.eye(2), SX)
         entries[Rect((0,), (1,))] = LocalOp(Rect((0,), (1,)), np.diag([0.0, 1.0]), 2)
-        # a strictly inner entry with off-block weight must be refused
+        # a strictly inner entry with off-block weight must be refused, also
+        # a non-Hermitian one whose weight lies in the vacuum row alone
         inner = Rect((0,), (2,))
-        entries[inner] = LocalOp(inner, SX + np.diag([0.0, 1.0]), 2)
-        with pytest.raises(Exception, match="not yet diagonalized|does not fix"):
-            assemble_g(target, entries, 0.05)
+        for mat in (SX + np.diag([0.0, 1.0]), np.array([[0.0, 1.0], [0.0, 1.0]])):
+            entries[inner] = LocalOp(inner, mat, 2)
+            with pytest.raises(GapError, match="does not fix"):
+                assemble_g(target, entries, 0.05)
 
 
 class TestAdjointPower:
@@ -701,5 +703,5 @@ class TestMajorants:
     def test_terms_dominated_by_majorants(self):
         for seed in (20, 21, 22):
             ops, *_ = edge_series(0.05, seed=seed, j_max=10)
-            for nrm, bj in zip(ops.term_norms, ops.majorant.b):
+            for nrm, bj in zip(ops.term_norms, majorants(ops.v1_norm, 10).b):
                 assert nrm <= bj * (1 + 1e-12)

@@ -85,8 +85,13 @@ class TestVerifyMainTheorem:
         spec = ModelSpec(LatticeSpec(1, 3), SiteSpace(2), default_onsite(2), pots, 0.05, k_bar=2)
         stepped = initial_state(spec)
         for _ in enumerate_steps(spec.lat):
+            assert stepped.status == "running"
             stepped, _ = apply_step(stepped)
-        flowed, stepwise = verify_main_theorem(run_flow(spec)), verify_main_theorem(stepped)
+        state = run_flow(spec)
+        # the state's own status and failures are derived the same way
+        assert (stepped.status, stepped.failures) == (state.status, state.failures)
+        assert state.status == "hypothesis-violated"
+        flowed, stepwise = verify_main_theorem(state), verify_main_theorem(stepped)
         assert flowed["status"] == stepwise["status"] == "hypothesis-violated"
         assert flowed["failed_clauses"] == stepwise["failed_clauses"]
         assert any(c.startswith("norm-decay:") for c in flowed["failed_clauses"])
