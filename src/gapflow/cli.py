@@ -327,6 +327,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--emit-csv", default=None, help="write per-step diagnostics CSV here")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
 
     try:
         config = parse_config(args.config)

@@ -357,15 +357,14 @@ def weighted_branch_sum(
     expansion: BranchExpansion,
     t: float,
     v1_norms: dict[Rect, float],
-    c: float | None = None,
 ) -> tuple[float, float]:
     """(sum of branch-operator norms, weighted path bound); lhs <= rhs.
 
     Each generator rectangle contributes c*t times the norm of the
-    potential its step consumed; the leaf contributes its own norm. ``c``
-    defaults to the constant measured during the expansion.
+    potential its step consumed, for the constant c measured during the
+    expansion (``measured_c``); the leaf contributes its own norm.
     """
-    cc = expansion.measured_c if c is None else c
+    cc = expansion.measured_c
     lhs = 0.0
     rhs = 0.0
     for b in expansion.branches:

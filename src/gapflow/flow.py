@@ -83,15 +83,12 @@ class StepRecord:
     defaults of the series fields. ``generator`` is the vector X of the step
     generator S = X e0^+ - e0 X^+, or None for a skipped step. ``residual``
     is the consistency oracle's Frobenius distance, or None when the step
-    was not checked.
+    was not checked. A record's index is its position in the history.
     """
 
-    index: int
     rect: Rect
-    circumference: int
     g_gap: float
     e0: float
-    regime: str
     s_norm: float = 0.0
     v1_norm: float = 0.0
     tail_bound: float = 0.0
@@ -102,7 +99,10 @@ class StepRecord:
     v_diag_total: LocalOp | None = None
     generator: np.ndarray | None = None
     residual: float | None = None
-    skipped: bool = False
+
+    @property
+    def skipped(self) -> bool:
+        return self.generator is None
 
 
 # the StepRecord fields a series step copies from its StepOperators
@@ -273,14 +273,7 @@ def apply_step(
         ops = lie_schwinger_series(terms, spec.t)
         fields = {name: getattr(ops, name) for name in _SERIES_FIELDS}
         fields.update(g_gap=ops.gap, e0=ops.e0)
-    record = StepRecord(
-        index=len(state.history),
-        rect=J,
-        circumference=J.circumference,
-        regime=regime_of(J, spec.lat.full_rect()),
-        skipped=ops is None,
-        **fields,
-    )
+    record = StepRecord(rect=J, **fields)
     # the record has no residual yet, so only its gap can fail here
     failed = _step_failures(record, state.tolerances)
     if failed and not force:

@@ -25,7 +25,9 @@ def default_onsite(M: int) -> np.ndarray:
 
 
 def _validate_onsite(h: np.ndarray, M: int) -> np.ndarray:
-    h = np.asarray(h, dtype=complex)
+    """A copy of the checked on-site matrix ``h`` whose vacuum row and column
+    are exactly zero: every G of the flow must fix the vacuum exactly."""
+    h = np.array(h, dtype=complex)
     if h.shape != (M, M):
         raise ValueError(f"onsite matrix must be {M}x{M}, got {h.shape}")
     # the test every later norm and spectrum of the flow applies
@@ -40,6 +42,7 @@ def _validate_onsite(h: np.ndarray, M: int) -> np.ndarray:
     rest = np.linalg.eigvalsh(h[1:, 1:])
     if rest.size and rest[0] < 1.0 - 1e-10:
         raise ValueError(f"onsite gap < 1: spectrum on the vacuum complement starts at {rest[0]}")
+    h[0] = h[:, 0] = 0.0
     return h
 
 

@@ -20,15 +20,16 @@ The vacuum projection of the step rectangle is the rank-one E_00, so every
 generator is rank two: S_j = x_j e0^+ - e0 x_j^+ with x_j orthogonal to e0,
 and only the vectors x_j are kept. A commutator [S_r, T] needs only T x_r,
 x_r^+ T, T e0 and e0^+ T. For T = V the other side is V e0 or V x_r. For
-T = G it needs no product with G at all: x_r = R b_r for the resolvent
+T = G it needs no product with G at all: G fixes the vacuum (``assemble_g``
+refuses any G that does not), x_r = R b_r for the resolvent
 R = (G' - e0)^-1 of the excited block and b_r the excited part of v_r e0,
-so G x_r = e0 x_r + b_r + (g^+ x_r) e0 with g = G[1:, 0], and
+so G x_r = e0 x_r + b_r and
 
-  [S_r, G] = -(b_r e0^+ + e0 b_r^+) + (x_r g^+ + g x_r^+) - 2 Re(g^+ x_r) E_00,
+  [S_r, G] = -(b_r e0^+ + e0 b_r^+)
 
-exactly, for any Hermitian G. So every table entry is a Hermitian operator
-that vanishes off Z = span(e0, G e0, V e0, x_r, V x_r : r < j_max), of
-dimension D <= min(n, 2 j_max + 1) whatever the support dimension n, and is
+exactly. So every table entry is a Hermitian operator that vanishes off
+Z = span(e0, V e0, x_r, V x_r : r < j_max), of dimension
+D <= min(n, 2 j_max) whatever the support dimension n, and is
 stored as its D x D coordinate matrix Z^+ T Z against an orthonormal basis
 of Z. In those coordinates [S, T] = W + W^+ with W = c (e0^+ T) - e0 (c^+ T)
 for x = Z c, so one batched commutator gives every chain length of an order.
@@ -68,7 +69,7 @@ GAP_FLOOR = 0.5
 GAP_WARN = 0.25
 GP_MINUS_TOL = 1e-10
 EMPIRICAL_TAIL_SAFETY = 2.0
-# a vector (G e0, V e0, x_r or V x_r) whose part outside the series basis
+# a vector (V e0, x_r or V x_r) whose part outside the series basis
 # built so far is at most this fraction of its norm lies in that span to
 # rounding and adds no column
 BASIS_DEPENDENCE_TOL = 1e-14
@@ -161,10 +162,10 @@ class StepOperators:
     ``generator`` the vector X = sum_j t^j x_j of the step generator
     S = X e0^+ - e0 X^+; ``generator_exponential(generator)`` is exp(S).
     ``basis`` is an orthonormal basis Z of
-    span(e0, G e0, V e0, x_r, V x_r : r < j_max) for G = ``g`` and
-    V = ``v1``, with Z[:, 0] = e0: all of C^n for a support dimension
-    n <= 2 j_max + 1, otherwise at most 2 j_max + 1 columns wide, built
-    without any product with G (see the module docstring). ``v_coords``
+    span(e0, V e0, x_r, V x_r : r < j_max) for V = ``v1``, with
+    Z[:, 0] = e0: all of C^n for a support dimension n <= 2 j_max + 1,
+    otherwise at most 2 j_max columns wide, built without any product with
+    G = ``g`` (see the module docstring). ``v_coords``
     holds the coefficients v_j for j >= 2 as Hermitian coordinate matrices
     v = Z^+ v_j Z against its first len(v) columns, so v_j = Z v Z^+; v_1 is
     ``v1`` itself. ``od_residual`` is the off-block norm of the conjugated
@@ -205,12 +206,12 @@ def assemble_g(
         raise ValueError(f"no on-site terms found inside {J}; interaction map is incomplete")
     g = embedded_sum(coupled(inner, t), J, inner[0].M)
     total = g.matrix
-    # on a flow state every inner entry is an earlier step's block-diagonal
-    # v_diag_total, so this refuses only a map built otherwise
-    residual = max(offdiag_norm(total), abs(total[0, 0].imag))
-    if residual > GP_MINUS_TOL:
+    # the series needs G e0 = e0 e0 exactly; on a flow state every inner
+    # entry fixes the vacuum exactly, so this refuses only a map built otherwise
+    off, imag = offdiag_norm(total), abs(total[0, 0].imag)
+    if off or imag > GP_MINUS_TOL:
         raise GapError(
-            f"local operator on {J} does not fix the vacuum vector (residual {residual:.3g})"
+            f"local operator on {J} does not fix the vacuum vector (residual {max(off, imag):.3g})"
         )
     return g, float(total[0, 0].real)
 
@@ -389,17 +390,15 @@ def _ad_first(c: np.ndarray, a0: np.ndarray, ax: np.ndarray) -> np.ndarray:
     return h
 
 
-def _ad_g(c: np.ndarray, leak: np.ndarray, excited: np.ndarray) -> np.ndarray:
-    """[S, G] for S = x e0^+ - e0 x^+ with x = Z c, from no product with G.
+def _ad_g(excited: np.ndarray) -> np.ndarray:
+    """[S, G] = -(b e0^+ + e0 b^+) for S = x e0^+ - e0 x^+, from no product
+    with G, where b (with b[0] = 0) is ``excited`` (leading axes stack).
 
-    For x = R b, where R = (G' - e0)^-1 on the excited block and b (with
-    b[0] = 0) is ``excited``, and g = G[1:, 0] (``leak``, with g[0] = 0),
-    G x = e0 x + b + (g^+ x) e0, so
-    [S, G] = -(b e0^+ + e0 b^+) + (x g^+ + g x^+) - 2 Re(g^+ x) E_00.
+    G fixes the vacuum, G e0 = e0 e0, and x = R b for R = (G' - e0)^-1 on
+    the excited block, so G x = e0 x + b.
     """
-    h = c[..., :, None] * leak.conj()[..., None, :]
+    h = np.zeros(excited.shape + excited.shape[-1:], dtype=complex)
     h[..., :, 0] -= excited
-    h[..., 0, 0] -= (leak.conj() * c).sum(-1).real
     h += adjoint(h)
     return h
 
@@ -408,16 +407,16 @@ class _SeriesBasis:
     """Orthonormal bases Z (Z[:, 0] = e0) of the series spans of a stack of
     steps of dimension n. For n <= 2 j_max + 1 each basis is C^n itself, so
     coordinates are the vectors; otherwise (a stack of one, see
-    ``stack_limit``) it grows by two-pass Gram-Schmidt up to 2 j_max + 1
-    columns, one per vector the series offers, and unbuilt columns stay
-    zero, so coordinates keep their meaning as it grows."""
+    ``stack_limit``) it grows by two-pass Gram-Schmidt up to 2 j_max
+    columns, e0 and one per vector the series offers, and unbuilt columns
+    stay zero, so coordinates keep their meaning as it grows."""
 
     def __init__(self, k: int, n: int, j_max: int):
         self.full = n <= 2 * j_max + 1
         if self.full:
             self.width = self.width_max = n
             return
-        self.width, self.width_max = 1, 2 * j_max + 1
+        self.width, self.width_max = 1, 2 * j_max
         self.q = np.zeros((k, n, self.width_max), dtype=complex)
         self.qh = np.zeros((k, self.width_max, n), dtype=complex)
         self.q[:, 0, 0] = self.qh[:, 0, 0] = 1.0
@@ -522,9 +521,6 @@ def _run_stack(
 
     basis = _SeriesBasis(k, dim, j_max)
     width_max = basis.width_max
-    g0 = basis.coords(G[:, :, 0])  # G e0
-    leak = g0.copy()  # g = G[1:, 0], G e0 less its vacuum part
-    leak[:, 0] = 0.0
     v0 = basis.coords(V[:, :, 0])  # V e0
     xs = np.zeros((k, j_max, dim), dtype=complex)  # [:, r - 1] holds x_r
     cs = np.zeros((k, j_max, width_max), dtype=complex)  # x_r = Z c_r
@@ -560,7 +556,7 @@ def _run_stack(
             cs[:, j - 1] = cx = basis.coords(x)
             vx = basis.coords(_matvec(V, x))
             # [S_j, G] has order j, [S_j, V] order j + 1
-            tab[:, 1, j] += _ad_g(cx, leak, excited)
+            tab[:, 1, j] += _ad_g(excited)
             tab[:, 1, j + 1] = _ad_first(cx, v0, vx)
 
     # zero padding to the final width adds only zero eigenvalues, so each

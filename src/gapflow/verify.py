@@ -13,7 +13,9 @@ from itertools import product
 
 import numpy as np
 
-from .flow import FlowState, assemble_hamiltonian, failed_claims, norm_decay_audit, verdict
+from .flow import (
+    FlowState, assemble_hamiltonian, failed_claims, norm_decay_audit, regime_of, verdict
+)
 from .geometry import LatticeSpec, Rect
 from .model import ModelSpec, build_hamiltonian
 from .schwinger import GAP_FLOOR
@@ -43,12 +45,12 @@ def model_fingerprint(spec: ModelSpec) -> str:
     return h.hexdigest()[:16]
 
 
-def _step_dict(rec) -> dict:
+def _step_dict(index: int, rec, full: Rect) -> dict:
     return {
-        "index": rec.index,
+        "index": index,
         "k": list(rec.rect.k),
         "q": list(rec.rect.q),
-        "circumference": rec.circumference,
+        "circumference": rec.rect.circumference,
         "skipped": rec.skipped,
         "g_gap": rec.g_gap,
         "e0": rec.e0,
@@ -59,7 +61,7 @@ def _step_dict(rec) -> dict:
         "od_residual": rec.od_residual,
         "step_defect": rec.step_defect,
         "residual": rec.residual,
-        "regime": rec.regime,
+        "regime": regime_of(rec.rect, full),
     }
 
 
@@ -112,7 +114,7 @@ def verify_main_theorem(state: FlowState) -> dict:
         "j_max": state.j_max,
         "status": verdict(failed),
         "failed_clauses": failed,
-        "steps": [_step_dict(r) for r in state.history],
+        "steps": [_step_dict(i, r, spec.lat.full_rect()) for i, r in enumerate(state.history)],
         "final": {
             "ground_energy": float(wt[0]),
             "delta": delta,

@@ -129,8 +129,9 @@ class TestReadmeSchema:
 
     def test_step_keys(self):
         listed = re.search(r"`steps` list has exactly\s+the keys\s+`([^`]*)`", self.readme)
-        rec = StepRecord(0, Rect((1,), (1,)), 1, g_gap=1.0, e0=0.0, regime="R3")
-        assert [name.strip() for name in listed.group(1).split(",")] == list(verify._step_dict(rec))
+        rec = StepRecord(Rect((1,), (1,)), g_gap=1.0, e0=0.0)
+        keys = list(verify._step_dict(0, rec, Rect((2,), (1,))))
+        assert [name.strip() for name in listed.group(1).split(",")] == keys
 
     def test_report_keys(self):
         def listed(lead):
@@ -377,6 +378,33 @@ class TestRun:
             json.loads(rep_a.read_text())["fingerprint"]
             != json.loads(rep_b.read_text())["fingerprint"]
         )
+
+    def test_negative_seed_override_refused(self, tmp_path, capsys):
+        # the config's seed >= 0 rule holds for the flag too, with or
+        # without random potentials
+        for potentials in ("random", []):
+            payload = {"d": 1, "N": 2, "t": 0.05, "potentials": potentials}
+            with pytest.raises(SystemExit) as exc:
+                main(["--config", write_config(tmp_path, payload), "--seed", "-5"])
+            assert exc.value.code == 2
+            assert "--seed" in capsys.readouterr().err
+
+    def test_leaky_onsite_runs_projected(self, tmp_path):
+        # a vacuum column of norm 9e-11 passes validation; the flow runs the
+        # projected on-site term, so every G fixes the vacuum exactly
+        report = tmp_path / "report.json"
+        payload = {
+            "d": 1,
+            "N": 3,
+            "t": 0.05,
+            "seed": 1,
+            "onsite": [[0, 9e-11], [9e-11, 1]],
+            "output": {"report": str(report)},
+        }
+        assert main(["--config", write_config(tmp_path, payload)]) == 0
+        rep = json.loads(report.read_text())
+        assert rep["status"] == "pass"
+        assert rep["final"]["pvac_offblock"] == 0.0
 
     def test_norm_audit_computed_once(self, tmp_path, monkeypatch):
         # across the series, run_flow's audit and verify_main_theorem's audit

@@ -527,13 +527,14 @@ class TestDensePathAgreement:
     def test_random_flows_match_dense_series(self, data):
         # potentials on a random non-empty subset of the edges, so skipped
         # and stacked steps share levels, over a non-default on-site term
-        # whose vacuum column may leak (the g terms of [S_j, G])
+        # whose vacuum column leaks anywhere in the range validation
+        # accepts, which the model projects out
         d, N = data.draw(st.sampled_from([(1, 2), (1, 3), (2, 2)]), label="d, N")
         lat = LatticeSpec(d, N)
         edges = [J for J in all_rects(lat, min_circ=1) if J.circumference == 1]
         chosen = data.draw(st.lists(st.sampled_from(edges), min_size=1, unique=True))
         gap = data.draw(st.floats(1.0, 3.0), label="on-site gap")
-        leak = data.draw(st.floats(0.0, 5e-11 / np.sqrt(lat.n_sites)), label="leak")
+        leak = data.draw(st.floats(0.0, 1e-10, exclude_max=True), label="leak")
         t = data.draw(st.floats(0.0, 0.05), label="t")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         onsite = np.diag([0.0, gap]).astype(complex)

@@ -39,6 +39,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="annihilate the vacuum"):
             ModelSpec(LatticeSpec(1, 2), SiteSpace(2), h, [], 0.0)
 
+    def test_leaky_onsite_is_projected_onto_the_vacuum_complement(self):
+        # a vacuum column of norm 9e-11 (row 0 and column 0, diagonal
+        # included) passes validation; the model keeps a copy with that
+        # row and column exactly zero and leaves the caller's array alone
+        h = np.array([[3e-11, 6e-11 - 6e-11j], [6e-11 + 6e-11j, 1.0]])
+        given = h.copy()
+        assert np.linalg.norm(h[:, 0]) == pytest.approx(9e-11)
+        spec = ModelSpec(LatticeSpec(1, 2), SiteSpace(2), h, [], 0.0)
+        assert not spec.onsite_h[0].any() and not spec.onsite_h[:, 0].any()
+        assert spec.onsite_h[1, 1] == 1.0
+        assert np.array_equal(h, given)
+
     @pytest.mark.parametrize("factor, accepted", [(0.99, True), (1.01, False)])
     def test_onsite_hermiticity_is_the_is_hermitian_bound(self, factor, accepted):
         # a skew entry in the excited block of diag(0, 1, 1): ||h - h^+||_F

@@ -15,7 +15,6 @@ from gapflow import flow
 from gapflow.geometry import LatticeSpec, Rect
 from gapflow.model import ModelSpec, default_onsite, initial_interactions, random_model
 from gapflow.schwinger import (
-    GP_MINUS_TOL,
     MAJORANT_A,
     STACK_TABLE_BYTES,
     ConvergenceError,
@@ -108,6 +107,17 @@ class TestAssembleG:
             entries[inner] = LocalOp(inner, mat, 2)
             with pytest.raises(GapError, match="does not fix"):
                 assemble_g(target, entries, 0.05)
+
+    def test_rejects_any_vacuum_leak(self):
+        # the series takes G e0 = e0 e0 exactly, so even a 1e-13 entry in an
+        # inner entry's vacuum column, far below GP_MINUS_TOL, is refused
+        entries = initial_interactions(edge_model(0.05))
+        inner = Rect((0,), (2,))
+        leaky = np.diag([0.0, 1.0]).astype(complex)
+        leaky[1, 0] = leaky[0, 1] = 1e-13
+        entries[inner] = LocalOp(inner, leaky, 2)
+        with pytest.raises(GapError, match="does not fix"):
+            assemble_g(EDGE, entries, 0.05)
 
 
 class TestAdjointPower:
@@ -380,18 +390,6 @@ class TestSeries:
             ops = assert_matches_dense_oracle(rect, g, v1, 0.1, 0.5 * RADIUS, 8)
         assert ops.gap == check_g_gap(g.matrix, 0.1)
         assert -3.0 <= ops.gap <= -0.5
-
-    def test_vacuum_leak_matches_dense_oracle(self):
-        # G e0 leaves the vacuum line by 5e-11, under the GP_MINUS_TOL that
-        # assemble_g accepts; the series basis must carry that leak
-        rect, g, v1 = gapped_step(2, 4, 0.3, seed=21)
-        leak = np.random.default_rng(22).standard_normal(g.dim - 1)
-        leak *= 5e-11 / np.linalg.norm(leak)
-        G = g.matrix.copy()
-        G[1:, 0] = leak
-        G[0, 1:] = leak
-        assert np.linalg.norm(G[1:, 0]) < GP_MINUS_TOL
-        assert_matches_dense_oracle(rect, LocalOp(rect, G, 2), v1, 0.3, 0.5 * RADIUS, 8)
 
     def test_peak_memory_at_dim_256(self):
         # the chain table holds D x D coordinates with D <= 2 j_max + 1, so one
