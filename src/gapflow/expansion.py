@@ -6,21 +6,50 @@ commutator series applied to the potentials of its growth channels. Each
 surviving term of that unfolding is a branch: an ordered list of generator
 rectangles applied to one leaf potential. Branches are the countable
 objects the norm bookkeeping (weights, paths, component decompositions)
-is built on. A term whose rotation ``schwinger.rotation_delta_bound``
-already puts at or below ``flow.PRUNE_THRESHOLD`` is dropped before it is
-rotated.
+is built on. A term whose rotation the a-priori bound
+(``schwinger.rotation_delta_bound``) already puts at or below
+``flow.PRUNE_THRESHOLD`` is dropped before it is rotated.
+
+A rotated branch u A u^+ - A has rank at most 4 n / n_J for its support
+dimension n and the step rectangle J, and is kept as its ``Border`` of
+2 n^2 / n_J numbers, never as its dense n x n matrix: the dense form is
+made on demand, when the branch is rotated again or summed.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
+
+import numpy as np
 
 from .flow import PRUNE_THRESHOLD, FlowState
 from .geometry import LatticeSpec, Rect, enumerate_steps, g_set, minimal_rectangle
-from .schwinger import rotation_delta_bound, rotation_delta_norm
+from .schwinger import _border_delta, rotation_border_norm, rotation_plane
 from .tensor import LocalOp, embed, embedded_sum
+
+
+@dataclass(frozen=True)
+class Border:
+    """The operator B C + C^+ B^+ on ``support``, for B = I_rest (x) P with
+    J's legs last: the form ``schwinger.rotation_border_norm`` gives a
+    rotation u A u^+ - A by the step generator on J. ``p`` is the plane
+    factor P of J's generator, shared by every border of that step, and
+    ``c`` the 2 n / n_J x n factor C."""
+
+    support: Rect
+    J: Rect
+    p: np.ndarray
+    c: np.ndarray
+    M: int
+
+    def dense(self) -> LocalOp:
+        """The operator as a fresh dense ``LocalOp``."""
+        return LocalOp(
+            self.support, _border_delta(self.support, self.M, self.J, self.p, self.c), self.M
+        )
 
 
 @dataclass
@@ -29,15 +58,27 @@ class Branch:
 
     ``labels`` are the generator rectangles, outermost application first
     (strictly descending in the flow order); ``leaf`` is the support of the
-    potential the commutator maps act on. ``norm`` is the operator norm of
-    ``op``, taken once when the branch is made.
+    potential the commutator maps act on. ``form`` is the branch operator:
+    a leaf's stored ``LocalOp``, or a rotated branch's ``Border``. ``norm``
+    is the operator norm of that operator, taken once when the branch is
+    made.
     """
 
     labels: tuple[Rect, ...]
     leaf: Rect
     leaf_norm: float
-    op: LocalOp
+    form: LocalOp | Border
     norm: float
+
+    @property
+    def support(self) -> Rect:
+        return self.form.support
+
+    @property
+    def op(self) -> LocalOp:
+        """The branch operator as a ``LocalOp``. A border's dense form is
+        made anew on every read and never kept."""
+        return self.form.dense() if isinstance(self.form, Border) else self.form
 
     @property
     def rects(self) -> tuple[Rect, ...]:
@@ -249,6 +290,8 @@ class _Expander:
         self.initial_map = state.initial_map
         self.case_b = {rec.rect: rec.v_diag_total for rec in state.history}
         self.generators = {rec.rect: rec.generator for rec in state.history if not rec.skipped}
+        # each generator's rotation plane, taken once for all its rotations
+        self.planes = {rect: rotation_plane(x) for rect, x in self.generators.items()}
         self.memo: dict[tuple[int, Rect], tuple[list[Branch], float]] = {}
         self.t = state.spec.t
         self.v1_norms = {
@@ -257,22 +300,21 @@ class _Expander:
 
     def apply_a(self, label: Rect, sub: Branch) -> Branch | None:
         """The branch one level up: the commutator series of the step
-        generator applied to the branch operator; None if it would be
-        pruned. A sub-branch whose ``rotation_delta_bound`` is already at or
-        below the prune threshold is neither embedded nor rotated."""
-        x = sub.op
-        if label not in self.generators:
+        generator applied to the branch operator, kept as its ``Border``;
+        None if it would be pruned. A sub-branch whose rotation bound
+        (``plane.bound_factor * sub.norm``) is already at or below the prune
+        threshold is neither made dense nor rotated."""
+        plane = self.planes.get(label)
+        if plane is None or not label.overlaps(sub.support):
             return None
-        if not label.overlaps(x.support):
+        if plane.bound_factor * sub.norm <= PRUNE_THRESHOLD:
             return None
-        if rotation_delta_bound(self.generators[label], sub.norm) <= PRUNE_THRESHOLD:
-            return None
-        common = minimal_rectangle(label, x.support)
-        out, nrm = rotation_delta_norm(embed(x, common), label, self.generators[label])
+        x = embed(sub.op, minimal_rectangle(label, sub.support))
+        c, nrm = rotation_border_norm(x, label, plane)
         if nrm <= PRUNE_THRESHOLD:
             return None
-        result = LocalOp(common, out, x.M)
-        return Branch((label,) + sub.labels, sub.leaf, sub.leaf_norm, result, nrm)
+        border = Border(x.support, label, plane.p, c, x.M)
+        return Branch((label,) + sub.labels, sub.leaf, sub.leaf_norm, border, nrm)
 
     def leaf(self, support: Rect, op: LocalOp | None) -> list[Branch]:
         if op is None:
@@ -349,8 +391,27 @@ def enumerate_branches(
 
 
 def branch_sum(expansion: BranchExpansion, M: int) -> LocalOp:
-    """Sum of all branch operators, embedded on the expansion target."""
-    return embedded_sum(((1.0, b.op) for b in expansion.branches), expansion.target, M)
+    """Sum of all branch operators, embedded on the expansion target.
+
+    Borders of one step J and one support share B, and B C + C^+ B^+ is
+    linear in C, so each such group sums its C factors and is made dense
+    and embedded once. The terms stream into the sum: leaves first, in
+    branch order, then one group at a time in order of first appearance,
+    so at most one group is dense at once.
+    """
+    leaves: list[tuple[float, LocalOp]] = []
+    groups: dict[tuple[Rect, Rect], Border] = {}
+    for b in expansion.branches:
+        form = b.form
+        if not isinstance(form, Border):
+            leaves.append((1.0, form))
+        elif (form.J, form.support) in groups:
+            total = groups[form.J, form.support].c
+            total += form.c
+        else:
+            groups[form.J, form.support] = replace(form, c=form.c.copy())
+    dense = ((1.0, group.dense()) for group in groups.values())
+    return embedded_sum(chain(leaves, dense), expansion.target, M)
 
 
 def weighted_branch_sum(

@@ -205,15 +205,19 @@ def assemble_g(
     if not inner:
         raise ValueError(f"no on-site terms found inside {J}; interaction map is incomplete")
     g = embedded_sum(coupled(inner, t), J, inner[0].M)
-    total = g.matrix
-    # the series needs G e0 = e0 e0 exactly; on a flow state every inner
-    # entry fixes the vacuum exactly, so this refuses only a map built otherwise
-    off, imag = offdiag_norm(total), abs(total[0, 0].imag)
+    _require_fixed_vacuum(J, g.matrix)
+    return g, float(g.matrix[0, 0].real)
+
+
+def _require_fixed_vacuum(J: Rect, g_matrix: np.ndarray) -> None:
+    """Refuse a G on J that does not fix the vacuum, in O(n): the series
+    needs G e0 = e0 e0 exactly. On a flow state every inner entry fixes the
+    vacuum exactly, so this refuses only a G built otherwise."""
+    off, imag = offdiag_norm(g_matrix), abs(g_matrix[0, 0].imag)
     if off or imag > GP_MINUS_TOL:
         raise GapError(
             f"local operator on {J} does not fix the vacuum vector (residual {max(off, imag):.3g})"
         )
-    return g, float(total[0, 0].real)
 
 
 def check_g_gap(g_matrix: np.ndarray, e0: float | np.ndarray) -> float | np.ndarray:
@@ -291,19 +295,27 @@ def _theta(x: np.ndarray) -> float:
     return theta
 
 
-def _rotation_border(op: LocalOp, J: Rect, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The border (P, C) of u A u^+ - A for the Hermitian A = ``op`` and
-    u = exp(S) (x) I, where S = x e0^+ - e0 x^+ acts on the legs of J inside
-    op's support: with J's legs moved last, u A u^+ - A = B C + C^+ B^+ for
-    B = I_rest (x) P, in O(n^2) for the support dimension n.
+def _bound_factor(theta: float) -> float:
+    """4 |sin(theta/2)| = 2 ||u - I|| for a rotation by theta."""
+    return 4.0 * abs(np.sin(0.5 * theta))
 
-    u - I = (P U^+) (x) I with U = [e0, x/theta] and P = U z for the plane
-    rotation z = [[cos theta - 1, -sin theta], [sin theta, cos theta - 1]].
-    With K = A (U (x) I), C = K^+ + (1/2) (U^+ (x) I) K (P (x) I)^+ has shape
-    2 rest x n, and every product contracts J's legs with a two-column matrix.
-    """
-    if not op.support.contains(J):
-        raise ValueError(f"rectangle {J} not contained in {op.support}")
+
+@dataclass(frozen=True)
+class RotationPlane:
+    """The plane of u = exp(S) for S = x e0^+ - e0 x^+, taken once per
+    generator x: u - I = P U^+ with ``basis`` U = [e0, x/theta] and ``p``
+    P = U z for the plane rotation
+    z = [[cos theta - 1, -sin theta], [sin theta, cos theta - 1]].
+    ``bound_factor`` is 4 |sin(theta/2)|, the factor of
+    ``rotation_delta_bound``."""
+
+    basis: np.ndarray
+    p: np.ndarray
+    bound_factor: float
+
+
+def rotation_plane(x: np.ndarray) -> RotationPlane:
+    """The ``RotationPlane`` of the generator vector x (x[0] = 0)."""
     theta = _theta(x)
     basis = np.zeros((x.size, 2), dtype=complex)
     basis[0, 0] = 1.0
@@ -313,29 +325,48 @@ def _rotation_border(op: LocalOp, J: Rect, x: np.ndarray) -> tuple[np.ndarray, n
         basis[:, 1] = x / theta
     cos, sin = np.cos(theta), np.sin(theta)
     p = basis @ np.array([[cos - 1.0, -sin], [sin, cos - 1.0]])
+    return RotationPlane(basis, p, _bound_factor(theta))
 
+
+def _rotation_border(op: LocalOp, J: Rect, plane: RotationPlane) -> np.ndarray:
+    """The border C of u A u^+ - A for the Hermitian A = ``op`` and
+    u = exp(S) (x) I, where S acts on the legs of J inside op's support
+    through its ``plane``: with J's legs moved last,
+    u A u^+ - A = B C + C^+ B^+ for B = I_rest (x) P, in O(n^2) for the
+    support dimension n.
+
+    With u - I = (P U^+) (x) I and K = A (U (x) I),
+    C = K^+ + (1/2) (U^+ (x) I) K (P (x) I)^+ has shape 2 rest x n, and
+    every product contracts J's legs with a two-column matrix.
+    """
+    if not op.support.contains(J):
+        raise ValueError(f"rectangle {J} not contained in {op.support}")
+    basis, p = plane.basis, plane.p
     a = permute_legs(op.matrix, op.support, J, op.M)
-    dim, dim_j = op.dim, x.size
+    dim, dim_j = op.dim, basis.shape[0]
     rest = dim // dim_j
     kh = adjoint((a.reshape(-1, dim_j) @ basis).reshape(dim, 2 * rest))
     m = (kh.reshape(-1, dim_j) @ basis).reshape(-1, 2)
     kh += 0.5 * (m @ p.conj().T).reshape(2 * rest, dim)
-    return p, kh
+    return kh
 
 
-def _border_delta(op: LocalOp, J: Rect, p: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """B C + C^+ B^+ for B = I_rest (x) P, with J's legs put back in place."""
-    w = (adjoint(c).reshape(-1, 2) @ p.conj().T).reshape(op.dim, op.dim)
+def _border_delta(support: Rect, M: int, J: Rect, p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """B C + C^+ B^+ on ``support`` for B = I_rest (x) P, with J's legs put
+    back in place."""
+    dim = c.shape[1]
+    w = (adjoint(c).reshape(-1, 2) @ p.conj().T).reshape(dim, dim)
     h = adjoint(w)
     h += w
-    return permute_legs(h, op.support, J, op.M, back=True)
+    return permute_legs(h, support, J, M, back=True)
 
 
 def rotation_delta(op: LocalOp, J: Rect, x: np.ndarray) -> np.ndarray:
     """u A u^+ - A for the Hermitian A = ``op`` and u = exp(S) (x) I, where
     S = x e0^+ - e0 x^+ acts on the legs of J inside op's support, in O(n^2)
     for the support dimension n (see ``_rotation_border``)."""
-    return _border_delta(op, J, *_rotation_border(op, J, x))
+    plane = rotation_plane(x)
+    return _border_delta(op.support, op.M, J, plane.p, _rotation_border(op, J, plane))
 
 
 def rotation_delta_bound(x: np.ndarray, norm: float) -> float:
@@ -347,18 +378,22 @@ def rotation_delta_bound(x: np.ndarray, norm: float) -> float:
     the bound is 4 |sin(theta / 2)| ``norm``. A rotation whose bound is at
     or below a prune threshold can be skipped: its result would be pruned.
     """
-    return 4.0 * abs(np.sin(0.5 * _theta(x))) * norm
+    return _bound_factor(_theta(x)) * norm
 
 
-def rotation_delta_norm(op: LocalOp, J: Rect, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """``rotation_delta(op, J, x)`` and its operator norm, both from one
-    border. The delta has rank at most 4 n / n_J, so its norm comes from
-    ``border_norm`` of the dense n x 2 rest factor B = I_rest (x) P."""
-    p, c = _rotation_border(op, J, x)
+def rotation_border_norm(
+    op: LocalOp, J: Rect, plane: RotationPlane
+) -> tuple[np.ndarray, float]:
+    """The border C of u A u^+ - A (see ``_rotation_border``) and the
+    operator norm of that delta, with no n x n matrix formed. The delta has
+    rank at most 4 n / n_J, so its norm is ``border_norm`` of C and the
+    dense n x 2 rest factor B = I_rest (x) P; ``_border_delta`` gives the
+    delta itself."""
+    c = _rotation_border(op, J, plane)
     rest = c.shape[0] // 2
-    b = np.zeros((rest, x.size, rest, 2), dtype=complex)
-    b[np.arange(rest), :, np.arange(rest)] = p
-    return _border_delta(op, J, p, c), border_norm(b.reshape(op.dim, 2 * rest), c)
+    b = np.zeros((rest, plane.p.shape[0], rest, 2), dtype=complex)
+    b[np.arange(rest), :, np.arange(rest)] = plane.p
+    return c, border_norm(b.reshape(op.dim, 2 * rest), c)
 
 
 def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -481,6 +516,8 @@ def series_stack(
 ) -> list[StepOperators]:
     """The series of several steps (J, G, e0, V) of one dimension n, in runs
     of at most ``stack_limit(n, j_max)`` steps along a leading stack axis.
+    A G that does not fix the vacuum is refused with ``GapError``, as
+    ``assemble_g`` refuses it.
 
     Nothing here warns or judges a step: the gap warning, the truncation
     tail and its convergence verdict are ``lie_schwinger_series``'s, per
@@ -488,9 +525,10 @@ def series_stack(
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    for _, g, _, v1 in steps:
+    for J, g, _, v1 in steps:
         if g.matrix.shape != v1.matrix.shape:
             raise ValueError("g and v1 must live on the same support")
+        _require_fixed_vacuum(J, g.matrix)
     dims = {g.dim for _, g, _, _ in steps}
     if len(dims) != 1:
         raise ValueError(f"a stack holds steps of one dimension, got {sorted(dims)}")

@@ -1,6 +1,7 @@
 """Branch re-expansion, component decompositions, and rectangle paths."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -28,7 +29,7 @@ from gapflow.geometry import (
     minimal_rectangle,
 )
 from gapflow.model import random_model
-from gapflow.schwinger import rotation_delta, rotation_delta_norm
+from gapflow.schwinger import rotation_border_norm, rotation_delta
 from gapflow.tensor import LocalOp, border_norm, embed, hermitian_norm
 from gapflow.verify import verify_main_theorem
 
@@ -163,9 +164,9 @@ class TestEnumerateBranches:
         # across the flow (series and audit), its verification and the
         # expansion of every root step, no matrix is normed densely twice:
         # a leaf reads the norm its entry already took, a rotated branch
-        # takes its norm from the border of its rotation, and no
-        # (generator, branch) input is rotated twice
-        normed, bordered, deltas, rotated = [], [], [], []
+        # takes its norm once from the border of its rotation and keeps only
+        # that border, and no (generator, branch) input is rotated twice
+        normed, bordered, borders, rotated = [], [], [], []
         monkeypatch.setattr(
             tensor, "hermitian_norm", lambda a: normed.append(a) or hermitian_norm(a)
         )
@@ -174,8 +175,9 @@ class TestEnumerateBranches:
         )
         monkeypatch.setattr(
             expansion,
-            "rotation_delta_norm",
-            lambda op, J, x: deltas.append(rotation_delta_norm(op, J, x)) or deltas[-1],
+            "rotation_border_norm",
+            lambda op, J, plane: borders.append(rotation_border_norm(op, J, plane))
+            or borders[-1],
         )
         apply_a = expansion._Expander.apply_a
         monkeypatch.setattr(
@@ -187,6 +189,7 @@ class TestEnumerateBranches:
         spec, state = flow_state(1, 4)
         v1n = {r.rect: r.v1_norm for r in state.history if not r.skipped}
         assert verify_main_theorem(state)["status"] == "pass"
+        before = len(normed)
         exps = [
             enumerate_branches(spec.lat.full_rect(), root, state)
             for root in enumerate_steps(spec.lat)
@@ -197,9 +200,12 @@ class TestEnumerateBranches:
         assert leaves and rotations
         assert len({id(a.matrix) for a in normed}) == len(normed)
         assert {id(b.op) for b in leaves} <= {id(a) for a in normed}
-        assert not {id(b.op) for b in rotations} & {id(a) for a in normed}
-        assert len(bordered) == len(deltas)
-        assert {id(b.op.matrix) for b in rotations} <= {id(out) for out, _ in deltas}
+        # the expansion norms no dense operator but a leaf's entry
+        assert {id(a) for a in normed[before:]} <= {id(b.op) for b in leaves}
+        assert all(isinstance(b.form, expansion.Border) for b in rotations)
+        assert len(bordered) == len(borders)
+        norm_of = {id(c): nrm for c, nrm in borders}
+        assert all(norm_of[id(b.form.c)] == b.norm for b in rotations)
         assert len(set(rotated)) == len(rotated)
         calls = (len(normed), len(bordered))
         sums = [weighted_branch_sum(exp, spec.t, v1n)[0] for exp in exps]
@@ -367,6 +373,49 @@ class TestBorderNormOracle:
                 assert abs(a.norm - b.norm) <= 1e-13 * b.norm
             assert abs(g.measured_c - w.measured_c) <= 1e-12 * w.measured_c
             assert g.min_size_ratio == w.min_size_ratio
+
+
+class TestBorderStorage:
+    def test_memo_holds_borders_not_dense_branches(self):
+        # d=1 N=6 t=0.05 seed 7: after all 15 root steps the memo's live
+        # memory is about 5 MB; with every rotated branch dense it was 27 MB
+        spec = random_model(LatticeSpec(1, 6), 2, 0.05, seed=7)
+        state = run_flow(spec, keep_history=True)
+        tracemalloc.start()
+        try:
+            for root in enumerate_steps(spec.lat):
+                enumerate_branches(spec.lat.full_rect(), root, state)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert live < 12 * 2**20
+        memo = expansion._EXPANDERS[state].memo
+        rotated = [b for branches, _ in memo.values() for b in branches if b.labels]
+        assert rotated
+        for b in rotated:
+            n = 2**b.support.n_sites
+            held = list(vars(b).values()) + list(vars(b.form).values())
+            assert not any(isinstance(v, LocalOp) for v in held)
+            assert all(v.shape != (n, n) for v in held if isinstance(v, np.ndarray))
+
+    @pytest.mark.parametrize("d, N", [(1, 4), (2, 2)])
+    def test_branch_sum_matches_dense_sum(self, d, N):
+        # summing each group's border factors before making it dense agrees
+        # with the sum of every branch's dense operator
+        spec, state = flow_state(d, N)
+        target = spec.lat.full_rect()
+        merged = False
+        for root in enumerate_steps(spec.lat):
+            exp = enumerate_branches(target, root, state)
+            want = sum(
+                (embed(b.op, target).matrix for b in exp.branches),
+                np.zeros((2**target.n_sites,) * 2, dtype=complex),
+            )
+            got = branch_sum(exp, spec.M).matrix
+            assert np.linalg.norm(got - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
+            groups = {(b.form.J, b.support) for b in exp.branches if b.labels}
+            merged |= len(groups) < sum(1 for b in exp.branches if b.labels)
+        assert merged
 
 
 class TestDecomposeComponents:

@@ -19,14 +19,16 @@ from gapflow.schwinger import (
     STACK_TABLE_BYTES,
     ConvergenceError,
     GapError,
+    _border_delta,
     assemble_g,
     check_g_gap,
     generator_exponential,
     lie_schwinger_series,
     majorants,
+    rotation_border_norm,
     rotation_delta,
     rotation_delta_bound,
-    rotation_delta_norm,
+    rotation_plane,
     series_stack,
     stack_limit,
 )
@@ -329,6 +331,23 @@ class TestSeries:
         with pytest.raises(ValueError, match="one dimension"):
             series_stack([(J, g, 0.0, v1) for J, g, v1 in (small, big)], 0.01)
 
+    @pytest.mark.parametrize("side", ["column", "row"])
+    def test_refuses_g_that_moves_the_vacuum(self, side):
+        # the series takes G e0 = e0 e0 exactly, so a G whose vacuum column
+        # (or row) has norm 1e-3 is refused as assemble_g refuses it, before
+        # any gap or residual is reported
+        rect, g, v1 = gapped_step(2, 4, 0.3, seed=21)
+        leak = np.zeros(g.dim, dtype=complex)
+        leak[1:] = np.random.default_rng(5).standard_normal(g.dim - 1)
+        leak *= 1e-3 / np.linalg.norm(leak)
+        mat = g.matrix.copy()
+        if side == "column":
+            mat[:, 0] += leak
+        else:
+            mat[0, :] += leak
+        with pytest.raises(GapError, match="does not fix the vacuum"):
+            series_stack([(rect, LocalOp(rect, mat, 2), 0.3, v1)], 0.001, j_max=8)
+
     def test_transformed_norm_within_factor_two(self):
         # inside the certified region the transformed potential stays small
         maj = majorants(1.0, 8)
@@ -540,9 +559,10 @@ class TestRotationDelta:
         x[1:] = rng.standard_normal(dim_j - 1) + 1j * rng.standard_normal(dim_j - 1)
         x *= theta / np.linalg.norm(x)
         want_delta, want_norm = frozen_rotation_delta_norm(a, J, x)
-        delta, nrm = rotation_delta_norm(a, J, x)
+        plane = rotation_plane(x)
+        c, nrm = rotation_border_norm(a, J, plane)
         assert np.array_equal(rotation_delta(a, J, x), want_delta)
-        assert np.array_equal(delta, want_delta)
+        assert np.array_equal(_border_delta(T, M, J, plane.p, c), want_delta)
         assert nrm == want_norm
 
 
@@ -562,7 +582,9 @@ class TestRotationBorderNorm:
         x = np.zeros(dim_j, dtype=complex)
         x[1:] = rng.standard_normal(dim_j - 1) + 1j * rng.standard_normal(dim_j - 1)
         x *= theta / np.linalg.norm(x)
-        delta, nrm = rotation_delta_norm(a, J, x)
+        plane = rotation_plane(x)
+        c, nrm = rotation_border_norm(a, J, plane)
+        delta = _border_delta(T, M, J, plane.p, c)
         assert np.array_equal(delta, rotation_delta(a, J, x))
         svd = np.linalg.norm(dense_conjugation(a, J, generator_exponential(x)) - a.matrix, 2)
         for ref in (hermitian_norm(delta), svd):
@@ -612,6 +634,8 @@ class TestRotationDeltaBound:
         x = np.array([0.0, 0.6, 0.8j])
         assert rotation_delta_bound(x, 2.5) == 10.0 * np.sin(0.5)
         assert rotation_delta_bound(np.zeros(3), 1.0) == 0.0
+        # the plane's factor gives the same bits as the bound
+        assert rotation_plane(x).bound_factor * 2.5 == rotation_delta_bound(x, 2.5)
 
 
 def majorant_equation(a):
