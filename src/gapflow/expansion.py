@@ -8,7 +8,9 @@ rectangles applied to one leaf potential. Branches are the countable
 objects the norm bookkeeping (weights, paths, component decompositions)
 is built on. A term whose rotation the a-priori bound
 (``schwinger.rotation_delta_bound``) already puts at or below
-``flow.PRUNE_THRESHOLD`` is dropped before it is rotated.
+``flow.PRUNE_THRESHOLD`` is dropped before it is rotated. The rest are
+rotated in stacks: one step's sub-branches of one support at a time, made
+dense, embedded, rotated and normed together.
 
 A rotated branch u A u^+ - A has rank at most 4 n / n_J for its support
 dimension n and the step rectangle J, and is kept as its ``Border`` of
@@ -30,6 +32,11 @@ from .geometry import LatticeSpec, Rect, enumerate_steps, g_set, minimal_rectang
 from .schwinger import _border_delta, rotation_border_norm, rotation_plane
 from .tensor import LocalOp, embed, embedded_sum
 
+# bytes of one stack of embedded sub-branches rotated at once; the rotation
+# holds a few temporaries of that size, so the cap bounds its transient
+# memory whatever the number of sub-branches of one support
+STACK_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class Border:
@@ -50,6 +57,31 @@ class Border:
         return LocalOp(
             self.support, _border_delta(self.support, self.M, self.J, self.p, self.c), self.M
         )
+
+
+def _dense_stack(forms: list[LocalOp | Border]) -> LocalOp:
+    """The dense forms of branch operators on one support, in order, as one
+    stacked ``LocalOp``. Borders of one step J share their plane factor P,
+    so each J's borders are made dense together; when all forms are of one
+    kind, that stack is the result."""
+    support, M = forms[0].support, forms[0].M
+    kinds: dict[Rect | None, list[int]] = defaultdict(list)
+    for i, form in enumerate(forms):
+        kinds[form.J if isinstance(form, Border) else None].append(i)
+
+    def dense(J: Rect | None, rows: list[int]) -> np.ndarray:
+        if J is None:
+            return np.stack([forms[i].matrix for i in rows])
+        c = np.stack([forms[i].c for i in rows])
+        return _border_delta(support, M, J, forms[rows[0]].p, c)
+
+    if len(kinds) == 1:
+        return LocalOp(support, dense(*next(iter(kinds.items()))), M)
+    dim = M**support.n_sites
+    stack = np.empty((len(forms), dim, dim), dtype=complex)
+    for J, rows in kinds.items():
+        stack[rows] = dense(J, rows)
+    return LocalOp(support, stack, M)
 
 
 @dataclass
@@ -294,27 +326,43 @@ class _Expander:
         self.planes = {rect: rotation_plane(x) for rect, x in self.generators.items()}
         self.memo: dict[tuple[int, Rect], tuple[list[Branch], float]] = {}
         self.t = state.spec.t
+        self.M = state.spec.M
         self.v1_norms = {
             rec.rect: rec.v1_norm for rec in state.history if not rec.skipped
         }
 
-    def apply_a(self, label: Rect, sub: Branch) -> Branch | None:
-        """The branch one level up: the commutator series of the step
-        generator applied to the branch operator, kept as its ``Border``;
-        None if it would be pruned. A sub-branch whose rotation bound
-        (``plane.bound_factor * sub.norm``) is already at or below the prune
-        threshold is neither made dense nor rotated."""
-        plane = self.planes.get(label)
-        if plane is None or not label.overlaps(sub.support):
-            return None
-        if plane.bound_factor * sub.norm <= PRUNE_THRESHOLD:
-            return None
-        x = embed(sub.op, minimal_rectangle(label, sub.support))
-        c, nrm = rotation_border_norm(x, label, plane)
-        if nrm <= PRUNE_THRESHOLD:
-            return None
-        border = Border(x.support, label, plane.p, c, x.M)
-        return Branch((label,) + sub.labels, sub.leaf, sub.leaf_norm, border, nrm)
+    def rotate(self, step: Rect, subs: list[Branch]) -> list[Branch | None]:
+        """Each sub-branch one level up: the commutator series of the step
+        generator applied to its operator, kept as its ``Border``, or None
+        where it is pruned. A sub-branch disjoint from the step, or whose
+        rotation bound (``plane.bound_factor * sub.norm``) is already at or
+        below the prune threshold, is neither made dense nor rotated. The
+        others are grouped by support and rotated and normed as stacks of
+        at most ``STACK_BYTES`` once embedded; each kept C is copied out of
+        its stack, so no branch holds the stack alive."""
+        out: list[Branch | None] = [None] * len(subs)
+        plane = self.planes.get(step)
+        if plane is None:
+            return out
+        groups: dict[Rect, list[int]] = defaultdict(list)
+        for i, sub in enumerate(subs):
+            if step.overlaps(sub.support) and plane.bound_factor * sub.norm > PRUNE_THRESHOLD:
+                groups[sub.support].append(i)
+        for support, rows in groups.items():
+            into = minimal_rectangle(step, support)
+            size = max(1, STACK_BYTES // (16 * self.M ** (2 * into.n_sites)))
+            for lo in range(0, len(rows), size):
+                part = rows[lo : lo + size]
+                x = embed(_dense_stack([subs[i].form for i in part]), into)
+                cs, norms = rotation_border_norm(x, step, plane)
+                for i, c, nrm in zip(part, cs, norms.tolist()):
+                    if nrm > PRUNE_THRESHOLD:
+                        sub = subs[i]
+                        border = Border(into, step, plane.p, c.copy(), self.M)
+                        out[i] = Branch(
+                            (step,) + sub.labels, sub.leaf, sub.leaf_norm, border, nrm
+                        )
+        return out
 
     def leaf(self, support: Rect, op: LocalOp | None) -> list[Branch]:
         if op is None:
@@ -338,18 +386,19 @@ class _Expander:
             below, c = self.expand(level - 1, support)
             out = list(below)
             if support.contains(step):
-                members = g_set(step, support, self.lat) | {support}
+                members = g_set(step, support) | {support}
+                subs = []
                 for member in sorted(members, key=lambda r: (r.k, r.q)):
-                    subs, c_sub = self.expand(level - 1, member)
+                    member_subs, c_sub = self.expand(level - 1, member)
                     c = max(c, c_sub)
-                    for sub in subs:
-                        branch = self.apply_a(step, sub)
-                        if branch is None:
-                            continue
-                        out.append(branch)
-                        denom = self.t * self.v1_norms.get(step, 0.0) * sub.norm
-                        if denom > 0:
-                            c = max(c, branch.norm / denom)
+                    subs += member_subs
+                for sub, branch in zip(subs, self.rotate(step, subs)):
+                    if branch is None:
+                        continue
+                    out.append(branch)
+                    denom = self.t * self.v1_norms.get(step, 0.0) * sub.norm
+                    if denom > 0:
+                        c = max(c, branch.norm / denom)
         self.memo[key] = (out, c)
         return out, c
 
@@ -366,6 +415,8 @@ def enumerate_branches(
 ) -> BranchExpansion:
     """All nonzero branches of the stored potential on ``target`` as of the
     completion of ``root_step``."""
+    if not target.fits(flow_history.spec.lat):
+        raise ValueError(f"target {target} does not fit the flow's lattice")
     try:
         root_idx = enumerate_steps(flow_history.spec.lat).index(root_step)
     except ValueError:

@@ -154,25 +154,33 @@ def minimal_rectangle(a: Rect, b: Rect) -> Rect:
     return Rect(tuple(h - lo for h, lo in zip(hi, q)), q)
 
 
-def g_set(inner: Rect, target: Rect, lat: LatticeSpec) -> set[Rect]:
+def g_set(inner: Rect, target: Rect) -> set[Rect]:
     """Growth channels: rectangles J' != target with [inner u J'] = target.
 
-    Candidates must overlap ``inner`` (the minimal rectangle is only defined
-    for overlapping pairs) and fit inside ``target``'s bounding box.
+    The minimal rectangle is taken axis by axis, so on each axis J' spans
+    an interval [a, b] with min(a, lo) and max(b, hi) the target's ends,
+    for ``inner``'s interval [lo, hi], and meets [lo, hi] (the minimal
+    rectangle is only defined for overlapping pairs); the channels are the
+    products of those intervals, the target itself left out.
     """
     if not (target.contains(inner) and inner != target):
         raise ValueError(f"{inner} is not strictly contained in {target}")
-    found = set()
-    for k in product(*(range(tk + 1) for tk in target.k)):
-        q_ranges = [
-            range(tq, tq + tk - kj + 1) for tq, tk, kj in zip(target.q, target.k, k)
-        ]
-        for q in product(*q_ranges):
-            cand = Rect(k, q)
-            if cand == target or not cand.overlaps(inner):
-                continue
-            if minimal_rectangle(inner, cand) == target:
-                found.add(cand)
+    axes = []
+    for lo, k, t_lo, t_k in zip(inner.q, inner.k, target.q, target.k):
+        hi, t_hi = lo + k, t_lo + t_k
+        axes.append(
+            [
+                (a, b)
+                for a in range(t_lo, hi + 1)
+                for b in range(max(a, lo), t_hi + 1)
+                if min(a, lo) == t_lo and max(b, hi) == t_hi
+            ]
+        )
+    found = {
+        Rect(tuple(b - a for a, b in spans), tuple(a for a, _ in spans))
+        for spans in product(*axes)
+    }
+    found.discard(target)
     return found
 
 

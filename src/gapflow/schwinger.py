@@ -333,29 +333,32 @@ def _rotation_border(op: LocalOp, J: Rect, plane: RotationPlane) -> np.ndarray:
     u = exp(S) (x) I, where S acts on the legs of J inside op's support
     through its ``plane``: with J's legs moved last,
     u A u^+ - A = B C + C^+ B^+ for B = I_rest (x) P, in O(n^2) for the
-    support dimension n.
+    support dimension n. For a stack of operators, the stack of borders.
 
     With u - I = (P U^+) (x) I and K = A (U (x) I),
     C = K^+ + (1/2) (U^+ (x) I) K (P (x) I)^+ has shape 2 rest x n, and
-    every product contracts J's legs with a two-column matrix.
+    every product contracts J's legs with a two-column matrix. Each
+    product keeps the stack axes, so every operator of a stack goes
+    through the same BLAS calls as on its own.
     """
     if not op.support.contains(J):
         raise ValueError(f"rectangle {J} not contained in {op.support}")
     basis, p = plane.basis, plane.p
     a = permute_legs(op.matrix, op.support, J, op.M)
+    lead = a.shape[:-2]
     dim, dim_j = op.dim, basis.shape[0]
     rest = dim // dim_j
-    kh = adjoint((a.reshape(-1, dim_j) @ basis).reshape(dim, 2 * rest))
-    m = (kh.reshape(-1, dim_j) @ basis).reshape(-1, 2)
-    kh += 0.5 * (m @ p.conj().T).reshape(2 * rest, dim)
+    kh = adjoint((a.reshape(lead + (-1, dim_j)) @ basis).reshape(lead + (dim, 2 * rest)))
+    m = kh.reshape(lead + (-1, dim_j)) @ basis
+    kh += 0.5 * (m @ p.conj().T).reshape(lead + (2 * rest, dim))
     return kh
 
 
 def _border_delta(support: Rect, M: int, J: Rect, p: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """B C + C^+ B^+ on ``support`` for B = I_rest (x) P, with J's legs put
-    back in place."""
-    dim = c.shape[1]
-    w = (adjoint(c).reshape(-1, 2) @ p.conj().T).reshape(dim, dim)
+    """B C + C^+ B^+ on ``support`` for B = I_rest (x) P (for each C of a
+    stack), with J's legs put back in place."""
+    lead, dim = c.shape[:-2], c.shape[-1]
+    w = (adjoint(c).reshape(lead + (-1, 2)) @ p.conj().T).reshape(lead + (dim, dim))
     h = adjoint(w)
     h += w
     return permute_legs(h, support, J, M, back=True)
@@ -383,14 +386,15 @@ def rotation_delta_bound(x: np.ndarray, norm: float) -> float:
 
 def rotation_border_norm(
     op: LocalOp, J: Rect, plane: RotationPlane
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """The border C of u A u^+ - A (see ``_rotation_border``) and the
-    operator norm of that delta, with no n x n matrix formed. The delta has
-    rank at most 4 n / n_J, so its norm is ``border_norm`` of C and the
-    dense n x 2 rest factor B = I_rest (x) P; ``_border_delta`` gives the
-    delta itself."""
+    operator norm of that delta, with no n x n matrix formed; for a stack
+    of operators, the stack of borders and the array of norms. The delta
+    has rank at most 4 n / n_J, so its norm is ``border_norm`` of C and the
+    dense n x 2 rest factor B = I_rest (x) P, built once for the whole
+    stack; ``_border_delta`` gives the delta itself."""
     c = _rotation_border(op, J, plane)
-    rest = c.shape[0] // 2
+    rest = c.shape[-2] // 2
     b = np.zeros((rest, plane.p.shape[0], rest, 2), dtype=complex)
     b[np.arange(rest), :, np.arange(rest)] = plane.p
     return c, border_norm(b.reshape(op.dim, 2 * rest), c)

@@ -38,7 +38,13 @@ class SiteSpace:
 
 @dataclass
 class LocalOp:
-    """Operator on the tensor factor of ``support`` (dense, site-lex basis)."""
+    """Operator on the tensor factor of ``support`` (dense, site-lex basis).
+
+    ``matrix`` may also hold a stack of operators on one support along
+    leading axes: the leg kernels (``embed``, ``add_embedded``,
+    ``permute_legs`` and the rotation kernels) act on each one alike. The
+    cached norms are those of a single operator.
+    """
 
     support: Rect
     matrix: np.ndarray
@@ -47,7 +53,7 @@ class LocalOp:
     def __post_init__(self) -> None:
         self.matrix = np.asarray(self.matrix, dtype=complex)
         dim = self.M ** self.support.n_sites
-        if self.matrix.shape != (dim, dim):
+        if self.matrix.ndim < 2 or self.matrix.shape[-2:] != (dim, dim):
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match "
                 f"M^sites = {self.M}^{self.support.n_sites} = {dim}"
@@ -55,7 +61,7 @@ class LocalOp:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @cached_property
     def norm(self) -> float:
@@ -70,9 +76,10 @@ class LocalOp:
 
 @lru_cache(maxsize=4096)
 def _embed_subscripts(support: Rect, into: Rect) -> str:
-    """einsum subscripts taking the leg tensor of an operator on ``into`` to
-    a view ordered (other sites, ``support``'s row legs, its column legs),
-    where each other site's row and column leg are one diagonal index."""
+    """einsum subscripts taking the leg tensor of an operator on ``into``,
+    after any leading stack axes, to a view ordered (other sites, stack
+    axes, ``support``'s row legs, its column legs), where each other site's
+    row and column leg are one diagonal index."""
     sites = into.sites()
     pos = {site: i for i, site in enumerate(sites)}
     own = [pos[site] for site in support.sites()]
@@ -81,13 +88,15 @@ def _embed_subscripts(support: Rect, into: Rect) -> str:
     cols = list(rows)
     for i in own:
         cols[i] = ascii_letters[len(sites) + i]
-    out = [rows[i] for i in rest] + [rows[i] for i in own] + [cols[i] for i in own]
-    return f"{rows}{''.join(cols)}->{''.join(out)}"
+    out = [rows[i] for i in rest] + ["..."] + [rows[i] for i in own] + [cols[i] for i in own]
+    return f"...{rows}{''.join(cols)}->{''.join(out)}"
 
 
 def add_embedded(total: np.ndarray, op: LocalOp, into: Rect, coeff: complex = 1.0) -> None:
     """total += coeff (op (x) I), in place, for the C-contiguous matrix
-    ``total`` of an operator on ``into`` (canonical site order).
+    ``total`` of an operator on ``into`` (canonical site order); for a
+    stack, slice by slice, with ``total`` and ``op.matrix`` on the same
+    leading axes.
 
     The sum goes through a writable einsum diagonal view of ``total``'s leg
     tensor, so it costs O(n_op n) for the dimensions n_op of ``op`` and n of
@@ -97,9 +106,10 @@ def add_embedded(total: np.ndarray, op: LocalOp, into: Rect, coeff: complex = 1.
         raise ValueError(f"support {op.support} not contained in {into}")
     if not total.flags.c_contiguous:
         raise ValueError("the destination must be C-contiguous to add through a view")
-    legs = total.reshape((op.M,) * (2 * into.n_sites))
+    lead = total.shape[:-2]
+    legs = total.reshape(lead + (op.M,) * (2 * into.n_sites))
     view = np.einsum(_embed_subscripts(op.support, into), legs)
-    view += coeff * op.matrix.reshape((op.M,) * (2 * op.support.n_sites))
+    view += coeff * op.matrix.reshape(lead + (op.M,) * (2 * op.support.n_sites))
 
 
 def embedded_sum(terms: Iterable[tuple[complex, LocalOp]], into: Rect, M: int) -> LocalOp:
@@ -112,8 +122,14 @@ def embedded_sum(terms: Iterable[tuple[complex, LocalOp]], into: Rect, M: int) -
 
 
 def embed(op: LocalOp, into: Rect) -> LocalOp:
-    """Extend ``op`` by identity onto a containing rectangle, in canonical order."""
-    return op if into == op.support else embedded_sum([(1.0, op)], into, op.M)
+    """Extend ``op`` (each operator of a stack) by identity onto a
+    containing rectangle, in canonical order."""
+    if into == op.support:
+        return op
+    dim = op.M**into.n_sites
+    total = np.zeros(op.matrix.shape[:-2] + (dim, dim), dtype=complex)
+    add_embedded(total, op, into)
+    return LocalOp(into, total, op.M)
 
 
 _Transpose = tuple[tuple[int, ...], tuple[int, ...]]
@@ -147,14 +163,18 @@ def _leg_order(support: Rect, J: Rect, M: int) -> tuple[_Transpose, _Transpose]:
 def permute_legs(
     matrix: np.ndarray, support: Rect, J: Rect, M: int, back: bool = False
 ) -> np.ndarray:
-    """``matrix`` on ``support`` with J's legs moved last on both sides, so
-    that J's factor is the fastest index of each; ``back=True`` undoes it.
-    Returns ``matrix`` itself when J's legs already come last."""
+    """``matrix`` on ``support`` (each matrix of a stack along leading
+    axes) with J's legs moved last on both sides, so that J's factor is the
+    fastest index of each; ``back=True`` undoes it. Returns ``matrix``
+    itself when J's legs already come last."""
     forward, backward = _leg_order(support, J, M)
     shape, axes = backward if back else forward
     if len(axes) == 2:
         return matrix
-    return matrix.reshape(shape).transpose(axes).reshape(matrix.shape)
+    lead = matrix.shape[:-2]
+    stack = tuple(range(len(lead)))
+    moved = tuple(len(lead) + a for a in axes)
+    return matrix.reshape(lead + shape).transpose(stack + moved).reshape(matrix.shape)
 
 
 def conjugate_on_legs(op: LocalOp, J: Rect, u: np.ndarray) -> np.ndarray:
@@ -216,9 +236,10 @@ def hermitian_norm(op: LocalOp | np.ndarray) -> float:
     return float(max(-w[0], w[-1]))
 
 
-def border_norm(b: np.ndarray, c: np.ndarray) -> float:
+def border_norm(b: np.ndarray, c: np.ndarray) -> float | np.ndarray:
     """Operator norm of the Hermitian B C + C^+ B^+ for B of shape (n, k)
-    and C of shape (k, n), an operator of rank at most 2k.
+    and C of shape (k, n), an operator of rank at most 2k; for a stack of
+    C along leading axes and one shared B, the array of norms.
 
     With the thin QR [B, C^+] = Q [R_B, R_C] the operator is
     Q (R_B R_C^+ + R_C R_B^+) Q^+, so its norm is the largest |eigenvalue|
@@ -226,8 +247,11 @@ def border_norm(b: np.ndarray, c: np.ndarray) -> float:
     itself is never formed. No Hermiticity test is needed: the operator is
     Hermitian by its form.
     """
-    r = np.linalg.qr(np.hstack([b, c.conj().T]), mode="r")
+    ch = adjoint(c)
     k = b.shape[1]
-    half = r[:, :k] @ r[:, k:].conj().T
-    w = np.linalg.eigvalsh(half + half.conj().T)
-    return float(max(-w[0], w[-1]))
+    bs = np.broadcast_to(b, ch.shape[:-1] + (k,))
+    r = np.linalg.qr(np.concatenate([bs, ch], axis=-1), mode="r")
+    half = r[..., :k] @ adjoint(r[..., k:])
+    w = np.linalg.eigvalsh(half + adjoint(half))
+    norms = np.maximum(-w[..., 0], w[..., -1])
+    return float(norms) if norms.ndim == 0 else norms

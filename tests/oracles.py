@@ -15,9 +15,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gapflow.flow import set_entry
+from gapflow.expansion import Border, Branch, _Expander
+from gapflow.flow import PRUNE_THRESHOLD, set_entry
 from gapflow.geometry import LatticeSpec, Rect, minimal_rectangle
-from gapflow.schwinger import _series_tail, check_g_gap, majorants, rotation_delta
+from gapflow.schwinger import (
+    _series_tail,
+    check_g_gap,
+    majorants,
+    rotation_border_norm,
+    rotation_delta,
+)
 from gapflow.tensor import LocalOp, border_norm, embed, permute_legs
 from gapflow.verify import _shape_vectors
 
@@ -158,6 +165,47 @@ def no_skip_transform_map(interactions: dict, J: Rect, ops) -> dict:
     return new_map
 
 
+def g_set_scan(inner: Rect, target: Rect) -> set[Rect]:
+    """``geometry.g_set`` by a scan of every sub-rectangle of the target:
+    those that overlap ``inner`` and whose minimal rectangle with it is the
+    target, the target itself left out."""
+    found = set()
+    for k in product(*(range(tk + 1) for tk in target.k)):
+        q_ranges = [range(tq, tq + tk - kj + 1) for tq, tk, kj in zip(target.q, target.k, k)]
+        for q in product(*q_ranges):
+            cand = Rect(k, q)
+            if cand == target or not cand.overlaps(inner):
+                continue
+            if minimal_rectangle(inner, cand) == target:
+                found.add(cand)
+    return found
+
+
+class ReferenceExpander(_Expander):
+    """The re-expansion one sub-branch at a time: ``rotate`` hands each
+    sub-branch to ``apply_a``, which embeds its dense operator, rotates
+    and norms it on its own through the kernels' single-operator calls.
+    The bit reference of the package's stacked ``_Expander.rotate``, and
+    the per-sub hook the oracle expanders override."""
+
+    def rotate(self, step, subs):
+        return [self.apply_a(step, sub) for sub in subs]
+
+    def apply_a(self, label, sub):
+        """The branch one level up, or None if it would be pruned."""
+        plane = self.planes.get(label)
+        if plane is None or not label.overlaps(sub.support):
+            return None
+        if plane.bound_factor * sub.norm <= PRUNE_THRESHOLD:
+            return None
+        x = embed(sub.op, minimal_rectangle(label, sub.support))
+        c, nrm = rotation_border_norm(x, label, plane)
+        if nrm <= PRUNE_THRESHOLD:
+            return None
+        border = Border(x.support, label, plane.p, c, x.M)
+        return Branch((label,) + sub.labels, sub.leaf, sub.leaf_norm, border, nrm)
+
+
 def bounding_rect(rects) -> Rect:
     """Smallest rectangle containing every rectangle of a nonempty family."""
     rects = list(rects)
@@ -189,6 +237,51 @@ LEG_PARAMS = [
 def leg_case(d, N, place):
     full = LatticeSpec(d, N).full_rect()
     return full, full if place == "whole" else LEG_CASES[(d, N)][place]
+
+
+# four-site supports in d = 1, 2, 3 and a step rectangle J at each kind of
+# place among their legs: first or interleaved with the others, inside,
+# last (where ``permute_legs`` moves nothing); "whole" is J = the support
+STACK_CASES = {
+    1: (
+        Rect((3,), (1,)),
+        {"first": Rect((1,), (1,)), "inside": Rect((1,), (2,)), "last": Rect((1,), (3,))},
+    ),
+    2: (
+        Rect((1, 1), (1, 1)),
+        {
+            "interleaved": Rect((1, 0), (1, 1)),
+            "inside": Rect((0, 0), (1, 2)),
+            "last": Rect((0, 1), (2, 1)),
+        },
+    ),
+    3: (
+        Rect((1, 1, 0), (1, 1, 1)),
+        {
+            "interleaved": Rect((1, 0, 0), (1, 1, 1)),
+            "inside": Rect((0, 0, 0), (1, 2, 1)),
+            "last": Rect((0, 1, 0), (2, 1, 1)),
+        },
+    ),
+}
+STACK_PARAMS = [
+    pytest.param(d, M, place, k, id=f"d{d}-M{M}-{place}-k{k}")
+    for d, (_, places) in STACK_CASES.items()
+    for M in (2, 3)
+    for place in (*places, "whole")
+    for k in (1, 3)
+]
+
+
+def stack_case(d, place):
+    support, places = STACK_CASES[d]
+    return support, support if place == "whole" else places[place]
+
+
+def random_hermitian_stack(rng, k, dim):
+    """k random Hermitian dim x dim matrices along a leading axis."""
+    raw = rng.standard_normal((k, dim, dim)) + 1j * rng.standard_normal((k, dim, dim))
+    return (raw + raw.conj().swapaxes(-1, -2)) / 2
 
 
 def frozen_rotation_border(op: LocalOp, J: Rect, x: np.ndarray):

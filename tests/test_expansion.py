@@ -1,6 +1,7 @@
 """Branch re-expansion, component decompositions, and rectangle paths."""
 
 import gc
+import re
 import tracemalloc
 import weakref
 
@@ -33,7 +34,7 @@ from gapflow.schwinger import rotation_border_norm, rotation_delta
 from gapflow.tensor import LocalOp, border_norm, embed, hermitian_norm
 from gapflow.verify import verify_main_theorem
 
-from oracles import bounding_rect
+from oracles import ReferenceExpander, bounding_rect
 
 class UnionFind:
     """Independent component-count oracle."""
@@ -96,6 +97,17 @@ class TestEnumerateBranches:
         # nothing supported this far right can have grown during step one
         exp = enumerate_branches(Rect((2,), (2,)), steps[0], state)
         assert exp.branches == []
+
+    @pytest.mark.parametrize(
+        "target", [Rect((5,), (1,)), Rect((3,), (2,)), Rect((1, 1), (1, 1))]
+    )
+    def test_target_outside_lattice_refused(self, target):
+        # past the chain's end, or of the wrong dimension: no branch could
+        # ever be found, so the call is refused rather than answered empty
+        spec, state = flow_state(1, 4)
+        root = enumerate_steps(spec.lat)[-1]
+        with pytest.raises(ValueError, match=re.escape(str(target))):
+            enumerate_branches(target, root, state)
 
     def test_reconciles_with_stored_entries(self):
         for d, N in [(1, 3), (2, 2)]:
@@ -165,7 +177,8 @@ class TestEnumerateBranches:
         # expansion of every root step, no matrix is normed densely twice:
         # a leaf reads the norm its entry already took, a rotated branch
         # takes its norm once from the border of its rotation and keeps only
-        # that border, and no (generator, branch) input is rotated twice
+        # that border, and no (generator, branch) input is rotated twice;
+        # the rotations run in stacks, so each records a stack of borders
         normed, bordered, borders, rotated = [], [], [], []
         monkeypatch.setattr(
             tensor, "hermitian_norm", lambda a: normed.append(a) or hermitian_norm(a)
@@ -179,12 +192,12 @@ class TestEnumerateBranches:
             lambda op, J, plane: borders.append(rotation_border_norm(op, J, plane))
             or borders[-1],
         )
-        apply_a = expansion._Expander.apply_a
+        rotate = expansion._Expander.rotate
         monkeypatch.setattr(
             expansion._Expander,
-            "apply_a",
-            lambda self, label, sub: rotated.append((label, sub.labels, sub.leaf))
-            or apply_a(self, label, sub),
+            "rotate",
+            lambda self, step, subs: rotated.extend((step, s.labels, s.leaf) for s in subs)
+            or rotate(self, step, subs),
         )
         spec, state = flow_state(1, 4)
         v1n = {r.rect: r.v1_norm for r in state.history if not r.skipped}
@@ -204,8 +217,8 @@ class TestEnumerateBranches:
         assert {id(a) for a in normed[before:]} <= {id(b.op) for b in leaves}
         assert all(isinstance(b.form, expansion.Border) for b in rotations)
         assert len(bordered) == len(borders)
-        norm_of = {id(c): nrm for c, nrm in borders}
-        assert all(norm_of[id(b.form.c)] == b.norm for b in rotations)
+        norm_of = {c.tobytes(): nrm for cs, norms in borders for c, nrm in zip(cs, norms)}
+        assert all(norm_of[b.form.c.tobytes()] == b.norm for b in rotations)
         assert len(set(rotated)) == len(rotated)
         calls = (len(normed), len(bordered))
         sums = [weighted_branch_sum(exp, spec.t, v1n)[0] for exp in exps]
@@ -233,7 +246,7 @@ def assert_same_expansion(got, want, M):
     assert np.array_equal(branch_sum(got, M).matrix, branch_sum(want, M).matrix)
 
 
-class RatioRecorder(expansion._Expander):
+class RatioRecorder(ReferenceExpander):
     """Oracle expander: its measured constant is the largest ratio over
     every commutator map it applies, not the maxima threaded through the
     memo."""
@@ -316,7 +329,7 @@ class TestSharedExpander:
         assert len(enumerate_branches(spec.lat.full_rect(), root, state).branches) == count
 
 
-class DenseNormExpander(expansion._Expander):
+class DenseNormExpander(ReferenceExpander):
     """Oracle expander: the same rotation as the package's, but every
     rotated branch is normed from its dense operator by ``hermitian_norm``
     (``eigvalsh``) instead of from the rotation's low-rank border, and no
@@ -397,6 +410,40 @@ class TestBorderStorage:
             held = list(vars(b).values()) + list(vars(b.form).values())
             assert not any(isinstance(v, LocalOp) for v in held)
             assert all(v.shape != (n, n) for v in held if isinstance(v, np.ndarray))
+
+    def test_rotation_stacks_capped_and_not_kept(self):
+        # d=1 N=6 t=0.05 seed 7: over all 15 root steps the allocation peak
+        # is 5.2 MB when every sub-branch is rotated alone, about 6 MB with
+        # stacks capped at STACK_BYTES and 13.6 MB with one uncapped stack
+        # per step and support; every kept C owns its data, so no branch
+        # holds a rotated stack alive
+        spec = random_model(LatticeSpec(1, 6), 2, 0.05, seed=7)
+        state = run_flow(spec, keep_history=True)
+        tracemalloc.start()
+        try:
+            for root in enumerate_steps(spec.lat):
+                enumerate_branches(spec.lat.full_rect(), root, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        memo = expansion._EXPANDERS[state].memo
+        rotated = [b for branches, _ in memo.values() for b in branches if b.labels]
+        assert rotated
+        assert all(b.form.c.base is None for b in rotated)
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_stacked_rotation_matches_reference(self, seed):
+        # d=1 N=6: stacks of up to STACK_BYTES, split across several chunks
+        # at dimension 64, against one sub-branch at a time, bit for bit
+        spec = random_model(LatticeSpec(1, 6), 2, 0.05, seed=seed)
+        state = run_flow(spec, keep_history=True)
+        target = spec.lat.full_rect()
+        steps = enumerate_steps(spec.lat)
+        got = [enumerate_branches(target, root, state) for root in steps]
+        expansion._EXPANDERS[state] = ReferenceExpander(state)
+        for root, exp in zip(steps, got):
+            assert_same_expansion(exp, enumerate_branches(target, root, state), spec.M)
 
     @pytest.mark.parametrize("d, N", [(1, 4), (2, 2)])
     def test_branch_sum_matches_dense_sum(self, d, N):

@@ -18,7 +18,7 @@ from gapflow.geometry import (
     step_sort_key,
 )
 
-from oracles import three_clause_compare
+from oracles import g_set_scan, three_clause_compare
 
 
 def rect_strategy(d, N):
@@ -191,13 +191,13 @@ class TestMinimalRectangle:
 class TestGSet:
     def test_strict_containment_required(self):
         with pytest.raises(ValueError):
-            g_set(Rect((1,), (1,)), Rect((1,), (1,)), LatticeSpec(1, 3))
+            g_set(Rect((1,), (1,)), Rect((1,), (1,)))
 
     def test_d1_membership_brute_force(self):
         lat = LatticeSpec(1, 3)
         inner = Rect((1,), (1,))
         target = Rect((2,), (1,))
-        got = g_set(inner, target, lat)
+        got = g_set(inner, target)
         # oracle: filter every rectangle by the minimal-rectangle condition
         expected = {
             r
@@ -212,7 +212,7 @@ class TestGSet:
         lat = LatticeSpec(2, 4)
         target = Rect((3, 3), (1, 1))
         inner = Rect((1, 0), (2, 2))  # touches no face of the target
-        assert g_set(inner, target, lat) == set()
+        assert g_set(inner, target) == set()
 
     def test_members_touch_target_boundary(self):
         for N in (3, 4):
@@ -221,13 +221,27 @@ class TestGSet:
             for inner in all_rects(lat):
                 if not (target.contains(inner) and inner != target):
                     continue
-                for member in g_set(inner, target, lat):
+                for member in g_set(inner, target):
                     on_face = any(
                         member.q[j] == target.q[j]
                         or member.q[j] + member.k[j] == target.q[j] + target.k[j]
                         for j in range(2)
                     )
                     assert on_face
+
+    @pytest.mark.parametrize("d, N", [(1, 5), (2, 4), (3, 3)])
+    def test_matches_sub_rectangle_scan(self, d, N):
+        # every (inner, target) pair of the lattice, against the scan of
+        # every sub-rectangle of the target
+        lat = LatticeSpec(d, N)
+        rects = all_rects(lat)
+        pairs = 0
+        for target in rects:
+            for inner in rects:
+                if target.contains(inner) and inner != target:
+                    assert g_set(inner, target) == g_set_scan(inner, target)
+                    pairs += 1
+        assert pairs
 
     def test_size_bound(self):
         # counting bound: 2d (r+1)^{d-1} sum_{k=1}^{r} (k+1)^{d-1}
@@ -240,7 +254,7 @@ class TestGSet:
                 )
                 for inner in all_rects(lat):
                     if target.contains(inner) and inner != target:
-                        assert len(g_set(inner, target, lat)) <= bound
+                        assert len(g_set(inner, target)) <= bound
 
 
 class TestCountShapes:

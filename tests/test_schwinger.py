@@ -20,6 +20,7 @@ from gapflow.schwinger import (
     ConvergenceError,
     GapError,
     _border_delta,
+    _rotation_border,
     assemble_g,
     check_g_gap,
     generator_exponential,
@@ -36,6 +37,7 @@ from gapflow.tensor import LocalOp, SiteSpace, embed, hermitian_norm, offdiag_no
 
 from oracles import (
     LEG_PARAMS,
+    STACK_PARAMS,
     adjoint_power,
     commutator,
     composition_sum_vj,
@@ -48,6 +50,8 @@ from oracles import (
     leg_case,
     offdiag_part,
     op_norm,
+    random_hermitian_stack,
+    stack_case,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -592,6 +596,33 @@ class TestRotationBorderNorm:
         if theta == 0.0:
             # P = 0, so B = I (x) P has rank zero and the norm is exactly 0
             assert nrm == 0.0
+
+
+class TestStackedRotation:
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    @pytest.mark.parametrize("d, M, place, k", STACK_PARAMS)
+    def test_slices_match_single_calls(self, d, M, place, k, theta):
+        # the border, its norm and its dense delta of a stack of operators
+        # are, slice by slice, the bits of the call on that operator alone
+        T, J = stack_case(d, place)
+        rng = np.random.default_rng(1000 * d + 100 * M + 10 * k + len(place))
+        a = LocalOp(T, random_hermitian_stack(rng, k, M**T.n_sites), M)
+        dim_j = M**J.n_sites
+        x = np.zeros(dim_j, dtype=complex)
+        x[1:] = rng.standard_normal(dim_j - 1) + 1j * rng.standard_normal(dim_j - 1)
+        x *= theta / np.linalg.norm(x)
+        plane = rotation_plane(x)
+        c, norms = rotation_border_norm(a, J, plane)
+        assert np.array_equal(c, _rotation_border(a, J, plane))
+        assert norms.shape == (k,)
+        delta = _border_delta(T, M, J, plane.p, c)
+        for i in range(k):
+            single = LocalOp(T, a.matrix[i], M)
+            c1, nrm = rotation_border_norm(single, J, plane)
+            assert np.array_equal(c[i], c1)
+            assert norms[i] == nrm
+            assert np.array_equal(delta[i], _border_delta(T, M, J, plane.p, c1))
+            assert np.array_equal(delta[i], rotation_delta(single, J, x))
 
 
 class TestRotationDeltaBound:

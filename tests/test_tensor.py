@@ -25,6 +25,7 @@ from gapflow.tensor import (
 
 from oracles import (
     LEG_PARAMS,
+    STACK_PARAMS,
     dense_conjugation,
     identity_op,
     kron_embed,
@@ -33,6 +34,8 @@ from oracles import (
     op_norm,
     projector_minus,
     projector_plus,
+    random_hermitian_stack,
+    stack_case,
     vacuum_projector,
 )
 
@@ -412,3 +415,41 @@ class TestOffdiagNorm:
 
     def test_block_diagonal_is_zero(self):
         assert offdiag_norm(np.diag([1.0, 2.0, 3.0, 4.0])) == 0.0
+
+
+class TestStackedKernels:
+    # a leading stack axis must give, slice by slice, the bits of the call
+    # on that operator alone
+    @pytest.mark.parametrize("d, M, place, k", STACK_PARAMS)
+    def test_slices_match_single_calls(self, d, M, place, k):
+        T, J = stack_case(d, place)
+        rng = np.random.default_rng(1000 * d + 100 * M + 10 * k + len(place))
+        a = random_hermitian_stack(rng, k, M**T.n_sites)
+        small = LocalOp(J, random_hermitian_stack(rng, k, M**J.n_sites), M)
+        moved = permute_legs(a, T, J, M)
+        back = permute_legs(moved, T, J, M, back=True)
+        big = embed(small, T).matrix
+        total = a.copy()
+        add_embedded(total, small, T, 0.3 - 1.7j)
+        assert big.shape == a.shape
+        for i in range(k):
+            single = LocalOp(J, small.matrix[i], M)
+            assert np.array_equal(moved[i], permute_legs(a[i], T, J, M))
+            assert np.array_equal(back[i], a[i])
+            assert np.array_equal(big[i], embed(single, T).matrix)
+            want = a[i].copy()
+            add_embedded(want, single, T, 0.3 - 1.7j)
+            assert np.array_equal(total[i], want)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n, width", [(16, 4), (27, 9), (64, 32), (8, 8)])
+    def test_border_norm_slices_match_single_calls(self, n, width, k):
+        # one shared B against a stack of C; 2 width >= n included
+        rng = np.random.default_rng(n + width + k)
+        b = random_complex(rng, (n, width))
+        c = random_complex(rng, (k, width, n))
+        norms = border_norm(b, c)
+        assert norms.shape == (k,)
+        for i in range(k):
+            assert norms[i] == border_norm(b, c[i])
+
