@@ -20,12 +20,12 @@ from .model import ModelSpec, build_hamiltonian, initial_interactions, random_mo
 from .schwinger import (
     ConvergenceError,
     GapError,
-    MajorantSeries,
     StepOperators,
     assemble_g,
     check_g_gap,
     lie_schwinger_series,
     majorants,
+    radius_lower_bound,
 )
 from .flow import (
     FlowState,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .flow import Tolerances, run_flow, verdict
+from .flow import CONSISTENCY_MODES, Tolerances, run_flow, verdict
 from .geometry import LatticeSpec, Rect
 from .model import ModelSpec, default_onsite, random_model
 from .schwinger import ConvergenceError, GapError
@@ -129,8 +129,9 @@ def parse_config(path: str) -> RunConfig:
     checks = raw.get("checks", {})
     _reject_unknown(checks, _CHECK_KEYS, "'checks'")
     mode = checks.get("consistency", "auto")
-    if mode not in ("auto", "never", "final", "every-step"):
-        raise ConfigError(f"checks.consistency must be auto|never|final|every-step, got {mode!r}")
+    if mode not in CONSISTENCY_MODES:
+        modes = "|".join(CONSISTENCY_MODES)
+        raise ConfigError(f"checks.consistency must be {modes}, got {mode!r}")
 
     output = raw.get("output", {})
     _reject_unknown(output, _OUTPUT_KEYS, "'output'")
@@ -320,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--check-consistency",
-        choices=["auto", "never", "final", "every-step"],
+        choices=CONSISTENCY_MODES,
         default=None,
         help="when to compare the map update against the honest conjugation",
     )

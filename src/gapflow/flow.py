@@ -27,7 +27,7 @@ its own, in flow order, by ``apply_step``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -49,6 +49,8 @@ from .schwinger import (
 from .tensor import LocalOp, conjugate_on_legs, embed, embedded_sum
 
 PRUNE_THRESHOLD = 1e-14
+# when ``run_flow`` runs the consistency oracle
+CONSISTENCY_MODES = ("auto", "never", "final", "every-step")
 
 
 def set_entry(interactions: dict[Rect, LocalOp], key: Rect, op: LocalOp) -> None:
@@ -84,6 +86,8 @@ class StepRecord:
     generator S = X e0^+ - e0 X^+, or None for a skipped step. ``residual``
     is the consistency oracle's Frobenius distance, or None when the step
     was not checked. A record's index is its position in the history.
+    Every other field is named as the ``StepOperators`` field a series step
+    copies it from.
     """
 
     rect: Rect
@@ -103,20 +107,6 @@ class StepRecord:
     @property
     def skipped(self) -> bool:
         return self.generator is None
-
-
-# the StepRecord fields a series step copies from its StepOperators
-_SERIES_FIELDS = (
-    "s_norm",
-    "v1_norm",
-    "tail_bound",
-    "tail_certified",
-    "od_residual",
-    "step_defect",
-    "term_norms",
-    "v_diag_total",
-    "generator",
-)
 
 
 @dataclass
@@ -263,17 +253,19 @@ def apply_step(
         raise ValueError(f"series of {terms.rect} handed to the step on {J}")
 
     if terms is None:
-        g, e0 = assemble_g(J, state.interactions, spec.t)
+        g = assemble_g(J, state.interactions, spec.t)
         v1 = state.interactions.get(J)
         if v1 is not None:
-            terms = series_stack([(J, g, e0, v1)], spec.t, state.j_max)[0]
+            terms = series_stack([(J, g, v1)], spec.t, state.j_max)[0]
     if terms is None:
-        ops, fields = None, dict(g_gap=float(check_g_gap(g.matrix, e0)), e0=e0)
+        ops = None
+        record = StepRecord(
+            rect=J, g_gap=float(check_g_gap(g.matrix)), e0=float(g.matrix[0, 0].real)
+        )
     else:
         ops = lie_schwinger_series(terms, spec.t)
-        fields = {name: getattr(ops, name) for name in _SERIES_FIELDS}
-        fields.update(g_gap=ops.gap, e0=ops.e0)
-    record = StepRecord(rect=J, **fields)
+        names = [f.name for f in fields(StepRecord) if f.name != "residual"]
+        record = StepRecord(**{name: getattr(ops, name) for name in names})
     # the record has no residual yet, so only its gap can fail here
     failed = _step_failures(record, state.tolerances)
     if failed and not force:
@@ -306,10 +298,10 @@ def level_series(state: FlowState) -> dict[Rect, StepOperators]:
         if v1 is None or stack_limit(v1.dim, state.j_max) == 1:
             continue
         try:
-            g, e0 = assemble_g(J, state.interactions, spec.t)
+            g = assemble_g(J, state.interactions, spec.t)
         except GapError:
             continue
-        groups.setdefault(v1.dim, []).append((J, g, e0, v1))
+        groups.setdefault(v1.dim, []).append((J, g, v1))
     return {
         terms.rect: terms
         for group in groups.values()
@@ -357,15 +349,15 @@ def run_flow(
     it shows in ``state.failures`` and makes ``state.status``
     ``hypothesis-violated``.
 
-    ``check_consistency``: one of ``never | final | every-step | auto``
+    ``check_consistency``: one of ``CONSISTENCY_MODES``
     (auto = every step for N <= 3, final otherwise). Either mode checks only
     steps that ran a series: a skipped step conjugates nothing, so its
     residual would be zero by construction.
     """
+    if check_consistency not in CONSISTENCY_MODES:
+        raise ValueError(f"unknown consistency mode {check_consistency!r}")
     if check_consistency == "auto":
         check_consistency = "every-step" if spec.lat.N <= 3 else "final"
-    if check_consistency not in ("never", "final", "every-step"):
-        raise ValueError(f"unknown consistency mode {check_consistency!r}")
 
     state = initial_state(spec, keep_history, j_max, tolerances)
     steps = enumerate_steps(spec.lat)

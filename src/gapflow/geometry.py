@@ -87,8 +87,13 @@ class Rect:
         ranges = [range(qj, qj + kj + 1) for qj, kj in zip(self.q, self.k)]
         return [tuple(c) for c in product(*ranges)]
 
+    def _require_same_d(self, other: "Rect") -> None:
+        if len(self.k) != len(other.k):
+            raise ValueError(f"rectangles {self} and {other} differ in dimension")
+
     def contains(self, other: "Rect") -> bool:
         """True iff ``other`` is contained in self (not necessarily strictly)."""
+        self._require_same_d(other)
         return all(
             qj <= oq and oq + ok <= qj + kj
             for qj, kj, oq, ok in zip(self.q, self.k, other.q, other.k)
@@ -96,6 +101,7 @@ class Rect:
 
     def overlaps(self, other: "Rect") -> bool:
         """True iff the two rectangles share at least one lattice site."""
+        self._require_same_d(other)
         return all(
             max(q1, q2) <= min(q1 + k1, q2 + k2)
             for k1, q1, k2, q2 in zip(self.k, self.q, other.k, other.q)

@@ -90,67 +90,22 @@ MAJORANT_A = 0.023320199830777617
 to the last bit of a double (0x1.7e1401e6fffe5p-6)."""
 
 
-@dataclass
-class MajorantSeries:
-    """Recursive majorants B_1 = ||v1||, B_j = (1/a) sum_{l<j} B_{j-l} B_l
-    of the step series, with a = ``MAJORANT_A``; a/(4 B_1) bounds the
-    convergence radius in t from below."""
-
-    b: list[float]
-
-    @property
-    def a(self) -> float:
-        return MAJORANT_A
-
-    @property
-    def v1_norm(self) -> float:
-        return self.b[0]
-
-    @property
-    def radius_lower_bound(self) -> float:
-        return MAJORANT_A / (4 * self.b[0])
-
-    def extend(self, n: int) -> None:
-        """Append majorants until ``b`` holds B_1 .. B_n."""
-        b = self.b
-        while len(b) < n:
-            j = len(b) + 1
-            b.append(sum(b[j - l - 1] * b[l - 1] for l in range(1, j)) / MAJORANT_A)
-
-    def tail(self, t: float, j_max: int) -> float:
-        """Upper bound for sum_{j>j_max} t^{j-1} B_j (requires t below the radius).
-
-        Terms are advanced through the coefficient ratio
-        B_{j+1}/B_j = (2(2j-1)/(j+1)) B_1/a, which stays below 4 B_1/a, so
-        neither the coefficients nor the powers are formed explicitly.
-        """
-        t = abs(t)
-        rho = 4.0 * self.v1_norm * t / self.a
-        if rho >= 1.0:
-            raise ConvergenceError(
-                f"coupling t={t} is outside the certified region "
-                f"t < {self.radius_lower_bound:.6g}"
-            )
-        j = j_max + 1
-        self.extend(j)
-        term = t ** (j - 1) * self.b[j - 1]
-        total = 0.0
-        while True:
-            total += term
-            rest = term * rho / (1.0 - rho)
-            if rest <= 1e-300 + 1e-16 * total:
-                return total + rest
-            term *= 2.0 * (2 * j - 1) / (j + 1) * self.v1_norm / self.a * t
-            j += 1
-
-
-def majorants(v1_norm: float, j_max: int) -> MajorantSeries:
-    """The majorants B_1 .. B_{j_max+1} for B_1 = ``v1_norm``."""
+def majorants(v1_norm: float, n: int) -> list[float]:
+    """The recursive majorants B_1 .. B_n of the step series:
+    B_1 = ``v1_norm`` = ||v1||, B_j = (1/a) sum_{l<j} B_{j-l} B_l with
+    a = ``MAJORANT_A``."""
     if v1_norm <= 0:
         raise ValueError("v1_norm must be positive")
-    maj = MajorantSeries([v1_norm])
-    maj.extend(j_max + 1)
-    return maj
+    b = [v1_norm]
+    for j in range(2, n + 1):
+        b.append(sum(b[j - l - 1] * b[l - 1] for l in range(1, j)) / MAJORANT_A)
+    return b
+
+
+def radius_lower_bound(v1_norm: float) -> float:
+    """a/(4 B_1): a lower bound for the convergence radius in t of the
+    majorant series with B_1 = ``v1_norm``."""
+    return MAJORANT_A / (4 * v1_norm)
 
 
 @dataclass
@@ -186,7 +141,7 @@ class StepOperators:
     basis: np.ndarray
     v_coords: list[np.ndarray]
     v_diag_total: LocalOp
-    gap: float
+    g_gap: float
     v1_norm: float
     s_norm: float
     term_norms: list[float]
@@ -196,17 +151,16 @@ class StepOperators:
     tail_certified: bool | None = None
 
 
-def assemble_g(
-    J: Rect, interactions: dict[Rect, LocalOp], t: float
-) -> tuple[LocalOp, float]:
-    """Already-diagonal local operator on J: on-site terms plus every strictly
-    smaller stored potential, with its vacuum energy."""
+def assemble_g(J: Rect, interactions: dict[Rect, LocalOp], t: float) -> LocalOp:
+    """Already-diagonal local operator G on J: on-site terms plus every
+    strictly smaller stored potential. G fixes the vacuum, so its vacuum
+    energy is G[0, 0]."""
     inner = [op for key, op in interactions.items() if J.contains(key) and key != J]
     if not inner:
         raise ValueError(f"no on-site terms found inside {J}; interaction map is incomplete")
     g = embedded_sum(coupled(inner, t), J, inner[0].M)
     _require_fixed_vacuum(J, g.matrix)
-    return g, float(g.matrix[0, 0].real)
+    return g
 
 
 def _require_fixed_vacuum(J: Rect, g_matrix: np.ndarray) -> None:
@@ -220,24 +174,39 @@ def _require_fixed_vacuum(J: Rect, g_matrix: np.ndarray) -> None:
         )
 
 
-def check_g_gap(g_matrix: np.ndarray, e0: float | np.ndarray) -> float | np.ndarray:
-    """Spectral gap of the excited block above the vacuum energy, of each
-    matrix along leading stack axes (``e0`` stacks with them).
+def check_g_gap(g_matrix: np.ndarray) -> float | np.ndarray:
+    """Spectral gap of the excited block above the vacuum energy G[0, 0] of
+    a G that fixes the vacuum, of each matrix along leading stack axes.
 
     This is a report, not an assertion: negative values are returned.
     """
-    return np.linalg.eigvalsh(g_matrix[..., 1:, 1:])[..., 0] - e0
+    return np.linalg.eigvalsh(g_matrix[..., 1:, 1:])[..., 0] - g_matrix[..., 0, 0].real
 
 
 def _series_tail(
-    term_norms: list[float], t: float, maj: MajorantSeries, j_max: int
+    term_norms: list[float], t: float, v1_norm: float, j_max: int
 ) -> tuple[float, bool]:
-    """Truncation tail: the exact majorant sum when t is inside the certified
-    region, otherwise a geometric extrapolation of the computed terms."""
+    """Truncation tail: inside the certified region t < ``radius_lower_bound``
+    the majorant sum sum_{j>j_max} t^{j-1} B_j, otherwise a geometric
+    extrapolation of the computed terms.
+
+    The majorant terms are advanced through the coefficient ratio
+    B_{j+1}/B_j = (2(2j-1)/(j+1)) B_1/a, which stays below 4 B_1/a, so
+    neither the coefficients nor the powers are formed past B_{j_max+1}.
+    """
     t = abs(t)
-    rho = 4.0 * maj.v1_norm * t / maj.a
+    rho = 4.0 * v1_norm * t / MAJORANT_A
     if rho < 1.0:
-        return maj.tail(t, j_max), True
+        j = j_max + 1
+        term = t ** (j - 1) * majorants(v1_norm, j)[-1]
+        total = 0.0
+        while True:
+            total += term
+            rest = term * rho / (1.0 - rho)
+            if rest <= 1e-300 + 1e-16 * total:
+                return total + rest, True
+            term *= 2.0 * (2 * j - 1) / (j + 1) * v1_norm / MAJORANT_A * t
+            j += 1
     if j_max < 2:
         raise ConvergenceError(
             "coupling outside certified convergence region and j_max < 2 "
@@ -516,9 +485,9 @@ def stack_limit(dim: int, j_max: int) -> int:
 
 
 def series_stack(
-    steps: list[tuple[Rect, LocalOp, float, LocalOp]], t: float, j_max: int = 12
+    steps: list[tuple[Rect, LocalOp, LocalOp]], t: float, j_max: int = 12
 ) -> list[StepOperators]:
-    """The series of several steps (J, G, e0, V) of one dimension n, in runs
+    """The series of several steps (J, G, V) of one dimension n, in runs
     of at most ``stack_limit(n, j_max)`` steps along a leading stack axis.
     A G that does not fix the vacuum is refused with ``GapError``, as
     ``assemble_g`` refuses it.
@@ -529,11 +498,11 @@ def series_stack(
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    for J, g, _, v1 in steps:
+    for J, g, v1 in steps:
         if g.matrix.shape != v1.matrix.shape:
             raise ValueError("g and v1 must live on the same support")
         _require_fixed_vacuum(J, g.matrix)
-    dims = {g.dim for _, g, _, _ in steps}
+    dims = {g.dim for _, g, _ in steps}
     if len(dims) != 1:
         raise ValueError(f"a stack holds steps of one dimension, got {sorted(dims)}")
     size = stack_limit(dims.pop(), j_max)
@@ -544,17 +513,17 @@ def series_stack(
 
 
 def _run_stack(
-    steps: list[tuple[Rect, LocalOp, float, LocalOp]], t: float, j_max: int
+    steps: list[tuple[Rect, LocalOp, LocalOp]], t: float, j_max: int
 ) -> list[StepOperators]:
-    rects, gs, e0s, v1s = zip(*steps)
+    rects, gs, v1s = zip(*steps)
     G = _stacked([g.matrix for g in gs])
     V = _stacked([v1.matrix for v1 in v1s])
-    e0 = np.array(e0s, dtype=float)
+    e0 = G[:, 0, 0].real
     k, dim = G.shape[:2]
     # the three O(n^3) solves: the gaps and the resolvents (G' - e0)^-1 of
     # the excited blocks, each once for the whole stack, and the norm of
     # each V, once per entry (``LocalOp.norm``)
-    gaps = check_g_gap(G, e0)
+    gaps = check_g_gap(G)
     shifted = G[:, 1:, 1:].copy()
     diag = np.arange(dim - 1)
     shifted[:, diag, diag] -= e0[:, None]
@@ -634,13 +603,13 @@ def _run_stack(
             rect=J,
             g=g,
             v1=v1,
-            e0=e0s[i],
+            e0=float(e0[i]),
             generators=list(xs[i]),
             generator=X[i],
             basis=basis.columns(i),
             v_coords=list(vs[i, :, :width, :width]),
             v_diag_total=LocalOp(J, v_diag[i], v1.M),
-            gap=float(gaps[i]),
+            g_gap=float(gaps[i]),
             v1_norm=v1.norm,
             s_norm=float(np.linalg.norm(X[i])),
             term_norms=[v1.norm, *term_norms[i]],
@@ -655,14 +624,12 @@ def lie_schwinger_series(ops: StepOperators, t: float) -> StepOperators:
     """Judge one step's ``series_stack`` output ``ops`` at coupling ``t``:
     warn about its gap, then add the truncation certificate of its
     j_max = len(ops.generators) orders, the majorants and the tail bound."""
-    if ops.gap < GAP_WARN:
+    if ops.g_gap < GAP_WARN:
         warnings.warn(
-            f"gap degradation on {ops.rect}: excited block starts {ops.gap:.3g} above the "
+            f"gap degradation on {ops.rect}: excited block starts {ops.g_gap:.3g} above the "
             "vacuum energy"
         )
     if ops.v1_norm <= 0:
         return replace(ops, tail_bound=0.0, tail_certified=True)
-    j_max = len(ops.generators)
-    maj = majorants(ops.v1_norm, j_max)
-    tail_bound, certified = _series_tail(ops.term_norms, t, maj, j_max)
+    tail_bound, certified = _series_tail(ops.term_norms, t, ops.v1_norm, len(ops.generators))
     return replace(ops, tail_bound=tail_bound, tail_certified=certified)

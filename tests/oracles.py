@@ -21,7 +21,6 @@ from gapflow.geometry import LatticeSpec, Rect, minimal_rectangle
 from gapflow.schwinger import (
     _series_tail,
     check_g_gap,
-    majorants,
     rotation_border_norm,
     rotation_delta,
 )
@@ -386,12 +385,11 @@ def dense_step_series(J, g, e0, v1, t, j_max=12):
     as its vector, column 0 of the dense S."""
     G = g.matrix
     dim = G.shape[0]
-    gap = float(check_g_gap(G, e0))
+    gap = float(check_g_gap(G))
     w, U = np.linalg.eigh(G[1:, 1:])
     resolvent = np.zeros((dim, dim), dtype=complex)
     resolvent[1:, 1:] = U @ np.diag(1.0 / (w - e0)) @ U.conj().T
     v1_norm = op_norm(v1)
-    maj = majorants(v1_norm, j_max) if v1_norm > 0 else None
     s_terms, term_norms = [], []
     g_tab, v_tab = {}, {}
 
@@ -428,14 +426,15 @@ def dense_step_series(J, g, e0, v1, t, j_max=12):
         v_diag += t ** (j - 1) * diag_part(vj)
         s_total += t**j * s_terms[-1]
     tail_bound, certified = (
-        _series_tail(term_norms, t, maj, j_max) if maj is not None else (0.0, True)
+        _series_tail(term_norms, t, v1_norm, j_max) if v1_norm > 0 else (0.0, True)
     )
     unitary = expm(s_total)
     local = G + t * v1.matrix
     conj = unitary @ local @ unitary.conj().T
     return SimpleNamespace(
+        rect=J,
         e0=e0,
-        gap=gap,
+        g_gap=gap,
         v1_norm=v1_norm,
         s_norm=op_norm(s_total),
         tail_bound=tail_bound,

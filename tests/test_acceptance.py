@@ -148,7 +148,7 @@ class TestCriterion6:
                     continue
                 # computed orders stay under the recursive majorants
                 assert rec.term_norms and rec.v1_norm > 0
-                b = majorants(rec.v1_norm, len(rec.term_norms)).b[: len(rec.term_norms)]
+                b = majorants(rec.v1_norm, len(rec.term_norms))
                 for nrm, bj in zip(rec.term_norms, b):
                     assert nrm <= bj * (1 + 1e-12)
                 # majorants are the branch-series coefficients (Catalan oracle)

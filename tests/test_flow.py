@@ -28,7 +28,13 @@ from gapflow.flow import (
 )
 from gapflow.geometry import LatticeSpec, Rect, all_rects, compare_step, enumerate_steps
 from gapflow.model import ModelSpec, build_hamiltonian, default_onsite, random_model
-from gapflow.schwinger import GapError, assemble_g, generator_exponential, rotation_delta
+from gapflow.schwinger import (
+    GapError,
+    StepOperators,
+    assemble_g,
+    generator_exponential,
+    rotation_delta,
+)
 from gapflow.tensor import (
     LocalOp,
     SiteSpace,
@@ -236,6 +242,43 @@ class TestApplyStep:
             apply_step(state)
 
 
+# the StepRecord fields a series step copies from its StepOperators
+RECORD_SERIES_FIELDS = [f.name for f in dataclasses.fields(StepRecord) if f.name != "residual"]
+
+
+class TestRecordSeriesContract:
+    def test_record_fields_name_series_fields(self):
+        # every record field but the residual is a series field of the same name
+        series_fields = {f.name for f in dataclasses.fields(StepOperators)}
+        assert set(RECORD_SERIES_FIELDS) <= series_fields
+
+    @pytest.mark.parametrize("d, N, t", [(1, 6, 0.05), (3, 2, 0.02)])
+    def test_record_holds_its_judged_series(self, monkeypatch, d, N, t):
+        # each series step's record holds its judged StepOperators' values,
+        # bit for bit, stacked steps and stacks of one alike
+        judged = []
+        real = flow.apply_step
+
+        def apply(state, *args, **kwargs):
+            new, ops = real(state, *args, **kwargs)
+            judged.append((new.history[-1], ops))
+            return new, ops
+
+        monkeypatch.setattr(flow, "apply_step", apply)
+        run_flow(random_model(LatticeSpec(d, N), 2, t, seed=1), check_consistency="never")
+        series = [(rec, ops) for rec, ops in judged if ops is not None]
+        assert series
+        for rec, ops in series:
+            for name in RECORD_SERIES_FIELDS:
+                got, want = getattr(rec, name), getattr(ops, name)
+                if isinstance(want, LocalOp):
+                    got, want = got.matrix, want.matrix
+                if isinstance(want, np.ndarray):
+                    assert np.array_equal(got, want), name
+                else:
+                    assert got == want, name
+
+
 class TestAssembleAndConsistency:
     def test_initial_assembly_matches_build(self):
         spec = random_model(LatticeSpec(2, 2), 2, 0.05, seed=23)
@@ -331,9 +374,9 @@ class TestRunFlow:
         seen = []
 
         def checked(J, interactions, t):
-            g, e0 = assemble_g(J, interactions, t)
+            g = assemble_g(J, interactions, t)
             seen.append(offdiag_norm(g.matrix))
-            return g, e0
+            return g
 
         monkeypatch.setattr(flow, "assemble_g", checked)
         spec = random_model(LatticeSpec(d, N), 2, t, seed=1)

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from gapflow.geometry import (
     minimal_rectangle,
     step_sort_key,
 )
+from gapflow.tensor import LocalOp, embed
 
 from oracles import g_set_scan, three_clause_compare
 
@@ -55,6 +57,23 @@ class TestRect:
         assert not Rect((1, 0), (2, 2)).contains(big)
         assert Rect((1, 0), (1, 1)).overlaps(Rect((0, 1), (2, 1)))
         assert not Rect((1, 0), (1, 1)).overlaps(Rect((1, 0), (1, 3)))
+
+    def test_mixed_dimensions_refused(self):
+        # rectangles of different lattice dimension neither contain nor
+        # overlap each other; every call that compares them says so
+        edge, square = Rect((1,), (1,)), Rect((1, 1), (1, 1))
+        calls = [
+            lambda: square.contains(edge),
+            lambda: edge.contains(square),
+            lambda: square.overlaps(edge),
+            lambda: edge.overlaps(square),
+            lambda: minimal_rectangle(edge, square),
+            lambda: g_set(edge, square),
+            lambda: embed(LocalOp(edge, np.eye(4), 2), square),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"differ in dimension"):
+                call()
 
 
 class TestCompareStep:

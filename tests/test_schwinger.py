@@ -2,7 +2,8 @@
 
 import dataclasses
 import tracemalloc
-from math import comb
+from fractions import Fraction
+from math import comb, fsum
 
 import numpy as np
 import pytest
@@ -21,11 +22,13 @@ from gapflow.schwinger import (
     GapError,
     _border_delta,
     _rotation_border,
+    _series_tail,
     assemble_g,
     check_g_gap,
     generator_exponential,
     lie_schwinger_series,
     majorants,
+    radius_lower_bound,
     rotation_border_norm,
     rotation_delta,
     rotation_delta_bound,
@@ -73,33 +76,33 @@ def edge_model(t, v=None, seed=None):
     return ModelSpec(LatticeSpec(1, 2), SiteSpace(2), default_onsite(2), [(EDGE, v)], t)
 
 
-def one_step(J, g, e0, v1, t, j_max=12):
+def one_step(J, g, v1, t, j_max=12):
     """One step's series, run as a stack of one and judged: what
     ``apply_step`` does for a step without stacked terms."""
-    return lie_schwinger_series(series_stack([(J, g, e0, v1)], t, j_max)[0], t)
+    return lie_schwinger_series(series_stack([(J, g, v1)], t, j_max)[0], t)
 
 
 def edge_series(t, v=None, seed=None, j_max=10):
     spec = edge_model(t, v=v, seed=seed)
     entries = initial_interactions(spec)
-    g, e0 = assemble_g(EDGE, entries, t)
+    g = assemble_g(EDGE, entries, t)
     v1 = entries[EDGE]
-    return one_step(EDGE, g, e0, v1, t, j_max=j_max), g, e0, v1
+    return one_step(EDGE, g, v1, t, j_max=j_max), g, v1
 
 
 class TestAssembleG:
     def test_unperturbed(self):
         spec = edge_model(0.0)
-        g, e0 = assemble_g(EDGE, initial_interactions(spec), 0.0)
-        assert e0 == 0.0
+        g = assemble_g(EDGE, initial_interactions(spec), 0.0)
+        assert g.matrix[0, 0] == 0.0
         assert np.allclose(g.matrix, np.diag([0.0, 1.0, 1.0, 2.0]))
 
     def test_first_edge_has_no_coupling_terms(self):
         # circumference-1 steps see only on-site terms, so the gap is exactly 1
         spec = edge_model(0.05)
-        g, e0 = assemble_g(EDGE, initial_interactions(spec), 0.05)
+        g = assemble_g(EDGE, initial_interactions(spec), 0.05)
         assert np.allclose(g.matrix, np.diag([0.0, 1.0, 1.0, 2.0]))
-        assert check_g_gap(g.matrix, e0) == pytest.approx(1.0, abs=1e-14)
+        assert check_g_gap(g.matrix) == pytest.approx(1.0, abs=1e-14)
 
     def test_rejects_undiagonalized_inner_potential(self):
         spec = edge_model(0.05)
@@ -174,12 +177,12 @@ def relative_gap(got, want):
     )
 
 
-RADIUS = majorants(1.0, 1).radius_lower_bound
+RADIUS = radius_lower_bound(1.0)
 
 
 def assert_matches_dense_oracle(rect, g, v1, e0, t, j_max):
     """Run the step series and check it against ``dense_series_oracle``."""
-    ops = one_step(rect, g, e0, v1, t, j_max=j_max)
+    ops = one_step(rect, g, v1, t, j_max=j_max)
     want = dense_series_oracle(g.matrix, v1.matrix, e0, t, j_max)
     s_terms, v_terms = dense_terms(ops)
     assert len(s_terms) == len(v_terms) == len(ops.term_norms) == j_max
@@ -205,7 +208,7 @@ def assert_matches_dense_oracle(rect, g, v1, e0, t, j_max):
 class TestSeries:
     def test_block_diagonal_input_passes_through(self):
         v = np.diag([0.3, -0.2, 0.5, 0.1])
-        ops, g, e0, v1 = edge_series(0.1, v=v)
+        ops, g, v1 = edge_series(0.1, v=v)
         assert op_norm(dense_generator(ops.generator)) < 1e-15
         assert np.allclose(ops.v_diag_total.matrix, v)
         assert ops.tail_bound == 0.0 or ops.tail_certified
@@ -220,7 +223,7 @@ class TestSeries:
         assert np.linalg.norm(dense_terms(ops)[0][0] - expected, 2) < 1e-14
 
     def test_terms_match_composition_sum_oracle(self):
-        ops, g, e0, v1 = edge_series(0.05, seed=7, j_max=8)
+        ops, g, v1 = edge_series(0.05, seed=7, j_max=8)
         s_terms, v_terms = dense_terms(ops)
         S = {r + 1: s for r, s in enumerate(s_terms)}
         for j in range(1, 9):
@@ -243,13 +246,13 @@ class TestSeries:
 
     def test_generator_norm_vs_term_norm(self):
         ops, *_ = edge_series(0.05, seed=10)
-        assert ops.gap >= 0.5
+        assert ops.g_gap >= 0.5
         for sj, vj in zip(*dense_terms(ops)):
             assert np.linalg.norm(sj, 2) <= 4 * np.linalg.norm(vj, 2) + 1e-14
 
     def test_conjugation_block_diagonalizes(self):
         for t in (0.02, 0.05):
-            ops, g, e0, v1 = edge_series(t, seed=11, j_max=12)
+            ops, g, v1 = edge_series(t, seed=11, j_max=12)
             u = expm(dense_generator(ops.generator))
             conj = u @ (g.matrix + t * v1.matrix) @ u.conj().T
             assert offdiag_norm(conj) <= t * ops.tail_bound + 1e-13
@@ -258,7 +261,7 @@ class TestSeries:
         # the conjugated local operator, from the rotation kernel, keeps the
         # spectrum of L = G + t V
         t = 0.05
-        ops, g, e0, v1 = edge_series(t, seed=12)
+        ops, g, v1 = edge_series(t, seed=12)
         local = g.matrix + t * v1.matrix
         conj = local + rotation_delta(LocalOp(EDGE, local, 2), EDGE, ops.generator)
         drift = np.max(np.abs(np.linalg.eigvalsh(conj) - np.linalg.eigvalsh(local)))
@@ -273,7 +276,7 @@ class TestSeries:
         # only other solve is the term norms', over the j_max - 1 coordinate
         # matrices of each
         rect, g, v1 = gapped_step(2, 6, 0.0, seed=4)
-        steps = [(J, g, 0.0, v1) for J, g, v1 in (gapped_step(2, 4, 0.0, s) for s in (1, 2, 3))]
+        steps = [gapped_step(2, 4, 0.0, s) for s in (1, 2, 3)]
         calls, dims = [], [g.dim]
         for name in ("eigvalsh", "eigh", "inv", "svd"):
             real = getattr(np.linalg, name)
@@ -287,7 +290,7 @@ class TestSeries:
             for module in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
                 monkeypatch.setattr(module, name, counted)
 
-        one_step(rect, g, 0.0, LocalOp(rect, v1.matrix, 2), 0.5 * RADIUS, j_max=12)
+        one_step(rect, g, LocalOp(rect, v1.matrix, 2), 0.5 * RADIUS, j_max=12)
         assert sorted(calls) == [("eigvalsh", ()), ("eigvalsh", (1,)), ("inv", (1,))]
 
         dims.append(steps[0][1].dim)
@@ -305,10 +308,9 @@ class TestSeries:
     @pytest.mark.parametrize("M, n_sites, j_max", [(2, 2, 8), (2, 4, 12), (3, 2, 4)])
     def test_stack_matches_each_step_alone(self, M, n_sites, j_max):
         # stacked steps agree with the same steps run as stacks of one
-        steps = []
-        for e0, seed in ((0.0, 1), (-0.3, 2), (0.4, 3)):
-            rect, g, v1 = gapped_step(M, n_sites, e0, seed)
-            steps.append((rect, g, e0, v1))
+        steps = [
+            gapped_step(M, n_sites, e0, seed) for e0, seed in ((0.0, 1), (-0.3, 2), (0.4, 3))
+        ]
         assert stack_limit(steps[0][1].dim, j_max) >= len(steps)
         t = 0.5 * RADIUS
         for got, step in zip(series_stack(steps, t, j_max), steps):
@@ -333,7 +335,7 @@ class TestSeries:
         assert stack_limit(4, 12) > stack_limit(16, 12) > 1
         small, big = gapped_step(2, 2, 0.0, 1), gapped_step(2, 3, 0.0, 1)
         with pytest.raises(ValueError, match="one dimension"):
-            series_stack([(J, g, 0.0, v1) for J, g, v1 in (small, big)], 0.01)
+            series_stack([small, big], 0.01)
 
     @pytest.mark.parametrize("side", ["column", "row"])
     def test_refuses_g_that_moves_the_vacuum(self, side):
@@ -350,12 +352,11 @@ class TestSeries:
         else:
             mat[0, :] += leak
         with pytest.raises(GapError, match="does not fix the vacuum"):
-            series_stack([(rect, LocalOp(rect, mat, 2), 0.3, v1)], 0.001, j_max=8)
+            series_stack([(rect, LocalOp(rect, mat, 2), v1)], 0.001, j_max=8)
 
     def test_transformed_norm_within_factor_two(self):
         # inside the certified region the transformed potential stays small
-        maj = majorants(1.0, 8)
-        t = 0.4 * maj.radius_lower_bound
+        t = 0.4 * radius_lower_bound(1.0)
         ops, *_ = edge_series(t, seed=13, j_max=8)
         assert ops.tail_certified
         assert op_norm(ops.v_diag_total) <= 2 * ops.v1_norm
@@ -411,8 +412,8 @@ class TestSeries:
         rect, g, v1 = gapped_step(2, 4, 0.1, seed=23, levels=(-3.0, -0.5))
         with pytest.warns(UserWarning, match="gap degradation"):
             ops = assert_matches_dense_oracle(rect, g, v1, 0.1, 0.5 * RADIUS, 8)
-        assert ops.gap == check_g_gap(g.matrix, 0.1)
-        assert -3.0 <= ops.gap <= -0.5
+        assert ops.g_gap == check_g_gap(g.matrix)
+        assert -3.0 <= ops.g_gap <= -0.5
 
     def test_peak_memory_at_dim_256(self):
         # the chain table holds D x D coordinates with D <= 2 j_max + 1, so one
@@ -420,7 +421,7 @@ class TestSeries:
         rect, g, v1 = gapped_step(2, 8, 0.0, seed=3)
         tracemalloc.start()
         try:
-            one_step(rect, g, 0.0, v1, 0.5 * RADIUS, j_max=12)
+            one_step(rect, g, v1, 0.5 * RADIUS, j_max=12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -429,7 +430,7 @@ class TestSeries:
     def test_borders_vanish_off_the_generator_span(self):
         # P v_j P = 0 for P the projection off span(e0, x_1, .., x_{j-1})
         rect, g, v1 = gapped_step(2, 4, 0.0, seed=5)
-        ops = one_step(rect, g, 0.0, v1, 0.005, j_max=8)
+        ops = one_step(rect, g, v1, 0.005, j_max=8)
         _, v_terms = dense_terms(ops)
         e0 = np.eye(g.dim)[:, 0]
         for j in range(2, 9):
@@ -697,64 +698,81 @@ class TestMajorants:
 
     @pytest.mark.parametrize("v1_norm, j_max", sorted(MAJORANTS_BEFORE_PIN))
     def test_series_bits_unchanged(self, v1_norm, j_max):
-        maj = majorants(v1_norm, j_max)
+        b = majorants(v1_norm, j_max + 1)
         ref = [v1_norm]
         for j in range(2, j_max + 2):
             ref.append(sum(ref[j - l - 1] * ref[l - 1] for l in range(1, j)) / MAJORANT_A)
-        assert maj.b == ref
-        assert (maj.a, maj.v1_norm) == (MAJORANT_A, v1_norm)
+        assert b == ref
         radius, b_last, tail = (float.fromhex(h) for h in MAJORANTS_BEFORE_PIN[v1_norm, j_max])
-        assert maj.radius_lower_bound == radius
-        assert maj.b[j_max] == b_last
-        assert maj.tail(0.3 * radius, j_max) == tail
-        # tail grows the series through the same recurrence
-        longer = majorants(v1_norm, j_max)
-        longer.tail(0.3 * radius, j_max + 3)
-        assert longer.b == majorants(v1_norm, j_max + 3).b
+        assert radius_lower_bound(v1_norm) == radius
+        assert b[j_max] == b_last
+        assert _series_tail([], 0.3 * radius, v1_norm, j_max) == (tail, True)
+        # a longer list continues the same recurrence
+        assert majorants(v1_norm, j_max + 4)[: j_max + 1] == b
 
     def test_recursion_base(self):
-        maj = majorants(0.7, 6)
-        assert maj.b[0] == 0.7
-        assert maj.b[1] == pytest.approx(0.7**2 / maj.a, rel=1e-14)
+        b = majorants(0.7, 7)
+        assert b[0] == 0.7
+        assert b[1] == pytest.approx(0.7**2 / MAJORANT_A, rel=1e-14)
 
     def test_radius(self):
-        maj = majorants(2.0, 4)
-        assert maj.radius_lower_bound == pytest.approx(maj.a / 8.0, rel=1e-14)
+        assert radius_lower_bound(2.0) == pytest.approx(MAJORANT_A / 8.0, rel=1e-14)
 
     def test_taylor_coefficients_catalan(self):
         # generating-function oracle: j-th coefficient of the branch series
         # is Catalan(j-1) * B1^j / a^{j-1}
-        maj = majorants(0.9, 20)
-        for j in range(1, 21):
-            catalan = comb(2 * (j - 1), j - 1) // j
-            closed = catalan * 0.9**j / maj.a ** (j - 1)
-            assert maj.b[j - 1] == pytest.approx(closed, rel=1e-8)
+        for v1_norm in (0.3, 1.0, 2.5):
+            b = majorants(v1_norm, 30)
+            for j in range(1, 31):
+                catalan = comb(2 * (j - 1), j - 1) // j
+                closed = catalan * v1_norm**j / MAJORANT_A ** (j - 1)
+                assert b[j - 1] == pytest.approx(closed, rel=1e-14)
 
     def test_tail_bounds_partial_sums(self):
-        maj = majorants(1.0, 10)
-        t = 0.3 * maj.radius_lower_bound
-        tail = maj.tail(t, 10)
-        direct = sum(t ** (j - 1) * maj.b[j - 1] for j in range(11, len(maj.b) + 1))
-        assert tail >= direct > 0
+        # the certified tail is sum_{j>j_max} t^{j-1} B_j
+        # = B1 sum_{m>=j_max} Catalan(m) x^m for x = B1 t / a. The terms
+        # come from exact Catalan numbers and the exact rational x, each
+        # rounded once, and decrease; they run until one is below 1e-18 of
+        # the shortest tail's sum. The certified tail may lie a few ulps
+        # below the exact one, from the rounding in B_j
+        j_maxes = (1, 2, 4, 8, 12, 20)
+        for v1_norm in (0.3, 1.0, 2.5):
+            for rho in (0.05, 0.3, 0.5, 0.9, 0.99):
+                t = rho * radius_lower_bound(v1_norm)
+                x = Fraction(v1_norm) * Fraction(t) / Fraction(MAJORANT_A)
+                terms, catalan, num, den, shortest = [], 1, 1, 1, 0.0
+                while True:
+                    m = len(terms)
+                    terms.append(catalan * num / den)
+                    if m >= j_maxes[-1]:
+                        shortest += terms[-1]
+                        if terms[-1] < 1e-18 * shortest:
+                            break
+                    catalan = catalan * 2 * (2 * m + 1) // (m + 2)
+                    num, den = num * x.numerator, den * x.denominator
+                for j_max in j_maxes:
+                    exact = v1_norm * fsum(terms[j_max:])
+                    tail, certified = _series_tail([], t, v1_norm, j_max)
+                    assert certified
+                    assert tail == pytest.approx(exact, rel=1e-13), (v1_norm, rho, j_max)
 
-    def test_tail_outside_radius_raises(self):
-        maj = majorants(1.0, 6)
-        with pytest.raises(ConvergenceError):
-            maj.tail(2 * maj.radius_lower_bound, 6)
+    def test_tail_outside_radius_uncertified(self):
+        # outside the certified region the tail extrapolates the computed
+        # terms and says so
+        tail, certified = _series_tail([1.0] * 6, 2 * radius_lower_bound(1.0), 1.0, 6)
+        assert not certified
+        assert np.isfinite(tail) and tail > 0
 
     def test_tail_finite_near_radius(self):
         # slow geometric decay must not overflow the coefficient recursion
-        maj = majorants(1.0, 12)
-        tail = maj.tail(0.999 * maj.radius_lower_bound, 12)
+        t = 0.999 * radius_lower_bound(1.0)
+        tail, certified = _series_tail([], t, 1.0, 12)
+        assert certified
         assert np.isfinite(tail) and tail > 0
-        direct = sum(
-            (0.999 * maj.radius_lower_bound) ** (j - 1) * maj.b[j - 1]
-            for j in range(13, len(maj.b) + 1)
-        )
-        assert tail >= direct
+        assert tail >= t**12 * majorants(1.0, 13)[12]
 
     def test_terms_dominated_by_majorants(self):
         for seed in (20, 21, 22):
             ops, *_ = edge_series(0.05, seed=seed, j_max=10)
-            for nrm, bj in zip(ops.term_norms, majorants(ops.v1_norm, 10).b):
+            for nrm, bj in zip(ops.term_norms, majorants(ops.v1_norm, 10)):
                 assert nrm <= bj * (1 + 1e-12)
