@@ -11,7 +11,6 @@ from .geometry import (
 )
 from .tensor import (
     LocalOp,
-    SiteSpace,
     add_embedded,
     embed,
     hermitian_spectrum,

@@ -23,7 +23,6 @@ from .flow import CONSISTENCY_MODES, Tolerances, run_flow, verdict
 from .geometry import LatticeSpec, Rect
 from .model import ModelSpec, default_onsite, random_model
 from .schwinger import ConvergenceError, GapError
-from .tensor import SiteSpace
 from .verify import inequality_suite, verify_main_theorem
 
 CSV_COLUMNS = [
@@ -221,7 +220,7 @@ def build_model(config: RunConfig) -> ModelSpec:
     for i, entry in enumerate(config.potentials):
         J = Rect(tuple(entry["k"]), tuple(entry["q"]))
         pots.append((J, _matrix_from_config(entry["matrix"], f"potentials[{i}]")))
-    return ModelSpec(lat, SiteSpace(config.M), onsite, pots, config.t, rng_seed=config.seed)
+    return ModelSpec(lat, config.M, onsite, pots, config.t, rng_seed=config.seed)
 
 
 def write_csv(report: dict, path: str) -> None:

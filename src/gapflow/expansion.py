@@ -6,11 +6,12 @@ commutator series applied to the potentials of its growth channels. Each
 surviving term of that unfolding is a branch: an ordered list of generator
 rectangles applied to one leaf potential. Branches are the countable
 objects the norm bookkeeping (weights, paths, component decompositions)
-is built on. A term whose rotation the a-priori bound
-(``schwinger.rotation_delta_bound``) already puts at or below
-``flow.PRUNE_THRESHOLD`` is dropped before it is rotated. The rest are
-rotated in stacks: one step's sub-branches of one support at a time, made
-dense, embedded, rotated and normed together.
+is built on. Every rotation by a step goes through that step's
+``schwinger.RotationPlane``, built once per expander. A term whose
+rotation the plane's a-priori bound (``RotationPlane.bound_factor``)
+already puts at or below ``flow.PRUNE_THRESHOLD`` is dropped before it is
+rotated. The rest are rotated in stacks: one step's sub-branches of one
+support at a time, made dense, embedded, rotated and normed together.
 
 A rotated branch u A u^+ - A has rank at most 4 n / n_J for its support
 dimension n and the step rectangle J, and is kept as its ``Border`` of
@@ -29,7 +30,7 @@ import numpy as np
 
 from .flow import PRUNE_THRESHOLD, FlowState
 from .geometry import LatticeSpec, Rect, enumerate_steps, g_set, minimal_rectangle
-from .schwinger import _border_delta, rotation_border_norm, rotation_plane
+from .schwinger import border_delta, rotation_border_norm, rotation_plane
 from .tensor import LocalOp, embed, embedded_sum
 
 # bytes of one stack of embedded sub-branches rotated at once; the rotation
@@ -55,7 +56,7 @@ class Border:
     def dense(self) -> LocalOp:
         """The operator as a fresh dense ``LocalOp``."""
         return LocalOp(
-            self.support, _border_delta(self.support, self.M, self.J, self.p, self.c), self.M
+            self.support, border_delta(self.support, self.M, self.J, self.p, self.c), self.M
         )
 
 
@@ -73,7 +74,7 @@ def _dense_stack(forms: list[LocalOp | Border]) -> LocalOp:
         if J is None:
             return np.stack([forms[i].matrix for i in rows])
         c = np.stack([forms[i].c for i in rows])
-        return _border_delta(support, M, J, forms[rows[0]].p, c)
+        return border_delta(support, M, J, forms[rows[0]].p, c)
 
     if len(kinds) == 1:
         return LocalOp(support, dense(*next(iter(kinds.items()))), M)
@@ -245,8 +246,6 @@ def closed_path(rects, root: Rect | None = None) -> PathOfRects:
                 seen.add(other)
                 children[cur].append(other)
                 queue.append(other)
-    if len(seen) != len(rects):
-        raise ValueError("rectangle family is not connected")
 
     def tour(u: Rect) -> list[Rect]:
         out = [u]
@@ -292,7 +291,7 @@ def build_gamma(decomp: ComponentDecomposition) -> PathOfRects:
     return PathOfRects(seq)
 
 
-def direction_count(s: int, s_prime: int, d: int, lat: LatticeSpec) -> int:
+def direction_count(s: int, s_prime: int, lat: LatticeSpec) -> int:
     """Exact maximum number of distinct rectangles of circumference s' that
     overlap a rectangle of circumference s, by exhaustive scan."""
     from .geometry import all_rects
@@ -321,9 +320,10 @@ class _Expander:
         self.steps = enumerate_steps(self.lat)
         self.initial_map = state.initial_map
         self.case_b = {rec.rect: rec.v_diag_total for rec in state.history}
-        self.generators = {rec.rect: rec.generator for rec in state.history if not rec.skipped}
-        # each generator's rotation plane, taken once for all its rotations
-        self.planes = {rect: rotation_plane(x) for rect, x in self.generators.items()}
+        # each step's rotation plane, taken once for all its rotations
+        self.planes = {
+            rec.rect: rotation_plane(rec.generator) for rec in state.history if not rec.skipped
+        }
         self.memo: dict[tuple[int, Rect], tuple[list[Branch], float]] = {}
         self.t = state.spec.t
         self.M = state.spec.M

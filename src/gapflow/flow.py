@@ -5,10 +5,11 @@ the step rectangle's potential is replaced by its block-diagonal series,
 every stored potential on a strict superset is conjugated, and every
 stored potential overlapping the step rectangle (neither nested way)
 contributes a commutator-series term to the minimal rectangle covering it
-together with the step rectangle. A new target whose rotation the a-priori
-bound ``schwinger.rotation_delta_bound`` already puts at or below the prune
-threshold is neither embedded nor rotated; every kept target is summed in
-the same order either way, so the skip changes no stored bit.
+together with the step rectangle. Every rotation goes through the step's
+``schwinger.RotationPlane``. A new target whose rotation the plane's
+a-priori bound (``RotationPlane.bound_factor``) already puts at or below
+the prune threshold is neither embedded nor rotated; every kept target is
+summed in the same order either way, so the skip changes no stored bit.
 
 The flow functions take a ``FlowState`` alone: it holds the model
 (``state.spec``) and the position (``len(state.history)`` steps run).
@@ -42,7 +43,6 @@ from .schwinger import (
     generator_exponential,
     lie_schwinger_series,
     rotation_delta,
-    rotation_delta_bound,
     series_stack,
     stack_limit,
 )
@@ -210,9 +210,9 @@ def _transform_map(
         # a new target is u y u^+ - y alone; when its a-priori bound, from
         # ||y|| <= sum_k ||op_k||_F, is at or below the prune threshold,
         # set_entry would drop it, so it is neither embedded nor rotated
-        if old is None and (
-            rotation_delta_bound(ops.generator, sum(op.fro_norm for op in group))
-            <= PRUNE_THRESHOLD
+        if (
+            old is None
+            and ops.plane.bound_factor * sum(op.fro_norm for op in group) <= PRUNE_THRESHOLD
         ):
             continue
         # the summation order, contributors in map order after the superset
@@ -222,7 +222,7 @@ def _transform_map(
             y = embed(group[0], target)
         else:
             y = embedded_sum([(1.0, op) for op in group], target, M)
-        new_val = rotation_delta(y, J, ops.generator)
+        new_val = rotation_delta(y, J, ops.plane)
         if old is not None:
             new_val += old.matrix
         set_entry(new_map, target, LocalOp(target, new_val, M))
@@ -284,9 +284,6 @@ def apply_step(
 def level_series(state: FlowState) -> dict[Rect, StepOperators]:
     """The series of the steps left in the level of the state's next step,
     for those ``stack_limit`` lets share a stacked run, keyed by rectangle.
-
-    A step whose G does not assemble is left out; ``apply_step`` raises its
-    error again in flow order.
     """
     spec = state.spec
     steps = enumerate_steps(spec.lat)[len(state.history) :]
@@ -297,11 +294,7 @@ def level_series(state: FlowState) -> dict[Rect, StepOperators]:
         v1 = state.interactions.get(J)
         if v1 is None or stack_limit(v1.dim, state.j_max) == 1:
             continue
-        try:
-            g = assemble_g(J, state.interactions, spec.t)
-        except GapError:
-            continue
-        groups.setdefault(v1.dim, []).append((J, g, v1))
+        groups.setdefault(v1.dim, []).append((J, assemble_g(J, state.interactions, spec.t), v1))
     return {
         terms.rect: terms
         for group in groups.values()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LatticeSpec, Rect, all_rects
-from .tensor import LocalOp, SiteSpace, embedded_sum, is_hermitian
+from .tensor import LocalOp, embedded_sum, is_hermitian
 
 
 def default_onsite(M: int) -> np.ndarray:
@@ -48,10 +48,11 @@ def _validate_onsite(h: np.ndarray, M: int) -> np.ndarray:
 
 @dataclass
 class ModelSpec:
-    """Validated model: lattice, site space, on-site term, potentials, coupling."""
+    """Validated model: lattice, on-site dimension M (vacuum at basis index
+    0), on-site term, potentials, coupling."""
 
     lat: LatticeSpec
-    site: SiteSpace
+    M: int
     onsite_h: np.ndarray
     potentials: list[tuple[Rect, np.ndarray]]
     t: float
@@ -59,7 +60,9 @@ class ModelSpec:
     k_bar: int = 1
 
     def __post_init__(self) -> None:
-        self.onsite_h = _validate_onsite(self.onsite_h, self.site.M)
+        if self.M < 2:
+            raise ValueError(f"on-site dimension must be >= 2, got {self.M}")
+        self.onsite_h = _validate_onsite(self.onsite_h, self.M)
         if self.t < 0:
             warnings.warn("negative coupling t accepted; the reference regime is t >= 0")
         checked = []
@@ -72,7 +75,7 @@ class ModelSpec:
                     f"allowed range is 1..{self.k_bar}"
                 )
             mat = np.asarray(mat, dtype=complex)
-            dim = self.site.M**J.n_sites
+            dim = self.M**J.n_sites
             if mat.shape != (dim, dim):
                 raise ValueError(f"potential on {J} must be {dim}x{dim}, got {mat.shape}")
             # the test every later norm and spectrum of the flow applies
@@ -89,13 +92,9 @@ class ModelSpec:
             seen.add(J)
         self.potentials = checked
 
-    @property
-    def M(self) -> int:
-        return self.site.M
-
     def onsite_op(self, site_coord: tuple[int, ...]) -> LocalOp:
         point = Rect((0,) * self.lat.d, site_coord)
-        return LocalOp(point, self.onsite_h, self.site.M)
+        return LocalOp(point, self.onsite_h, self.M)
 
 
 def coupled(entries: Iterable[LocalOp], t: float) -> list[tuple[float, LocalOp]]:
@@ -127,7 +126,6 @@ def random_model(
 ) -> ModelSpec:
     """Seeded model with Hermitian nearest-neighbor potentials of norm exactly 1."""
     rng = np.random.default_rng(seed)
-    site = SiteSpace(M)
     h = default_onsite(M) if onsite is None else onsite
     potentials = []
     for J in all_rects(lat, min_circ=1):
@@ -138,4 +136,4 @@ def random_model(
         herm = (raw + raw.conj().T) / 2.0
         herm /= np.linalg.norm(herm, 2)
         potentials.append((J, herm))
-    return ModelSpec(lat, site, h, potentials, t, rng_seed=seed)
+    return ModelSpec(lat, M, h, potentials, t, rng_seed=seed)

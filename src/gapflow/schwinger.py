@@ -115,7 +115,9 @@ class StepOperators:
     ``series_stack`` makes the series up to its truncation certificate.
     ``generators`` holds the vectors x_j of S_j = x_j e0^+ - e0 x_j^+, and
     ``generator`` the vector X = sum_j t^j x_j of the step generator
-    S = X e0^+ - e0 X^+; ``generator_exponential(generator)`` is exp(S).
+    S = X e0^+ - e0 X^+; ``generator_exponential(generator)`` is exp(S),
+    and ``plane`` its ``RotationPlane``, built once for every rotation by
+    the step.
     ``basis`` is an orthonormal basis Z of
     span(e0, V e0, x_r, V x_r : r < j_max) for V = ``v1``, with
     Z[:, 0] = e0: all of C^n for a support dimension n <= 2 j_max + 1,
@@ -138,6 +140,7 @@ class StepOperators:
     e0: float
     generators: list[np.ndarray]
     generator: np.ndarray
+    plane: RotationPlane
     basis: np.ndarray
     v_coords: list[np.ndarray]
     v_diag_total: LocalOp
@@ -255,28 +258,18 @@ def generator_exponential(x: np.ndarray) -> np.ndarray:
     return u
 
 
-def _theta(x: np.ndarray) -> float:
-    """The rotation angle theta = ||x|| of a generator vector x, accurate
-    also below 1e-150, where the squares of x's entries underflow."""
-    theta = float(np.linalg.norm(x))
-    if theta < 1e-150:
-        theta = float(np.hypot.reduce(np.abs(x)))
-    return theta
-
-
-def _bound_factor(theta: float) -> float:
-    """4 |sin(theta/2)| = 2 ||u - I|| for a rotation by theta."""
-    return 4.0 * abs(np.sin(0.5 * theta))
-
-
 @dataclass(frozen=True)
 class RotationPlane:
     """The plane of u = exp(S) for S = x e0^+ - e0 x^+, taken once per
     generator x: u - I = P U^+ with ``basis`` U = [e0, x/theta] and ``p``
     P = U z for the plane rotation
     z = [[cos theta - 1, -sin theta], [sin theta, cos theta - 1]].
-    ``bound_factor`` is 4 |sin(theta/2)|, the factor of
-    ``rotation_delta_bound``."""
+
+    ``bound_factor`` is 4 |sin(theta/2)|, the a-priori bound
+    ||u A u^+ - A|| <= ``bound_factor`` ||A|| for u = exp(S) (x) I and any
+    A: ||u A u^+ - A|| = ||(u - I) A - A (u - I)||, and u - I has norm
+    |e^{i theta} - 1| = 2 |sin(theta/2)|. A rotation whose bound is at or
+    below a prune threshold can be skipped: its result would be pruned."""
 
     basis: np.ndarray
     p: np.ndarray
@@ -285,7 +278,10 @@ class RotationPlane:
 
 def rotation_plane(x: np.ndarray) -> RotationPlane:
     """The ``RotationPlane`` of the generator vector x (x[0] = 0)."""
-    theta = _theta(x)
+    theta = float(np.linalg.norm(x))
+    if theta < 1e-150:
+        # the squares of x's entries underflow
+        theta = float(np.hypot.reduce(np.abs(x)))
     basis = np.zeros((x.size, 2), dtype=complex)
     basis[0, 0] = 1.0
     # below the smallest normal double 1/theta overflows, and the rotation
@@ -294,7 +290,7 @@ def rotation_plane(x: np.ndarray) -> RotationPlane:
         basis[:, 1] = x / theta
     cos, sin = np.cos(theta), np.sin(theta)
     p = basis @ np.array([[cos - 1.0, -sin], [sin, cos - 1.0]])
-    return RotationPlane(basis, p, _bound_factor(theta))
+    return RotationPlane(basis, p, 4.0 * abs(np.sin(0.5 * theta)))
 
 
 def _rotation_border(op: LocalOp, J: Rect, plane: RotationPlane) -> np.ndarray:
@@ -323,7 +319,7 @@ def _rotation_border(op: LocalOp, J: Rect, plane: RotationPlane) -> np.ndarray:
     return kh
 
 
-def _border_delta(support: Rect, M: int, J: Rect, p: np.ndarray, c: np.ndarray) -> np.ndarray:
+def border_delta(support: Rect, M: int, J: Rect, p: np.ndarray, c: np.ndarray) -> np.ndarray:
     """B C + C^+ B^+ on ``support`` for B = I_rest (x) P (for each C of a
     stack), with J's legs put back in place."""
     lead, dim = c.shape[:-2], c.shape[-1]
@@ -333,24 +329,11 @@ def _border_delta(support: Rect, M: int, J: Rect, p: np.ndarray, c: np.ndarray) 
     return permute_legs(h, support, J, M, back=True)
 
 
-def rotation_delta(op: LocalOp, J: Rect, x: np.ndarray) -> np.ndarray:
+def rotation_delta(op: LocalOp, J: Rect, plane: RotationPlane) -> np.ndarray:
     """u A u^+ - A for the Hermitian A = ``op`` and u = exp(S) (x) I, where
-    S = x e0^+ - e0 x^+ acts on the legs of J inside op's support, in O(n^2)
-    for the support dimension n (see ``_rotation_border``)."""
-    plane = rotation_plane(x)
-    return _border_delta(op.support, op.M, J, plane.p, _rotation_border(op, J, plane))
-
-
-def rotation_delta_bound(x: np.ndarray, norm: float) -> float:
-    """Upper bound on ||u A u^+ - A|| for u = exp(S) (x) I, S = x e0^+ - e0 x^+,
-    and any A with ||A|| <= ``norm``, before anything is rotated.
-
-    ||u A u^+ - A|| = ||u A - A u|| = ||(u - I) A - A (u - I)||, and u - I
-    has norm |e^{i theta} - 1| = 2 |sin(theta / 2)| for theta = ||x||, so
-    the bound is 4 |sin(theta / 2)| ``norm``. A rotation whose bound is at
-    or below a prune threshold can be skipped: its result would be pruned.
-    """
-    return _bound_factor(_theta(x)) * norm
+    S acts on the legs of J inside op's support through its ``plane``, in
+    O(n^2) for the support dimension n (see ``_rotation_border``)."""
+    return border_delta(op.support, op.M, J, plane.p, _rotation_border(op, J, plane))
 
 
 def rotation_border_norm(
@@ -361,7 +344,7 @@ def rotation_border_norm(
     of operators, the stack of borders and the array of norms. The delta
     has rank at most 4 n / n_J, so its norm is ``border_norm`` of C and the
     dense n x 2 rest factor B = I_rest (x) P, built once for the whole
-    stack; ``_border_delta`` gives the delta itself."""
+    stack; ``border_delta`` gives the delta itself."""
     c = _rotation_border(op, J, plane)
     rest = c.shape[-2] // 2
     b = np.zeros((rest, plane.p.shape[0], rest, 2), dtype=complex)
@@ -582,10 +565,11 @@ def _run_stack(
     v_diag[:, 0, 1:] = 0.0
     v_diag[:, 1:, 0] = 0.0
     local = G + t * V
+    planes = [rotation_plane(x) for x in X]
     conj = _stacked(
         [
-            rotation_delta(LocalOp(J, mat, v1.M), J, x)
-            for J, mat, v1, x in zip(rects, local, v1s, X)
+            rotation_delta(LocalOp(J, mat, v1.M), J, plane)
+            for J, mat, v1, plane in zip(rects, local, v1s, planes)
         ]
     )
     conj += local
@@ -606,6 +590,7 @@ def _run_stack(
             e0=float(e0[i]),
             generators=list(xs[i]),
             generator=X[i],
+            plane=planes[i],
             basis=basis.columns(i),
             v_coords=list(vs[i, :, :width, :width]),
             v_diag_total=LocalOp(J, v_diag[i], v1.M),

@@ -25,17 +25,6 @@ from .geometry import Rect
 HERMITICITY_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SiteSpace:
-    """On-site Hilbert space of dimension M with vacuum at basis index 0."""
-
-    M: int
-
-    def __post_init__(self) -> None:
-        if self.M < 2:
-            raise ValueError(f"on-site dimension must be >= 2, got {self.M}")
-
-
 @dataclass
 class LocalOp:
     """Operator on the tensor factor of ``support`` (dense, site-lex basis).
@@ -241,17 +230,21 @@ def border_norm(b: np.ndarray, c: np.ndarray) -> float | np.ndarray:
     and C of shape (k, n), an operator of rank at most 2k; for a stack of
     C along leading axes and one shared B, the array of norms.
 
-    With the thin QR [B, C^+] = Q [R_B, R_C] the operator is
+    For 2k < n, with the thin QR [B, C^+] = Q [R_B, R_C] the operator is
     Q (R_B R_C^+ + R_C R_B^+) Q^+, so its norm is the largest |eigenvalue|
-    of that Hermitian matrix of order min(n, 2k); for 2k < n the operator
-    itself is never formed. No Hermiticity test is needed: the operator is
-    Hermitian by its form.
+    of that Hermitian matrix of order 2k, and the operator itself is never
+    formed. For 2k >= n the rank bound is no smaller than n, and the QR
+    would only add its own cost to an n x n eigensolve, so the operator is
+    formed and solved directly. No Hermiticity test is needed: the operator
+    is Hermitian by its form.
     """
-    ch = adjoint(c)
-    k = b.shape[1]
-    bs = np.broadcast_to(b, ch.shape[:-1] + (k,))
-    r = np.linalg.qr(np.concatenate([bs, ch], axis=-1), mode="r")
-    half = r[..., :k] @ adjoint(r[..., k:])
+    n, k = b.shape
+    if 2 * k >= n:
+        half = b @ c
+    else:
+        bs = np.broadcast_to(b, c.shape[:-2] + (n, k))
+        r = np.linalg.qr(np.concatenate([bs, adjoint(c)], axis=-1), mode="r")
+        half = r[..., :k] @ adjoint(r[..., k:])
     w = np.linalg.eigvalsh(half + adjoint(half))
     norms = np.maximum(-w[..., 0], w[..., -1])
     return float(norms) if norms.ndim == 0 else norms

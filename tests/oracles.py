@@ -23,6 +23,7 @@ from gapflow.schwinger import (
     check_g_gap,
     rotation_border_norm,
     rotation_delta,
+    rotation_plane,
 )
 from gapflow.tensor import LocalOp, border_norm, embed, permute_legs
 from gapflow.verify import _shape_vectors
@@ -156,7 +157,7 @@ def no_skip_transform_map(interactions: dict, J: Rect, ops) -> dict:
         x = embed(op, target).matrix
         inputs[target] = inputs[target] + x if target in inputs else x
     for target, y in inputs.items():
-        new_val = rotation_delta(LocalOp(target, y, M), J, ops.generator)
+        new_val = rotation_delta(LocalOp(target, y, M), J, ops.plane)
         old = interactions.get(target)
         if old is not None:
             new_val += old.matrix
@@ -441,6 +442,7 @@ def dense_step_series(J, g, e0, v1, t, j_max=12):
         tail_certified=certified,
         term_norms=term_norms,
         generator=s_total[:, 0],
+        plane=rotation_plane(s_total[:, 0]),
         v1=v1,
         v_diag_total=LocalOp(J, v_diag, v1.M),
         od_residual=float(np.linalg.norm(offdiag_part(conj), 2)),

@@ -42,7 +42,6 @@ from gapflow.geometry import (
 )
 from gapflow.model import ModelSpec, build_hamiltonian, default_onsite, random_model
 from gapflow.schwinger import MAJORANT_A, majorants
-from gapflow.tensor import SiteSpace
 from gapflow.verify import inequality_suite, norm_decay_audit, verify_main_theorem
 
 from oracles import bounding_rect
@@ -73,7 +72,7 @@ class TestCriterion1:
         t = 0.1
         spec = ModelSpec(
             LatticeSpec(1, 2),
-            SiteSpace(2),
+            2,
             default_onsite(2),
             [(Rect((1,), (1,)), np.kron(sx, sx))],
             t,

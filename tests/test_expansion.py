@@ -333,15 +333,15 @@ class DenseNormExpander(ReferenceExpander):
     """Oracle expander: the same rotation as the package's, but every
     rotated branch is normed from its dense operator by ``hermitian_norm``
     (``eigvalsh``) instead of from the rotation's low-rank border, and no
-    sub-branch is skipped by ``rotation_delta_bound``: equal branch lists
+    sub-branch is skipped by ``RotationPlane.bound_factor``: equal branch lists
     show that every skipped rotation would have been pruned."""
 
     def apply_a(self, label, sub):
         x = sub.op
-        if label not in self.generators or not label.overlaps(x.support):
+        if label not in self.planes or not label.overlaps(x.support):
             return None
         common = minimal_rectangle(label, x.support)
-        out = rotation_delta(embed(x, common), label, self.generators[label])
+        out = rotation_delta(embed(x, common), label, self.planes[label])
         out = LocalOp(common, out, x.M)
         nrm = hermitian_norm(out)
         if nrm <= PRUNE_THRESHOLD:
@@ -605,7 +605,7 @@ class TestDirectionCount:
     def test_d1_unit_intervals_oracle(self):
         # exhaustive scan: a unit interval overlaps its two shifted copies
         lat = LatticeSpec(1, 8)
-        got = direction_count(1, 1, 1, lat)
+        got = direction_count(1, 1, lat)
         brute = 0
         pool = [r for r in all_rects(lat) if r.circumference == 1]
         for a in pool:
@@ -614,7 +614,7 @@ class TestDirectionCount:
 
     def test_monotone_in_s(self):
         lat = LatticeSpec(1, 9)
-        counts = [direction_count(s, 2, 1, lat) for s in range(1, 5)]
+        counts = [direction_count(s, 2, lat) for s in range(1, 5)]
         assert counts == sorted(counts)
 
     def test_ratio_against_size_power(self):
@@ -623,7 +623,7 @@ class TestDirectionCount:
         worst = 0.0
         for s in range(1, 5):
             for sp in range(1, 5):
-                ratio = direction_count(s, sp, 2, lat) / (s**2 * sp)
+                ratio = direction_count(s, sp, lat) / (s**2 * sp)
                 worst = max(worst, ratio)
         assert worst <= 40.0
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from gapflow import flow, tensor
+from gapflow import flow, schwinger, tensor
 from gapflow.flow import (
     PRUNE_THRESHOLD,
     StepRecord,
@@ -34,10 +34,10 @@ from gapflow.schwinger import (
     assemble_g,
     generator_exponential,
     rotation_delta,
+    rotation_plane,
 )
 from gapflow.tensor import (
     LocalOp,
-    SiteSpace,
     embed,
     hermitian_norm,
     hermitian_spectrum,
@@ -62,7 +62,7 @@ HADAMARD = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]])
 def sxsx_chain(N, t):
     lat = LatticeSpec(1, N)
     pots = [(Rect((1,), (q,)), np.kron(SX, SX)) for q in range(1, N)]
-    return ModelSpec(lat, SiteSpace(2), default_onsite(2), pots, t)
+    return ModelSpec(lat, 2, default_onsite(2), pots, t)
 
 
 class TestInteractionMap:
@@ -168,7 +168,7 @@ class TestApplyStep:
     def test_diagonal_potential_leaves_map_unchanged(self):
         lat = LatticeSpec(1, 2)
         v = np.diag([0.4, -0.1, 0.2, 0.3])
-        spec = ModelSpec(lat, SiteSpace(2), default_onsite(2), [(Rect((1,), (1,)), v)], 0.1)
+        spec = ModelSpec(lat, 2, default_onsite(2), [(Rect((1,), (1,)), v)], 0.1)
         state = initial_state(spec)
         new, ops = apply_step(state)
         assert np.allclose(new.interactions.get(Rect((1,), (1,))).matrix, v)
@@ -410,7 +410,7 @@ class TestRunFlow:
         # survives the flow unchanged, far above the bound t^(1/4)
         v = np.diag([0.0] + [1.0] * 7).astype(complex)
         pots = [(Rect((2,), (1,)), v)]
-        spec = ModelSpec(LatticeSpec(1, 3), SiteSpace(2), default_onsite(2), pots, 0.05, k_bar=2)
+        spec = ModelSpec(LatticeSpec(1, 3), 2, default_onsite(2), pots, 0.05, k_bar=2)
         state = run_flow(spec)
         assert state.status == "hypothesis-violated"
         clause = f"norm-decay: circumference 2 norm 1 above bound {0.05 ** 0.25:.6g}"
@@ -426,7 +426,7 @@ class TestRunFlow:
         # and the report, which judges the same gap, has no step-gap clause
         v = np.diag([0.0, -1.0, -1.0, -1.0]).astype(complex)
         pots = [(Rect((1,), (q,)), v) for q in (1, 2)]
-        spec = ModelSpec(LatticeSpec(1, 3), SiteSpace(2), default_onsite(2), pots, 0.2502)
+        spec = ModelSpec(LatticeSpec(1, 3), 2, default_onsite(2), pots, 0.2502)
         with pytest.raises(GapError, match=r"0\.4996 .*inductive gap hypothesis"):
             run_flow(spec)
         state = run_flow(spec, tolerances=Tolerances(gap_slack=1e-3))
@@ -438,7 +438,7 @@ class TestRunFlow:
         # only the first edge carries a potential, so the last step is
         # skipped; its residual would be zero by construction
         pots = [(Rect((1,), (1,)), np.kron(SX, SX))]
-        spec = ModelSpec(LatticeSpec(1, 3), SiteSpace(2), default_onsite(2), pots, 0.05)
+        spec = ModelSpec(LatticeSpec(1, 3), 2, default_onsite(2), pots, 0.05)
         state = run_flow(spec, check_consistency="final")
         assert [rec.skipped for rec in state.history] == [False, True, True]
         assert [rec.residual is not None for rec in state.history] == [True, False, False]
@@ -448,7 +448,7 @@ class TestRunFlow:
         # the same flow in every-step mode: the skipped steps make no oracle
         # call and keep no residual, as in final mode
         pots = [(Rect((1,), (1,)), np.kron(SX, SX))]
-        spec = ModelSpec(LatticeSpec(1, 3), SiteSpace(2), default_onsite(2), pots, 0.05)
+        spec = ModelSpec(LatticeSpec(1, 3), 2, default_onsite(2), pots, 0.05)
         with mock.patch.object(flow, "consistency_check", wraps=flow.consistency_check) as oracle:
             state = run_flow(spec, check_consistency="every-step")
         assert oracle.call_count == 1
@@ -471,7 +471,7 @@ class TestRunFlow:
     def test_step_records_carry_generators(self):
         # non-skipped records carry a generator vector, skipped ones None
         full = random_model(LatticeSpec(1, 3), 2, 0.05, seed=31)
-        spec = ModelSpec(full.lat, full.site, full.onsite_h, full.potentials[:1], full.t)
+        spec = ModelSpec(full.lat, full.M, full.onsite_h, full.potentials[:1], full.t)
         state = run_flow(spec)
         assert any(rec.skipped for rec in state.history)
         assert any(not rec.skipped for rec in state.history)
@@ -504,7 +504,7 @@ class TestRunFlow:
             v /= np.linalg.norm(v, 2)
             pots.append((J, v))
         spec = ModelSpec(
-            lat, SiteSpace(2), default_onsite(2), pots, 0.05, k_bar=2
+            lat, 2, default_onsite(2), pots, 0.05, k_bar=2
         )
         state = run_flow(spec)
         w0 = hermitian_spectrum(build_hamiltonian(spec))
@@ -588,7 +588,7 @@ class TestDensePathAgreement:
             raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             v = (raw + raw.conj().T) / 2
             pots.append((J, v / np.linalg.norm(v, 2)))
-        assert_flow_matches_dense_path(ModelSpec(lat, SiteSpace(2), onsite, pots, t))
+        assert_flow_matches_dense_path(ModelSpec(lat, 2, onsite, pots, t))
 
 
 class TestLevelStacks:
@@ -639,7 +639,7 @@ class TestLevelStacks:
             (first, weak(8)),
             (second, weak(8)),
         ]
-        spec = ModelSpec(lat, SiteSpace(2), default_onsite(2), pots, 0.4, k_bar=2)
+        spec = ModelSpec(lat, 2, default_onsite(2), pots, 0.4, k_bar=2)
         events = []
         real_apply, real_stack = flow.apply_step, flow.series_stack
 
@@ -680,9 +680,9 @@ class TestMapUpdateSkip:
         rotated = {flow: 0, oracles: 0}
 
         def counted(module):
-            def rotate(op, J, x):
+            def rotate(op, J, plane):
                 rotated[module] += 1
-                return rotation_delta(op, J, x)
+                return rotation_delta(op, J, plane)
 
             return rotate
 
@@ -709,18 +709,35 @@ class TestMapUpdateSkip:
         x = np.array([0.0, theta, 0.0, 0.0], dtype=complex)
         scale = 1.8 * PRUNE_THRESHOLD / (4 * np.sin(theta / 2) * np.sqrt(2))
         contributor = LocalOp(key, scale * np.diag([1.0, 0.0, -1.0, 0.0]), 2)
+        plane = rotation_plane(x)
         ops = SimpleNamespace(
             v1=LocalOp(J, np.zeros((4, 4)), 2),
             v_diag_total=LocalOp(J, np.diag([0.0, 1.0, 1.0, 2.0]), 2),
-            generator=x,
+            plane=plane,
         )
-        bound = flow.rotation_delta_bound(x, float(np.linalg.norm(contributor.matrix)))
+        bound = plane.bound_factor * float(np.linalg.norm(contributor.matrix))
         assert PRUNE_THRESHOLD < bound <= 2 * PRUNE_THRESHOLD
-        delta = rotation_delta(embed(contributor, target), J, x)
+        delta = rotation_delta(embed(contributor, target), J, plane)
         assert op_norm(LocalOp(target, delta, 2)) > PRUNE_THRESHOLD
         new_map = flow._transform_map({key: contributor}, J, ops)
         assert list(new_map) == list(oracles.no_skip_transform_map({key: contributor}, J, ops))
         assert np.array_equal(new_map[target].matrix, delta)
+
+
+class TestOnePlanePerStep:
+    @pytest.mark.parametrize("d, N, t, series_steps", [(1, 8, 0.05, 28), (3, 2, 0.02, 19)])
+    def test_rotation_plane_built_once_per_series_step(self, monkeypatch, d, N, t, series_steps):
+        # the chain_d1n8 and cube_d3n2 flows at seed 7: the series builds
+        # each step's plane once, for its own u L u^+ and for every target
+        # of the map update
+        built = []
+        real = schwinger.rotation_plane
+        monkeypatch.setattr(schwinger, "rotation_plane", lambda x: built.append(x) or real(x))
+        state = run_flow(random_model(LatticeSpec(d, N), 2, t, seed=7))
+        series = [rec for rec in state.history if not rec.skipped]
+        assert len(built) == len(series) == series_steps
+        for x, rec in zip(built, series):
+            assert np.array_equal(x, rec.generator)
 
 
 class TestRegimes:

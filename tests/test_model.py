@@ -14,7 +14,7 @@ from gapflow.model import (
     initial_interactions,
     random_model,
 )
-from gapflow.tensor import SiteSpace, hermitian_spectrum
+from gapflow.tensor import hermitian_spectrum
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -25,19 +25,24 @@ def chain_model(N, t, potentials=None):
         potentials = [
             (Rect((1,), (q,)), np.kron(SX, SX)) for q in range(1, N)
         ]
-    return ModelSpec(lat, SiteSpace(2), default_onsite(2), potentials, t)
+    return ModelSpec(lat, 2, default_onsite(2), potentials, t)
 
 
 class TestValidation:
+    @pytest.mark.parametrize("M", [0, 1])
+    def test_site_dimension_below_two_rejected(self, M):
+        with pytest.raises(ValueError, match=f"on-site dimension must be >= 2, got {M}"):
+            ModelSpec(LatticeSpec(1, 2), M, np.zeros((M, M)), [], 0.0)
+
     def test_onsite_gap_below_one_rejected(self):
         h = np.diag([0.0, 0.5])
         with pytest.raises(ValueError, match="onsite gap < 1"):
-            ModelSpec(LatticeSpec(1, 2), SiteSpace(2), h, [], 0.0)
+            ModelSpec(LatticeSpec(1, 2), 2, h, [], 0.0)
 
     def test_onsite_must_annihilate_vacuum(self):
         h = np.array([[0.0, 0.1], [0.1, 1.0]])
         with pytest.raises(ValueError, match="annihilate the vacuum"):
-            ModelSpec(LatticeSpec(1, 2), SiteSpace(2), h, [], 0.0)
+            ModelSpec(LatticeSpec(1, 2), 2, h, [], 0.0)
 
     def test_leaky_onsite_is_projected_onto_the_vacuum_complement(self):
         # a vacuum column of norm 9e-11 (row 0 and column 0, diagonal
@@ -46,7 +51,7 @@ class TestValidation:
         h = np.array([[3e-11, 6e-11 - 6e-11j], [6e-11 + 6e-11j, 1.0]])
         given = h.copy()
         assert np.linalg.norm(h[:, 0]) == pytest.approx(9e-11)
-        spec = ModelSpec(LatticeSpec(1, 2), SiteSpace(2), h, [], 0.0)
+        spec = ModelSpec(LatticeSpec(1, 2), 2, h, [], 0.0)
         assert not spec.onsite_h[0].any() and not spec.onsite_h[:, 0].any()
         assert spec.onsite_h[1, 1] == 1.0
         assert np.array_equal(h, given)
@@ -61,10 +66,10 @@ class TestValidation:
         h[1, 2] = factor * 1e-10 / np.sqrt(3)
         lat = LatticeSpec(1, 2)
         if accepted:
-            ModelSpec(lat, SiteSpace(3), h, [], 0.0)
+            ModelSpec(lat, 3, h, [], 0.0)
         else:
             with pytest.raises(ValueError, match="onsite matrix must be Hermitian"):
-                ModelSpec(lat, SiteSpace(3), h, [], 0.0)
+                ModelSpec(lat, 3, h, [], 0.0)
 
     def test_potential_norm_cap(self):
         big = 1.5 * np.kron(SX, SX)

@@ -20,10 +20,11 @@ from gapflow.schwinger import (
     STACK_TABLE_BYTES,
     ConvergenceError,
     GapError,
-    _border_delta,
+    RotationPlane,
     _rotation_border,
     _series_tail,
     assemble_g,
+    border_delta,
     check_g_gap,
     generator_exponential,
     lie_schwinger_series,
@@ -31,12 +32,11 @@ from gapflow.schwinger import (
     radius_lower_bound,
     rotation_border_norm,
     rotation_delta,
-    rotation_delta_bound,
     rotation_plane,
     series_stack,
     stack_limit,
 )
-from gapflow.tensor import LocalOp, SiteSpace, embed, hermitian_norm, offdiag_norm
+from gapflow.tensor import LocalOp, embed, hermitian_norm, offdiag_norm
 
 from oracles import (
     LEG_PARAMS,
@@ -73,7 +73,7 @@ def edge_model(t, v=None, seed=None):
             raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             v = (raw + raw.conj().T) / 2
             v /= np.linalg.norm(v, 2)
-    return ModelSpec(LatticeSpec(1, 2), SiteSpace(2), default_onsite(2), [(EDGE, v)], t)
+    return ModelSpec(LatticeSpec(1, 2), 2, default_onsite(2), [(EDGE, v)], t)
 
 
 def one_step(J, g, v1, t, j_max=12):
@@ -263,7 +263,7 @@ class TestSeries:
         t = 0.05
         ops, g, v1 = edge_series(t, seed=12)
         local = g.matrix + t * v1.matrix
-        conj = local + rotation_delta(LocalOp(EDGE, local, 2), EDGE, ops.generator)
+        conj = local + rotation_delta(LocalOp(EDGE, local, 2), EDGE, ops.plane)
         drift = np.max(np.abs(np.linalg.eigvalsh(conj) - np.linalg.eigvalsh(local)))
         assert drift < 1e-10
 
@@ -319,6 +319,8 @@ class TestSeries:
                 a, b = getattr(got, field.name), getattr(want, field.name)
                 if isinstance(b, LocalOp):
                     a, b = a.matrix, b.matrix
+                if isinstance(b, RotationPlane):
+                    a, b = (np.concatenate([x.basis, x.p, [[x.bound_factor] * 2]]) for x in (a, b))
                 if isinstance(b, (float, list, np.ndarray)):
                     a, b = np.asarray(a), np.asarray(b)
                     assert a.shape == b.shape, field.name
@@ -518,7 +520,7 @@ class TestRotationDelta:
         x = np.zeros(dim_j, dtype=complex)
         x[1:] = rng.standard_normal(dim_j - 1) + 1j * rng.standard_normal(dim_j - 1)
         x *= theta / np.linalg.norm(x)
-        delta = rotation_delta(a, J, x)
+        delta = rotation_delta(a, J, rotation_plane(x))
         ref = dense_conjugation(a, J, generator_exponential(x)) - a.matrix
         assert np.linalg.norm(delta - ref) <= 1e-12 * np.linalg.norm(a.matrix)
         assert np.array_equal(delta, delta.conj().T)
@@ -528,7 +530,7 @@ class TestRotationDelta:
     def test_rejects_outside_rectangle(self):
         a = LocalOp(EDGE, np.eye(4), 2)
         with pytest.raises(ValueError, match="not contained"):
-            rotation_delta(a, Rect((1,), (2,)), np.zeros(4))
+            rotation_delta(a, Rect((1,), (2,)), rotation_plane(np.zeros(4)))
 
     @pytest.mark.parametrize("d, N, M, place", LEG_PARAMS)
     def test_tiny_angle_matches_commutator(self, d, N, M, place):
@@ -546,7 +548,7 @@ class TestRotationDelta:
         x *= theta / np.linalg.norm(x)
         s = kron_embed(LocalOp(J, dense_generator(x), M), T).matrix
         want = commutator(s, a.matrix) / theta
-        got = rotation_delta(a, J, x) / theta
+        got = rotation_delta(a, J, rotation_plane(x)) / theta
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("theta", [0.0, 1e-9, 0.7, 1.3])
@@ -566,8 +568,8 @@ class TestRotationDelta:
         want_delta, want_norm = frozen_rotation_delta_norm(a, J, x)
         plane = rotation_plane(x)
         c, nrm = rotation_border_norm(a, J, plane)
-        assert np.array_equal(rotation_delta(a, J, x), want_delta)
-        assert np.array_equal(_border_delta(T, M, J, plane.p, c), want_delta)
+        assert np.array_equal(rotation_delta(a, J, plane), want_delta)
+        assert np.array_equal(border_delta(T, M, J, plane.p, c), want_delta)
         assert nrm == want_norm
 
 
@@ -589,8 +591,8 @@ class TestRotationBorderNorm:
         x *= theta / np.linalg.norm(x)
         plane = rotation_plane(x)
         c, nrm = rotation_border_norm(a, J, plane)
-        delta = _border_delta(T, M, J, plane.p, c)
-        assert np.array_equal(delta, rotation_delta(a, J, x))
+        delta = border_delta(T, M, J, plane.p, c)
+        assert np.array_equal(delta, rotation_delta(a, J, plane))
         svd = np.linalg.norm(dense_conjugation(a, J, generator_exponential(x)) - a.matrix, 2)
         for ref in (hermitian_norm(delta), svd):
             assert abs(nrm - ref) <= 1e-13 * ref + 1e-15
@@ -616,14 +618,14 @@ class TestStackedRotation:
         c, norms = rotation_border_norm(a, J, plane)
         assert np.array_equal(c, _rotation_border(a, J, plane))
         assert norms.shape == (k,)
-        delta = _border_delta(T, M, J, plane.p, c)
+        delta = border_delta(T, M, J, plane.p, c)
         for i in range(k):
             single = LocalOp(T, a.matrix[i], M)
             c1, nrm = rotation_border_norm(single, J, plane)
             assert np.array_equal(c[i], c1)
             assert norms[i] == nrm
-            assert np.array_equal(delta[i], _border_delta(T, M, J, plane.p, c1))
-            assert np.array_equal(delta[i], rotation_delta(single, J, x))
+            assert np.array_equal(delta[i], border_delta(T, M, J, plane.p, c1))
+            assert np.array_equal(delta[i], rotation_delta(single, J, plane))
 
 
 class TestRotationDeltaBound:
@@ -657,17 +659,16 @@ class TestRotationDeltaBound:
             raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             a = LocalOp(T, (raw + raw.conj().T) / 2, M)
         x *= theta
-        delta = hermitian_norm(rotation_delta(a, J, x))
-        assert delta <= rotation_delta_bound(x, hermitian_norm(a)) * (1 + 1e-12)
+        plane = rotation_plane(x)
+        delta = hermitian_norm(rotation_delta(a, J, plane))
+        assert delta <= plane.bound_factor * hermitian_norm(a) * (1 + 1e-12)
         if worst:
             assert abs(delta - 2 * np.sin(theta)) <= 1e-12
 
     def test_closed_form(self):
         x = np.array([0.0, 0.6, 0.8j])
-        assert rotation_delta_bound(x, 2.5) == 10.0 * np.sin(0.5)
-        assert rotation_delta_bound(np.zeros(3), 1.0) == 0.0
-        # the plane's factor gives the same bits as the bound
-        assert rotation_plane(x).bound_factor * 2.5 == rotation_delta_bound(x, 2.5)
+        assert rotation_plane(x).bound_factor * 2.5 == 10.0 * np.sin(0.5)
+        assert rotation_plane(np.zeros(3)).bound_factor * 1.0 == 0.0
 
 
 def majorant_equation(a):

@@ -9,7 +9,6 @@ from gapflow.geometry import LatticeSpec, Rect, all_rects
 from gapflow import tensor
 from gapflow.tensor import (
     LocalOp,
-    SiteSpace,
     add_embedded,
     adjoint,
     border_norm,
@@ -51,12 +50,6 @@ def random_hermitian(rng, dim):
 
 def random_local(rng, support, M=2):
     return LocalOp(support, random_hermitian(rng, M**support.n_sites), M)
-
-
-class TestSiteSpace:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SiteSpace(1)
 
 
 class TestEmbed:
@@ -395,6 +388,20 @@ class TestBorderNorm:
         c[:2] = 0.0
         assert border_norm(b, c) == 0.0
         assert border_norm(np.zeros((16, 4)), c) == 0.0
+
+    # 2k = n takes the dense eigensolve, 2k < n the QR of [B, C^+]; a
+    # rotation border on n_J = 4 (two sites, M = 2) has 2k = n, on n_J = 8
+    # 2k = n / 2
+    @pytest.mark.parametrize("n, k", [(16, 8), (64, 32), (64, 16), (256, 64), (27, 6)])
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    def test_both_paths_match_dense_norm(self, n, k, stack):
+        rng = np.random.default_rng(n + k + len(stack))
+        b = random_complex(rng, (n, k))
+        c = random_complex(rng, stack + (k, n))
+        norms = np.atleast_1d(border_norm(b, c))
+        for got, ci in zip(norms, c.reshape((-1, k, n))):
+            want = hermitian_norm(b @ ci + ci.conj().T @ b.conj().T)
+            assert abs(got - want) <= 1e-13 * want
 
 
 class TestOffdiagNorm:

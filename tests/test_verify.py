@@ -8,7 +8,7 @@ import pytest
 from gapflow.flow import apply_step, initial_state, run_flow
 from gapflow.geometry import LatticeSpec, Rect, enumerate_steps
 from gapflow.model import ModelSpec, build_hamiltonian, default_onsite, random_model
-from gapflow.tensor import LocalOp, SiteSpace, hermitian_norm
+from gapflow.tensor import LocalOp, hermitian_norm
 from gapflow.verify import (
     inequality_suite,
     model_fingerprint,
@@ -24,7 +24,7 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 def sxsx_chain(N, t):
     lat = LatticeSpec(1, N)
     pots = [(Rect((1,), (q,)), np.kron(SX, SX)) for q in range(1, N)]
-    return ModelSpec(lat, SiteSpace(2), default_onsite(2), pots, t)
+    return ModelSpec(lat, 2, default_onsite(2), pots, t)
 
 
 class TestVerifyMainTheorem:
@@ -56,7 +56,7 @@ class TestVerifyMainTheorem:
         lat = LatticeSpec(1, 3)
         v = np.diag([0.0, -1.0, -1.0, -1.0]).astype(complex)
         pots = [(Rect((1,), (q,)), v) for q in (1, 2)]
-        spec = ModelSpec(lat, SiteSpace(2), default_onsite(2), pots, 0.6)
+        spec = ModelSpec(lat, 2, default_onsite(2), pots, 0.6)
         report = verify_main_theorem(run_flow(spec, force=True))
         assert report["status"] != "pass"
         assert any(clause.startswith("step-gap") for clause in report["failed_clauses"])
@@ -68,7 +68,7 @@ class TestVerifyMainTheorem:
         lat = LatticeSpec(1, 3)
         v = np.diag([0.0, -1.0, -1.0, -1.0]).astype(complex)
         pots = [(Rect((1,), (q,)), v) for q in (1, 2)]
-        spec = ModelSpec(lat, SiteSpace(2), default_onsite(2), pots, 0.6)
+        spec = ModelSpec(lat, 2, default_onsite(2), pots, 0.6)
         state = run_flow(spec, force=True)
         report = verify_main_theorem(state)
         flow_keys = ("step-gap:", "consistency:", "norm-decay:")
@@ -82,7 +82,7 @@ class TestVerifyMainTheorem:
         # verdict of the same flow run by run_flow
         v = np.diag([0.0] + [1.0] * 7).astype(complex)
         pots = [(Rect((2,), (1,)), v)]
-        spec = ModelSpec(LatticeSpec(1, 3), SiteSpace(2), default_onsite(2), pots, 0.05, k_bar=2)
+        spec = ModelSpec(LatticeSpec(1, 3), 2, default_onsite(2), pots, 0.05, k_bar=2)
         stepped = initial_state(spec)
         for _ in enumerate_steps(spec.lat):
             assert stepped.status == "running"
@@ -142,7 +142,7 @@ class TestVerifyMainTheorem:
         nudge[1, 0] = np.conj(nudge[0, 1])
         onsite = spec.onsite_h + nudge
         pots = [(J, mat + np.kron(nudge, np.eye(2))) for J, mat in spec.potentials]
-        nudged = ModelSpec(spec.lat, spec.site, onsite, pots, spec.t)
+        nudged = ModelSpec(spec.lat, spec.M, onsite, pots, spec.t)
         assert model_fingerprint(nudged) == model_fingerprint(spec)
 
     def test_fingerprint_tracks_model_content(self):
@@ -162,7 +162,7 @@ class TestNormDecayAudit:
         v = np.zeros((4, 4), dtype=complex)
         v[0, 3] = v[3, 0] = 1.0
         pots = [(Rect((1,), (q,)), v) for q in (1, 2)]
-        spec = ModelSpec(lat, SiteSpace(2), default_onsite(2), pots, 0.0)
+        spec = ModelSpec(lat, 2, default_onsite(2), pots, 0.0)
         state = run_flow(spec)
         assert norm_decay_audit(state) == []
 
