@@ -252,7 +252,8 @@ def write_report(report: dict, path: str) -> None:
 
 def run(config: RunConfig, force: bool = False) -> int:
     """Execute the flow plus requested checks; 0 pass, 1 check failure,
-    2 configuration, output or convergence error."""
+    2 configuration, output or convergence error, or a lattice whose
+    verification cannot fit in physical memory (refused before the flow)."""
     for path in (config.report_path, config.csv_path):
         if path is not None and not (path and os.path.isdir(os.path.dirname(path) or ".")):
             print(f"error: cannot write output {path!r}: no such directory", file=sys.stderr)
@@ -261,6 +262,18 @@ def run(config: RunConfig, force: bool = False) -> int:
         spec = build_model(config)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # verify_main_theorem forms K, Kt and Kt's eigenvectors: three dense
+    # n x n complex matrices, 48 n^2 bytes for n = M^sites
+    dim = spec.M**spec.lat.n_sites
+    need = 48 * dim**2
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        print(
+            f"error: verification forms three {dim} x {dim} complex matrices, {need} bytes, "
+            f"more than the {have} bytes of physical memory",
+            file=sys.stderr,
+        )
         return 2
 
     try:

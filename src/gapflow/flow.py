@@ -370,13 +370,19 @@ def run_flow(
         state, ops = apply_step(state, force=force, terms=level.pop(J, None))
         if ops is None:
             continue
+        # hold neither the step's operators (G and the replaced V among
+        # them) nor, outside final mode, the previous state across the oracle
+        del ops
+        if check_consistency == "final":
+            last_series = prev, state
+        del prev
         if check_consistency == "every-step":
             before = _check_step(before, state, force)
-        elif check_consistency == "final":
-            last_series = prev, state
     if last_series is not None:
         prev, after = last_series
-        _check_step(assemble_hamiltonian(prev), after, force)
+        before = assemble_hamiltonian(prev)
+        del prev, last_series  # the check needs only its operator
+        _check_step(before, after, force)
     return state
 
 

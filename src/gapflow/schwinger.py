@@ -326,6 +326,7 @@ def border_delta(support: Rect, M: int, J: Rect, p: np.ndarray, c: np.ndarray) -
     w = (adjoint(c).reshape(lead + (-1, 2)) @ p.conj().T).reshape(lead + (dim, dim))
     h = adjoint(w)
     h += w
+    del w
     return permute_legs(h, support, J, M, back=True)
 
 
@@ -438,12 +439,13 @@ class _SeriesBasis:
         """The vectors Z c."""
         return c if self.full else _matvec(self.q, c)
 
-    def operators(self, t: np.ndarray) -> np.ndarray:
-        """The operators Z t Z^+ for coordinate matrices t."""
+    def operators(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The operators Z t Z^+ for coordinate matrices t, written into
+        ``out`` unless the basis is all of C^n (then t itself)."""
         if self.full:
             return t
         w = self.width
-        return self.q[:, :, :w] @ t[:, :w, :w] @ self.qh[:, :w]
+        return np.matmul(self.q[:, :, :w] @ t[:, :w, :w], self.qh[:, :w], out=out)
 
     def columns(self, i: int) -> np.ndarray:
         """The built columns of step i's basis."""
@@ -505,8 +507,10 @@ def _run_stack(
     k, dim = G.shape[:2]
     # the three O(n^3) solves: the gaps and the resolvents (G' - e0)^-1 of
     # the excited blocks, each once for the whole stack, and the norm of
-    # each V, once per entry (``LocalOp.norm``)
+    # each V, once per entry (``LocalOp.norm``), taken while few n x n
+    # buffers are live
     gaps = check_g_gap(G)
+    v1_norms = [v1.norm for v1 in v1s]
     shifted = G[:, 1:, 1:].copy()
     diag = np.arange(dim - 1)
     shifted[:, diag, diag] -= e0[:, None]
@@ -553,6 +557,7 @@ def _run_stack(
             tab[:, 1, j] += _ad_g(excited)
             tab[:, 1, j + 1] = _ad_first(cx, v0, vx)
 
+    del resolvent, tab
     # zero padding to the final width adds only zero eigenvalues, so each
     # largest |eigenvalue| is the term's norm
     width = basis.width
@@ -561,10 +566,8 @@ def _run_stack(
     powers = float(t) ** np.arange(1, j_max + 1)
     X = powers @ xs  # sum_j t^j x_j
     rest = np.tensordot(vs, powers[:-1], axes=(1, 0))  # sum_{j>=2} t^{j-1} v_j
-    v_diag = V + basis.operators(rest)
-    v_diag[:, 0, 1:] = 0.0
-    v_diag[:, 1:, 0] = 0.0
-    local = G + t * V
+    local = t * V  # L = G + t V, in one buffer
+    local += G
     planes = [rotation_plane(x) for x in X]
     conj = _stacked(
         [
@@ -576,8 +579,11 @@ def _run_stack(
     od_residuals = np.maximum(
         np.linalg.norm(conj[:, 1:, 0], axis=-1), np.linalg.norm(conj[:, 0, 1:], axis=-1)
     )
-    # the step defect ||u L u^+ - (G + t v_diag)||_F, formed in the buffer
-    # of L, which nothing reads any more
+    # nothing reads L any more: its buffer takes the basis product of
+    # v_diag, then the step defect ||u L u^+ - (G + t v_diag)||_F
+    v_diag = V + basis.operators(rest, out=local)
+    v_diag[:, 0, 1:] = 0.0
+    v_diag[:, 1:, 0] = 0.0
     np.multiply(v_diag, t, out=local)
     local += G
     np.subtract(conj, local, out=local)
@@ -595,9 +601,9 @@ def _run_stack(
             v_coords=list(vs[i, :, :width, :width]),
             v_diag_total=LocalOp(J, v_diag[i], v1.M),
             g_gap=float(gaps[i]),
-            v1_norm=v1.norm,
+            v1_norm=v1_norms[i],
             s_norm=float(np.linalg.norm(X[i])),
-            term_norms=[v1.norm, *term_norms[i]],
+            term_norms=[v1_norms[i], *term_norms[i]],
             od_residual=float(od_residuals[i]),
             step_defect=float(defects[i]),
         )

@@ -209,12 +209,17 @@ def is_hermitian(mat: np.ndarray) -> bool:
     return bool(np.linalg.norm(skew) <= HERMITICITY_RTOL * scale)
 
 
-def hermitian_spectrum(op: LocalOp | np.ndarray) -> np.ndarray:
-    """All eigenvalues of a Hermitian operator, ascending; refuses an
-    operator that fails ``is_hermitian``."""
-    mat = op.matrix if isinstance(op, LocalOp) else np.asarray(op, dtype=complex)
+def require_hermitian(mat: np.ndarray) -> None:
+    """Refuse a matrix that fails ``is_hermitian`` with a ValueError."""
     if not is_hermitian(mat):
         raise ValueError("operator is not Hermitian within tolerance")
+
+
+def hermitian_spectrum(op: LocalOp | np.ndarray) -> np.ndarray:
+    """All eigenvalues of a Hermitian operator, ascending; refuses an
+    operator that fails ``is_hermitian`` (``require_hermitian``)."""
+    mat = op.matrix if isinstance(op, LocalOp) else np.asarray(op, dtype=complex)
+    require_hermitian(mat)
     return np.linalg.eigvalsh(mat)
 
 

@@ -19,7 +19,7 @@ from .flow import (
 from .geometry import LatticeSpec, Rect
 from .model import ModelSpec, build_hamiltonian
 from .schwinger import GAP_FLOOR
-from .tensor import hermitian_spectrum
+from .tensor import hermitian_spectrum, require_hermitian
 
 
 def _rounded(mat: np.ndarray) -> np.ndarray:
@@ -71,13 +71,15 @@ def verify_main_theorem(state: FlowState) -> dict:
     the all-vacuum projection, spectrum preservation, the vacuum as ground
     state of the transformed operator: its energy ``Kt[0,0]`` against the
     lowest eigenvalue of the original one), then add the flow's own failed
-    claims (``flow.failed_claims``)."""
+    claims (``flow.failed_claims``). K and Kt are both refused unless
+    Hermitian (``tensor.require_hermitian``): ``eigh`` reads one triangle."""
     spec = state.spec
     tol = state.tolerances.spectral
     failed: list[str] = []
     K = build_hamiltonian(spec)
     Kt = assemble_hamiltonian(state)
     w = hermitian_spectrum(K)
+    require_hermitian(Kt.matrix)
     wt, vecs = np.linalg.eigh(Kt.matrix)
 
     delta = float(wt[1] - wt[0])

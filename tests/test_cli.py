@@ -286,6 +286,17 @@ class TestRun:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot write output"), lines
 
+    def test_oversized_lattice_refused_before_the_flow(self, tmp_path, capsys, monkeypatch):
+        # d=2 N=6: verification would form three 2^36 x 2^36 complex matrices
+        monkeypatch.setattr(cli, "run_flow", lambda *a, **k: pytest.fail("the flow ran"))
+        payload = {"d": 2, "N": 6, "t": 0.02}
+        assert main(["--config", write_config(tmp_path, payload)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: verification forms"), lines
+        need = 48 * 2**72
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert f" {need} bytes" in lines[0] and f" {have} bytes" in lines[0]
+
     def test_write_error_exit_two(self, tmp_path, capsys):
         # the directory exists, but the report path names a directory
         payload = {"d": 1, "N": 2, "t": 0.05, "output": {"report": str(tmp_path)}}

@@ -1,6 +1,7 @@
 """Flow driver: step application, recombination, consistency, full runs."""
 
 import dataclasses
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -738,6 +739,28 @@ class TestOnePlanePerStep:
         assert len(built) == len(series) == series_steps
         for x, rec in zip(built, series):
             assert np.array_equal(x, rec.generator)
+
+
+class TestFlowMemory:
+    @pytest.mark.parametrize(
+        "d, N, t, mode", [(3, 2, 0.02, "every-step"), (1, 8, 0.05, "final")]
+    )
+    def test_peak_in_whole_lattice_buffers(self, d, N, t, mode):
+        # the cube_d3n2 and chain_d1n8 flows at seed 7 (n = 256): each
+        # full-lattice buffer is released at its last use, so the traced
+        # peak is about 7.0 and 7.7 n x n buffers (the face steps' stacked
+        # series on the cube, the whole-lattice series on the chain);
+        # holding the resolvent, the chain table, the step's operators and
+        # the previous state across the oracle read 10.3 and 11.6
+        spec = random_model(LatticeSpec(d, N), 2, t, seed=7)
+        buffer = 16 * (2**spec.lat.n_sites) ** 2
+        tracemalloc.start()
+        try:
+            run_flow(spec, check_consistency=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.5 * buffer
 
 
 class TestRegimes:

@@ -419,7 +419,8 @@ class TestSeries:
 
     def test_peak_memory_at_dim_256(self):
         # the chain table holds D x D coordinates with D <= 2 j_max + 1, so one
-        # call at n = 256 and j_max = 12 peaks near 11 MB of new allocations
+        # call at n = 256 and j_max = 12 peaks near 3.4 MiB of new
+        # allocations, three n x n buffers
         rect, g, v1 = gapped_step(2, 8, 0.0, seed=3)
         tracemalloc.start()
         try:

@@ -126,6 +126,20 @@ class TestVerifyMainTheorem:
         ground = np.linalg.eigvalsh(build_hamiltonian(spec).matrix)[0]
         assert report["final"]["vacuum_energy"] - ground == pytest.approx(1e-6, rel=1e-6)
 
+    def test_non_hermitian_final_map_refused(self):
+        # eigh reads one triangle of Kt, so an entry bumped above its
+        # diagonal alone would pass unseen; Kt gets K's Hermiticity refusal
+        # (an on-site entry, which the norm audit does not read)
+        spec = random_model(LatticeSpec(1, 4), 2, 0.05, seed=56)
+        state = run_flow(spec)
+        key = next(k for k in state.interactions if k.circumference == 0)
+        op = state.interactions[key]
+        bumped = op.matrix.copy()
+        bumped[0, 1] += 1e-3
+        state.interactions[key] = LocalOp(key, bumped, op.M)
+        with pytest.raises(ValueError, match="not Hermitian within tolerance"):
+            verify_main_theorem(state)
+
     def test_report_deterministic(self):
         spec_a = random_model(LatticeSpec(1, 3), 2, 0.05, seed=51)
         spec_b = random_model(LatticeSpec(1, 3), 2, 0.05, seed=51)
