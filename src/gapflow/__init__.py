@@ -39,7 +39,6 @@ from .flow import (
 from .expansion import (
     Branch,
     BranchExpansion,
-    ComponentDecomposition,
     PathOfRects,
     branch_sum,
     build_gamma,

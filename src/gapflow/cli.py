@@ -254,10 +254,18 @@ def run(config: RunConfig, force: bool = False) -> int:
     """Execute the flow plus requested checks; 0 pass, 1 check failure,
     2 configuration, output or convergence error, or a lattice whose
     verification cannot fit in physical memory (refused before the flow)."""
-    for path in (config.report_path, config.csv_path):
-        if path is not None and not (path and os.path.isdir(os.path.dirname(path) or ".")):
-            print(f"error: cannot write output {path!r}: no such directory", file=sys.stderr)
-            return 2
+    outputs = [path for path in (config.report_path, config.csv_path) if path is not None]
+    for path in outputs:
+        if not (path and os.path.isdir(os.path.dirname(path) or ".")):
+            problem = "no such directory"
+        elif os.path.isdir(path):
+            problem = "it is a directory"
+        elif len(outputs) == 2 and len({os.path.realpath(p) for p in outputs}) == 1:
+            problem = "the report and the CSV name the same file"
+        else:
+            continue
+        print(f"error: cannot write output {path!r}: {problem}", file=sys.stderr)
+        return 2
     try:
         spec = build_model(config)
     except (ConfigError, ValueError) as exc:

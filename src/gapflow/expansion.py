@@ -162,23 +162,6 @@ class PathOfRects:
         return len(self.seq) >= 1 and self.seq[0] == self.seq[-1]
 
 
-@dataclass
-class ComponentDecomposition:
-    """Same-size connected components of a rectangle family, by circumference."""
-
-    components: dict[int, list[list[Rect]]]
-
-    @property
-    def sizes(self) -> list[int]:
-        return sorted(self.components)
-
-    def counts(self) -> dict[int, list[int]]:
-        return {rho: [len(c) for c in comps] for rho, comps in self.components.items()}
-
-    def total(self) -> int:
-        return sum(len(c) for comps in self.components.values() for c in comps)
-
-
 def _overlap_components(rects: list[Rect]) -> list[list[Rect]]:
     """Connected components of the shared-site overlap graph."""
     remaining = list(rects)
@@ -205,17 +188,16 @@ def is_connected_family(rects) -> bool:
     return len(_overlap_components(rects)) <= 1
 
 
-def decompose_components(rects) -> ComponentDecomposition:
-    """Group by circumference, split each group into overlap components."""
+def decompose_components(rects) -> dict[int, list[list[Rect]]]:
+    """Group by circumference, split each group into overlap components: the
+    map from circumference to that size's components."""
     rects = list(rects)
     if not is_connected_family(rects):
         raise ValueError("rectangle family is not connected")
     by_size: dict[int, list[Rect]] = defaultdict(list)
     for r in rects:
         by_size[r.circumference].append(r)
-    return ComponentDecomposition(
-        {rho: _overlap_components(group) for rho, group in by_size.items()}
-    )
+    return {rho: _overlap_components(group) for rho, group in by_size.items()}
 
 
 def closed_path(rects, root: Rect | None = None) -> PathOfRects:
@@ -257,24 +239,24 @@ def closed_path(rects, root: Rect | None = None) -> PathOfRects:
     return PathOfRects(tour(start))
 
 
-def build_gamma(decomp: ComponentDecomposition) -> PathOfRects:
+def build_gamma(components: dict[int, list[list[Rect]]]) -> PathOfRects:
     """Path visiting every rectangle with the per-component step budget.
 
     Sizes are processed upward from the smallest; each new component is
     spliced in as a closed excursion at the first rectangle of the current
     path that overlaps it (one step out, one step back).
     """
-    sizes = decomp.sizes
+    sizes = sorted(components)
     if not sizes:
         raise ValueError("empty decomposition")
-    lowest = decomp.components[sizes[0]]
+    lowest = components[sizes[0]]
     if len(lowest) != 1:
         raise ValueError(
             f"expected exactly one component at the lowest size, got {len(lowest)}"
         )
     seq = closed_path(lowest[0]).seq
     for rho in sizes[1:]:
-        for comp in decomp.components[rho]:
+        for comp in components[rho]:
             spot = None
             for i, x in enumerate(seq):
                 hit = next((y for y in comp if x.overlaps(y)), None)

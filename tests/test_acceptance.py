@@ -6,10 +6,12 @@ inductive-gap, majorant, and norm-decay criteria audit the same runs.
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,9 @@ from gapflow.verify import inequality_suite, norm_decay_audit, verify_main_theor
 
 from oracles import bounding_rect
 from test_expansion import assert_gamma_properties, random_connected_family
+
+# the checkout's sources, for the CLI run as a module in a child process
+SRC = Path(__file__).parents[1] / "src"
 
 SEED = 1
 C2_CASES = [(d, N, t) for d, N in [(1, 6), (2, 3)] for t in (0.01, 0.02, 0.05)]
@@ -218,8 +223,8 @@ class TestCriterion8:
                 ]
                 rng.shuffle(extra)
                 fam.extend(extra[: rng.integers(0, 3)])
-            decomp = decompose_components(fam)
-            assert_gamma_properties(build_gamma(decomp), decomp)
+            components = decompose_components(fam)
+            assert_gamma_properties(build_gamma(components), components)
 
     def test_branches_and_weights(self):
         for d, N in [(1, 3), (2, 2)]:
@@ -268,6 +273,7 @@ class TestCriterion9:
                 [sys.executable, "-m", "gapflow.cli", "--config", str(cfg)],
                 capture_output=True,
                 text=True,
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
             )
             assert proc.returncode == 0, proc.stderr
             texts.append(

@@ -25,6 +25,10 @@ from gapflow.model import random_model
 from gapflow.tensor import hermitian_norm
 
 
+# the checkout's sources, for the CLI run as a module in a child process
+SRC = Path(__file__).parents[1] / "src"
+
+
 def write_config(tmp_path, payload, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -271,17 +275,30 @@ class TestRun:
             ({"report": ""}, []),
             ({"csv": "{missing}/x.csv"}, []),
             ({}, ["--emit-csv", "{missing}/x.csv"]),
+            ({"report": "{dir}"}, []),
+            ({}, ["--emit-csv", "{dir}"]),
+            ({"report": "{dir}/r.json", "csv": "{dir}/r.json"}, []),
+            ({"report": "{dir}/r.json"}, ["--emit-csv", "{dir}/../{base}/r.json"]),
         ],
-        ids=["report", "empty report", "csv", "--emit-csv"],
+        ids=[
+            "report",
+            "empty report",
+            "csv",
+            "--emit-csv",
+            "directory report",
+            "directory --emit-csv",
+            "report is csv",
+            "report is --emit-csv",
+        ],
     )
     def test_unwritable_output_refused_before_the_flow(
         self, tmp_path, capsys, monkeypatch, output, argv
     ):
-        missing = str(tmp_path / "missing")
+        names = dict(missing=tmp_path / "missing", dir=tmp_path, base=tmp_path.name)
         monkeypatch.setattr(cli, "run_flow", lambda *a, **k: pytest.fail("the flow ran"))
-        output = {key: path.format(missing=missing) for key, path in output.items()}
+        output = {key: path.format(**names) for key, path in output.items()}
         payload = {"d": 1, "N": 2, "t": 0.05, "output": output}
-        argv = [arg.format(missing=missing) for arg in argv]
+        argv = [arg.format(**names) for arg in argv]
         assert main(["--config", write_config(tmp_path, payload), *argv]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot write output"), lines
@@ -467,7 +484,7 @@ class TestDeterminism:
     def test_reports_byte_identical_modulo_timestamp(self, tmp_path):
         # the promise covers reruns at one fixed BLAS thread count
         threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-        env = dict(os.environ, **{name: "1" for name in threads})
+        env = dict(os.environ, PYTHONPATH=str(SRC), **{name: "1" for name in threads})
         texts = []
         for name in ("one", "two"):
             report = tmp_path / f"{name}.json"

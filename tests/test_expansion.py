@@ -468,15 +468,15 @@ class TestBorderStorage:
 class TestDecomposeComponents:
     def test_single_component(self):
         rects = [Rect((1,), (q,)) for q in (1, 2, 3)]
-        decomp = decompose_components(rects)
-        assert decomp.counts() == {1: [3]}
+        components = decompose_components(rects)
+        assert {rho: [len(c) for c in comps] for rho, comps in components.items()} == {1: [3]}
 
     def test_two_components_linked_by_bigger_rectangle(self):
         # the two edges share no site; the spanning rectangle connects them
         rects = [Rect((1,), (1,)), Rect((1,), (3,)), Rect((3,), (1,))]
-        decomp = decompose_components(rects)
-        assert sorted(len(c) for c in decomp.components[1]) == [1, 1]
-        assert len(decomp.components[3]) == 1
+        components = decompose_components(rects)
+        assert sorted(len(c) for c in components[1]) == [1, 1]
+        assert len(components[3]) == 1
 
     def test_disconnected_input_rejected(self):
         with pytest.raises(ValueError, match="not connected"):
@@ -487,8 +487,7 @@ class TestDecomposeComponents:
         lat = LatticeSpec(2, 4)
         for _ in range(100):
             fam = random_connected_family(rng, lat, int(rng.integers(2, 9)))
-            decomp = decompose_components(fam)
-            for rho, comps in decomp.components.items():
+            for rho, comps in decompose_components(fam).items():
                 same_size = [r for r in fam if r.circumference == rho]
                 assert union_find_components(same_size) == len(comps)
 
@@ -532,14 +531,12 @@ def crossing_steps(path, members):
     return inbound, outbound
 
 
-def assert_gamma_properties(path, decomp):
-    all_rects_set = {
-        r for comps in decomp.components.values() for c in comps for r in c
-    }
+def assert_gamma_properties(path, components):
+    all_rects_set = {r for comps in components.values() for c in comps for r in c}
     assert path.support == all_rects_set  # property A
-    total = decomp.total()
+    total = sum(len(c) for comps in components.values() for c in comps)
     assert path.length <= 2 * total - 2
-    for rho, comps in decomp.components.items():
+    for rho, comps in components.items():
         for comp in comps:
             members = set(comp)
             intra = sum(1 for a, b in path.steps if a in members and b in members)
@@ -551,17 +548,16 @@ def assert_gamma_properties(path, decomp):
 class TestBuildGamma:
     def test_single_component_reduces_to_closed_path(self):
         fam = [Rect((1,), (q,)) for q in (1, 2, 3)]
-        decomp = decompose_components(fam)
-        path = build_gamma(decomp)
+        path = build_gamma(decompose_components(fam))
         assert path.support == set(fam)
         assert path.length == 2 * 3 - 2
 
     def test_two_sizes_by_inspection(self):
         small = Rect((1,), (1,))
         big = Rect((2,), (1,))
-        decomp = decompose_components([small, big])
-        path = build_gamma(decomp)
-        assert_gamma_properties(path, decomp)
+        components = decompose_components([small, big])
+        path = build_gamma(components)
+        assert_gamma_properties(path, components)
         assert path.seq == [small, big, small]
 
     def test_random_families(self):
@@ -579,9 +575,9 @@ class TestBuildGamma:
                 ]
                 rng.shuffle(extra)
                 fam.extend(extra[: rng.integers(0, 3)])
-            decomp = decompose_components(fam)
-            path = build_gamma(decomp)
-            assert_gamma_properties(path, decomp)
+            components = decompose_components(fam)
+            path = build_gamma(components)
+            assert_gamma_properties(path, components)
             done += 1
 
     def test_branch_rect_sets_from_expansion(self):
@@ -592,11 +588,11 @@ class TestBuildGamma:
             exp = enumerate_branches(spec.lat.full_rect(), root, state)
             for b in exp.branches:
                 fam = list(dict.fromkeys(b.rects))
-                decomp = decompose_components(fam)
-                if len(decomp.components[min(decomp.components)]) != 1:
+                components = decompose_components(fam)
+                if len(components[min(components)]) != 1:
                     continue  # construction needs one lowest-size component
-                path = build_gamma(decomp)
-                assert_gamma_properties(path, decomp)
+                path = build_gamma(components)
+                assert_gamma_properties(path, components)
                 checked += 1
         assert checked >= 5
 

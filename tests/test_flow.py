@@ -445,6 +445,19 @@ class TestRunFlow:
         assert [rec.residual is not None for rec in state.history] == [True, False, False]
         assert state.history[0].residual <= state.tolerances.consistency
 
+    @pytest.mark.parametrize(
+        "d, N, t", [(1, 8, 0.05), (3, 2, 0.02)], ids=["chain_d1n8", "cube_d3n2"]
+    )
+    def test_final_mode_residual_is_the_whole_lattice_step_defect(self, d, N, t):
+        # the last series step of each benchmark flow at seed 7 is the whole
+        # lattice, whose map update writes only its own entry, so the final
+        # residual recomputes that step's defect with the dense unitary
+        spec = random_model(LatticeSpec(d, N), 2, t, seed=7)
+        state = run_flow(spec, check_consistency="final")
+        (rec,) = [rec for rec in state.history if rec.residual is not None]
+        assert rec.rect == spec.lat.full_rect()
+        assert abs(rec.residual - rec.step_defect) <= 1e-13
+
     def test_every_step_mode_checks_only_series_steps(self):
         # the same flow in every-step mode: the skipped steps make no oracle
         # call and keep no residual, as in final mode

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from gapflow.flow import apply_step, initial_state, run_flow
+from gapflow.flow import Tolerances, apply_step, initial_state, run_flow
 from gapflow.geometry import LatticeSpec, Rect, enumerate_steps
 from gapflow.model import ModelSpec, build_hamiltonian, default_onsite, random_model
 from gapflow.tensor import LocalOp, hermitian_norm
@@ -25,6 +25,37 @@ def sxsx_chain(N, t):
     lat = LatticeSpec(1, N)
     pots = [(Rect((1,), (q,)), np.kron(SX, SX)) for q in range(1, N)]
     return ModelSpec(lat, 2, default_onsite(2), pots, t)
+
+
+def clauses_after_perturbing(pick, change):
+    """The failed clause names of the d=1 N=4 t=0.05 seed 56 flow after
+    ``change(matrix, t)`` edits the stored entry ``pick(keys)`` chooses."""
+    spec = random_model(LatticeSpec(1, 4), 2, 0.05, seed=56)
+    state = run_flow(spec)
+    assert verify_main_theorem(state)["status"] == "pass"
+    key = pick(list(state.interactions))
+    op = state.interactions[key]
+    bumped = op.matrix.copy()
+    change(bumped, spec.t)
+    state.interactions[key] = LocalOp(key, bumped, op.M)
+    return [c.split(":")[0] for c in verify_main_theorem(state)["failed_clauses"]]
+
+
+def whole_lattice(keys):
+    return max(keys, key=lambda k: k.circumference)
+
+
+def on_site(keys):
+    return next(k for k in keys if k.circumference == 0)
+
+
+def couple_vacuum(size):
+    # a Hermitian coupling of the vacuum to one excited basis vector
+    def change(mat, t):
+        mat[0, 1] += size / t
+        mat[1, 0] += size / t
+
+    return change
 
 
 class TestVerifyMainTheorem:
@@ -125,6 +156,39 @@ class TestVerifyMainTheorem:
         assert any(c.startswith("vacuum-energy") for c in report["failed_clauses"])
         ground = np.linalg.eigvalsh(build_hamiltonian(spec).matrix)[0]
         assert report["final"]["vacuum_energy"] - ground == pytest.approx(1e-6, rel=1e-6)
+
+    def test_block_diagonal_clause_sees_vacuum_coupling(self):
+        # 1e-6 in the vacuum row and column of the whole-lattice entry moves
+        # the spectrum and the ground vector by only about 1e-12
+        failed = clauses_after_perturbing(whole_lattice, couple_vacuum(1e-6))
+        assert failed == ["block-diagonal"]
+
+    def test_spectrum_clause_sees_shifted_excited_level(self):
+        # 1e-6 on the excited diagonal element of an on-site entry (which
+        # the coupling t does not scale) moves the lowest gap by under 1e-9
+        def shift(mat, t):
+            mat[1, 1] += 1e-6
+
+        failed = clauses_after_perturbing(on_site, shift)
+        assert failed == ["spectrum"]
+
+    def test_gap_invariance_clause_sees_split_levels(self):
+        # the vacuum energy lowered and every excited level raised by 0.6
+        # times the spectral tolerance: no level moves past the tolerance,
+        # so spectrum and vacuum-energy hold, but the gap moves by 1.2 times it
+        def split(mat, t):
+            a = 0.6 * Tolerances().spectral / t
+            mat += a * np.eye(len(mat))
+            mat[0, 0] -= 2 * a
+
+        failed = clauses_after_perturbing(whole_lattice, split)
+        assert failed == ["gap-invariance"]
+
+    def test_ground_vector_clause_sees_strong_vacuum_coupling(self):
+        # a coupling large enough to tilt the ground vector by more than the
+        # tolerance also moves the spectrum and the gap
+        failed = clauses_after_perturbing(whole_lattice, couple_vacuum(1e-3))
+        assert failed == ["block-diagonal", "spectrum", "gap-invariance", "ground-vector"]
 
     def test_non_hermitian_final_map_refused(self):
         # eigh reads one triangle of Kt, so an entry bumped above its
@@ -242,9 +306,11 @@ class TestInequalitySuite:
         counts = [len(inequality_suite(LatticeSpec(d, 10), 2, max_sites=10)) for d in (1, 2)]
         assert counts == [55, 170]
 
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("M", [2, 3])
     def test_matches_dense_projector_oracle(self, d, M):
-        lat = LatticeSpec(d, 6)
+        # at d=3 the excitation grid has three site axes; N=3 keeps the
+        # dense oracle under a second
+        lat = LatticeSpec(d, 6 if d < 3 else 3)
         assert inequality_suite(lat, M, max_sites=6) == dense_inequality_rows(lat, M, 6)
 
