@@ -19,11 +19,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .flow import CONSISTENCY_MODES, Tolerances, run_flow, verdict
+from .flow import CONSISTENCY_MODES, Tolerances, run_flow
 from .geometry import LatticeSpec, Rect
 from .model import ModelSpec, default_onsite, random_model
 from .schwinger import ConvergenceError, GapError
-from .verify import inequality_suite, verify_main_theorem
+from .verify import verification_bytes, verify_main_theorem
 
 CSV_COLUMNS = [
     "step_index",
@@ -52,7 +52,7 @@ _TOP_KEYS = {
     "output",
 }
 _TOL_KEYS = {f.name for f in fields(Tolerances)}
-_CHECK_KEYS = {"consistency", "inequalities", "max_sites"}
+_CHECK_KEYS = {"consistency"}
 _OUTPUT_KEYS = {"report", "csv"}
 _POTENTIAL_KEYS = {"k", "q", "matrix"}
 
@@ -73,8 +73,6 @@ class RunConfig:
     j_max: int = 12
     tolerances: Tolerances = field(default_factory=Tolerances)
     consistency_mode: str = "auto"
-    run_inequalities: bool = False
-    inequality_max_sites: int = 10
     report_path: str | None = None
     csv_path: str | None = None
 
@@ -136,8 +134,6 @@ def parse_config(path: str) -> RunConfig:
     _reject_unknown(output, _OUTPUT_KEYS, "'output'")
     if not all(isinstance(path, str) for path in output.values()):
         raise ConfigError("output paths must be strings")
-    if not isinstance(checks.get("inequalities", False), bool):
-        raise ConfigError("checks.inequalities must be true or false")
 
     potentials = raw.get("potentials", "random")
     if isinstance(potentials, list):
@@ -174,8 +170,6 @@ def parse_config(path: str) -> RunConfig:
         j_max=_number(raw, "j_max", 12, int, 1),
         tolerances=tol,
         consistency_mode=mode,
-        run_inequalities=checks.get("inequalities", False),
-        inequality_max_sites=_number(checks, "max_sites", 10, int, 1, "checks."),
         report_path=output.get("report"),
         csv_path=output.get("csv"),
     )
@@ -251,7 +245,7 @@ def write_report(report: dict, path: str) -> None:
 
 
 def run(config: RunConfig, force: bool = False) -> int:
-    """Execute the flow plus requested checks; 0 pass, 1 check failure,
+    """Execute the flow and verify it; 0 pass, 1 check failure,
     2 configuration, output or convergence error, or a lattice whose
     verification cannot fit in physical memory (refused before the flow)."""
     outputs = [path for path in (config.report_path, config.csv_path) if path is not None]
@@ -271,10 +265,8 @@ def run(config: RunConfig, force: bool = False) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # verify_main_theorem forms K, Kt and Kt's eigenvectors: three dense
-    # n x n complex matrices, 48 n^2 bytes for n = M^sites
     dim = spec.M**spec.lat.n_sites
-    need = 48 * dim**2
+    need = verification_bytes(spec)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         print(
@@ -297,13 +289,6 @@ def run(config: RunConfig, force: bool = False) -> int:
         return 2
 
     report = verify_main_theorem(state)
-    if config.run_inequalities:
-        rows = inequality_suite(spec.lat, spec.M, config.inequality_max_sites)
-        report["inequalities"] = rows
-        if not all(row["pass"] for row in rows):
-            clauses = report["failed_clauses"]
-            clauses.append("operator-inequalities: minimum eigenvalue check failed")
-            report["status"] = verdict(clauses)
     report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
     try:

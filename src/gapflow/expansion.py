@@ -29,7 +29,7 @@ from itertools import chain
 import numpy as np
 
 from .flow import PRUNE_THRESHOLD, FlowState
-from .geometry import LatticeSpec, Rect, enumerate_steps, g_set, minimal_rectangle
+from .geometry import LatticeSpec, Rect, all_rects, enumerate_steps, g_set, minimal_rectangle
 from .schwinger import border_delta, rotation_border_norm, rotation_plane
 from .tensor import LocalOp, embed, embedded_sum
 
@@ -276,8 +276,6 @@ def build_gamma(components: dict[int, list[list[Rect]]]) -> PathOfRects:
 def direction_count(s: int, s_prime: int, lat: LatticeSpec) -> int:
     """Exact maximum number of distinct rectangles of circumference s' that
     overlap a rectangle of circumference s, by exhaustive scan."""
-    from .geometry import all_rects
-
     pool = all_rects(lat)
     of_s = [r for r in pool if r.circumference == s]
     of_sp = [r for r in pool if r.circumference == s_prime]

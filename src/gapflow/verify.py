@@ -67,6 +67,13 @@ def _step_dict(index: int, rec, full: Rect) -> dict:
     }
 
 
+def verification_bytes(spec: ModelSpec) -> int:
+    """The bytes of the matrices ``verify_main_theorem`` forms: K, Kt and
+    Kt's eigenvectors, three dense n x n complex matrices, 48 n^2 bytes for
+    n = M^sites."""
+    return 48 * (spec.M**spec.lat.n_sites) ** 2
+
+
 def verify_main_theorem(state: FlowState) -> dict:
     """The run's report, judged by ``flow.verdict``: check the end-of-flow
     claims (unique gapped ground state, block diagonality with respect to

@@ -57,15 +57,18 @@ class TestParseConfig:
 
     def test_removed_n_max_key_refused(self, tmp_path, capsys):
         base = {"d": 1, "N": 3, "t": 0.05}
-        for key, payload in [
-            ("n_max", {**base, "n_max": 20}),
-            ("projector", {**base, "tolerances": {"projector": 1e-12}}),
+        for key, where, payload in [
+            ("n_max", "the top level", {**base, "n_max": 20}),
+            ("projector", "'tolerances'", {**base, "tolerances": {"projector": 1e-12}}),
+            ("inequalities", "'checks'", {**base, "checks": {"inequalities": True}}),
+            ("max_sites", "'checks'", {**base, "checks": {"max_sites": 10}}),
         ]:
             path = write_config(tmp_path, payload)
             with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
                 parse_config(path)
             assert main(["--config", path]) == 2
-            assert f"unknown key '{key}'" in capsys.readouterr().err
+            lines = capsys.readouterr().err.splitlines()
+            assert lines == [f"error: unknown key '{key}' in {where}"], lines
 
     def test_readme_full_schema_parses(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -321,6 +324,26 @@ class TestRun:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
+    def test_write_error_after_the_flow_exit_two(self, tmp_path, capsys, monkeypatch):
+        # the report's directory passes the check before the flow, then
+        # goes away while the flow runs, so the write itself fails
+        out = tmp_path / "out"
+        out.mkdir()
+        report = out / "report.json"
+        real_flow = cli.run_flow
+
+        def flow_then_remove(*args, **kwargs):
+            state = real_flow(*args, **kwargs)
+            out.rmdir()
+            return state
+
+        monkeypatch.setattr(cli, "run_flow", flow_then_remove)
+        payload = {"d": 1, "N": 3, "t": 0.05, "seed": 1, "output": {"report": str(report)}}
+        assert main(["--config", write_config(tmp_path, payload)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: [Errno 2] "), lines
+        assert not report.exists()
+
     def test_diverging_coupling_exit_two(self, tmp_path):
         payload = {"d": 1, "N": 2, "t": 3.0, "seed": 1}
         rc = main(["--config", write_config(tmp_path, payload)])
@@ -458,20 +481,6 @@ class TestRun:
         assert {id(op) for op in audited} <= {id(op) for op in normed}
         rows = json.loads(report.read_text())["norm_audit"]
         assert rows and rows == norm_decay_audit(state)
-
-    def test_inequality_toggle(self, tmp_path):
-        report = tmp_path / "report.json"
-        payload = {
-            "d": 1,
-            "N": 2,
-            "t": 0.02,
-            "seed": 1,
-            "checks": {"inequalities": True, "max_sites": 2},
-            "output": {"report": str(report)},
-        }
-        assert main(["--config", write_config(tmp_path, payload)]) == 0
-        rep = json.loads(report.read_text())
-        assert rep["inequalities"] and all(r["pass"] for r in rep["inequalities"])
 
 
 def strip_timestamp(text):

@@ -36,7 +36,7 @@ def _has(obj: object, name: str) -> bool:
 
 def test_readme_code_names_resolve():
     # names whose head is not a gapflow module or class (config keys such
-    # as `checks.max_sites`, report fields, variables like `state.spec`)
+    # as `checks.consistency`, report fields, variables like `state.spec`)
     # are not checked
     spaces = _namespaces()
     checked, missing = 0, []
