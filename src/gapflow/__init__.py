@@ -17,7 +17,6 @@ from .tensor import (
 )
 from .model import ModelSpec, build_hamiltonian, initial_interactions, random_model
 from .schwinger import (
-    ConvergenceError,
     GapError,
     StepOperators,
     assemble_g,

@@ -22,7 +22,6 @@ import numpy as np
 from .flow import CONSISTENCY_MODES, Tolerances, run_flow
 from .geometry import LatticeSpec, Rect
 from .model import ModelSpec, default_onsite, random_model
-from .schwinger import ConvergenceError, GapError
 from .verify import verification_bytes, verify_main_theorem
 
 CSV_COLUMNS = [
@@ -231,8 +230,8 @@ def write_csv(report: dict, path: str) -> None:
                     step["g_gap"],
                     step["e0"],
                     step["s_norm"],
-                    step["tail_bound"],
-                    step["residual"] if step["residual"] is not None else "",
+                    "" if step["tail_bound"] is None else step["tail_bound"],
+                    "" if step["residual"] is None else step["residual"],
                     step["regime"],
                 ]
             )
@@ -246,7 +245,7 @@ def write_report(report: dict, path: str) -> None:
 
 def run(config: RunConfig, force: bool = False) -> int:
     """Execute the flow and verify it; 0 pass, 1 check failure,
-    2 configuration, output or convergence error, or a lattice whose
+    2 configuration or output error, flow abort, or a lattice whose
     verification cannot fit in physical memory (refused before the flow)."""
     outputs = [path for path in (config.report_path, config.csv_path) if path is not None]
     for path in outputs:
@@ -284,7 +283,7 @@ def run(config: RunConfig, force: bool = False) -> int:
             check_consistency=config.consistency_mode,
             force=force,
         )
-    except (ConvergenceError, GapError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -322,7 +321,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--force",
         action="store_true",
-        help="continue past gap failures instead of aborting (exploratory runs)",
+        help="continue past gap, truncation and consistency failures instead of aborting "
+        "(exploratory runs)",
     )
     parser.add_argument(
         "--check-consistency",

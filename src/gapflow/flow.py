@@ -87,7 +87,7 @@ class StepRecord:
     is the consistency oracle's Frobenius distance, or None when the step
     was not checked. A record's index is its position in the history.
     Every other field is named as the ``StepOperators`` field a series step
-    copies it from.
+    copies it from; ``tail_bound`` is None outside the certified radius.
     """
 
     rect: Rect
@@ -95,8 +95,7 @@ class StepRecord:
     e0: float
     s_norm: float = 0.0
     v1_norm: float = 0.0
-    tail_bound: float = 0.0
-    tail_certified: bool = True
+    tail_bound: float | None = 0.0
     od_residual: float = 0.0
     step_defect: float = 0.0
     term_norms: list[float] = field(default_factory=list)
@@ -107,6 +106,10 @@ class StepRecord:
     @property
     def skipped(self) -> bool:
         return self.generator is None
+
+    @property
+    def tail_certified(self) -> bool:
+        return self.tail_bound is not None
 
 
 @dataclass
@@ -235,10 +238,11 @@ def apply_step(
     """Advance the flow by its next step, the rectangle J after the
     ``len(state.history)`` steps already run; a ValueError once every step
     has run. Unless ``force``, a GapError when ``_step_failures`` fails the
-    step's gap. ``terms`` is J's series from ``level_series`` on a state of
-    the same level, if one has been run; otherwise the step runs its own
-    through ``series_stack``, as a stack of one. Either way
-    ``lie_schwinger_series`` judges it.
+    step's gap, and a RuntimeError when it fails the step's truncation.
+    ``terms`` is J's series from ``level_series`` on a state of the same
+    level, if one has been run; otherwise the step runs its own through
+    ``series_stack``, as a stack of one. Either way
+    ``lie_schwinger_series`` warns about its gap.
 
     A step with no stored potential on J rotates nothing and returns
     ``None`` for its operators, but its gap is still checked: the inductive
@@ -263,13 +267,13 @@ def apply_step(
             rect=J, g_gap=float(check_g_gap(g.matrix)), e0=float(g.matrix[0, 0].real)
         )
     else:
-        ops = lie_schwinger_series(terms, spec.t)
+        ops = lie_schwinger_series(terms)
         names = [f.name for f in fields(StepRecord) if f.name != "residual"]
         record = StepRecord(**{name: getattr(ops, name) for name in names})
-    # the record has no residual yet, so only its gap can fail here
+    # the record has no residual yet, so only its gap and truncation can fail
     failed = _step_failures(record, state.tolerances)
     if failed and not force:
-        raise GapError(f"{failed[0]}; the inductive gap hypothesis fails at this coupling")
+        raise _abort(failed[0], state.tolerances)
 
     interactions = state.interactions if ops is None else _transform_map(state.interactions, J, ops)
     snapshots = state.map_snapshots
@@ -392,21 +396,33 @@ def _check_step(before: LocalOp, state: FlowState, force: bool) -> LocalOp:
     Returns the operator assembled after the step."""
     rec = state.history[-1]
     rec.residual, after = consistency_check(before, state)
-    # apply_step has passed the gap, so only the residual can fail
+    # apply_step has passed the gap and the truncation, so only the
+    # residual can fail
     failed = _step_failures(rec, state.tolerances)
     if failed and not force:
-        raise RuntimeError(f"{failed[0]}, above tolerance {state.tolerances.consistency:.3g}")
+        raise _abort(failed[0], state.tolerances)
     return after
+
+
+def _abort(clause: str, tolerances: Tolerances) -> RuntimeError:
+    """The error that aborts a flow on a failed step claim: a GapError for
+    the gap, a RuntimeError naming the tolerance otherwise."""
+    if clause.startswith("step-gap:"):
+        return GapError(f"{clause}; the inductive gap hypothesis fails at this coupling")
+    return RuntimeError(f"{clause}, above tolerance {tolerances.consistency:.3g}")
 
 
 def _step_failures(rec: StepRecord, tolerances: Tolerances) -> list[str]:
     """The failed claims of one step, in report wording: its gap below
-    ``GAP_FLOOR - gap_slack`` (the inductive gap hypothesis), its checked
-    residual above ``tolerances.consistency``."""
+    ``GAP_FLOOR - gap_slack`` (the inductive gap hypothesis), its step
+    defect (the truncation) and its checked residual above
+    ``tolerances.consistency``. A NaN fails each."""
     failed = []
-    if rec.g_gap < GAP_FLOOR - tolerances.gap_slack:
+    if not rec.g_gap >= GAP_FLOOR - tolerances.gap_slack:
         failed.append(f"step-gap: gap {rec.g_gap:.9g} below 1/2 at step {rec.rect}")
-    if rec.residual is not None and rec.residual > tolerances.consistency:
+    if not rec.step_defect <= tolerances.consistency:
+        failed.append(f"truncation: step defect {rec.step_defect:.3g} at step {rec.rect}")
+    if rec.residual is not None and not rec.residual <= tolerances.consistency:
         failed.append(f"consistency: residual {rec.residual:.3g} at step {rec.rect}")
     return failed
 

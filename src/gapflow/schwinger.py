@@ -2,8 +2,10 @@
 
 Builds the already-diagonal local operator G and its vacuum energy E, the
 anti-Hermitian generator series S = sum_j t^j S_j, and the transformed
-block-diagonal potential sum_j t^{j-1} (V)_j^diag, with a truncation
-certificate from the recursive majorant sequence B_j.
+block-diagonal potential sum_j t^{j-1} (V)_j^diag. Each step measures its
+truncation error exactly (the step defect, which the flow judges), and
+inside the majorant radius also carries the a-priori tail of the recursive
+majorant sequence B_j.
 
 The order-j coefficients are the nested-commutator composition sums
 
@@ -42,14 +44,13 @@ D x D eigenvalue solve.
 with a leading stack axis on every array: a step with n <= 2 j_max + 1
 takes C^n as its basis, so such steps share one run, and a larger step
 runs as a stack of one through the same code. ``lie_schwinger_series``
-computes nothing: it judges each step's ``series_stack`` output on its
-own, with the gap warning, the majorants and the truncation tail.
+computes nothing: it warns about the gap of one step of that output.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -68,17 +69,12 @@ from .tensor import (
 GAP_FLOOR = 0.5
 GAP_WARN = 0.25
 GP_MINUS_TOL = 1e-10
-EMPIRICAL_TAIL_SAFETY = 2.0
 # a vector (V e0, x_r or V x_r) whose part outside the series basis
 # built so far is at most this fraction of its norm lies in that span to
 # rounding and adds no column
 BASIS_DEPENDENCE_TOL = 1e-14
 # chain-table memory of one stacked series run (see ``stack_limit``)
 STACK_TABLE_BYTES = 1 << 23
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when the step series shows no usable convergence."""
 
 
 class GapError(RuntimeError):
@@ -129,9 +125,9 @@ class StepOperators:
     local operator u L u^+ (u = exp(S), L = G + t V), and ``step_defect``
     its Frobenius distance ||u L u^+ - (G + t v_diag)||_F to what the step
     stores: the series truncation plus rounding, taken in O(n^2).
-
-    The truncation certificate (``tail_bound`` and ``tail_certified``)
-    stays ``None`` until ``lie_schwinger_series`` has judged the step.
+    ``tail_bound`` is the majorant tail of the truncated orders (see
+    ``_series_tail``) inside the certified radius |t| < a/(4 ||v1||), and
+    ``None`` outside it, where only ``step_defect`` measures the truncation.
     """
 
     rect: Rect
@@ -150,8 +146,11 @@ class StepOperators:
     term_norms: list[float]
     od_residual: float
     step_defect: float
-    tail_bound: float | None = None
-    tail_certified: bool | None = None
+    tail_bound: float | None
+
+    @property
+    def tail_certified(self) -> bool:
+        return self.tail_bound is not None
 
 
 def assemble_g(J: Rect, interactions: dict[Rect, LocalOp], t: float) -> LocalOp:
@@ -186,54 +185,33 @@ def check_g_gap(g_matrix: np.ndarray) -> float | np.ndarray:
     return np.linalg.eigvalsh(g_matrix[..., 1:, 1:])[..., 0] - g_matrix[..., 0, 0].real
 
 
-def _series_tail(
-    term_norms: list[float], t: float, v1_norm: float, j_max: int
-) -> tuple[float, bool]:
-    """Truncation tail: inside the certified region t < ``radius_lower_bound``
-    the majorant sum sum_{j>j_max} t^{j-1} B_j, otherwise a geometric
-    extrapolation of the computed terms.
+def _series_tail(t: float, v1_norm: float, j_max: int) -> float | None:
+    """Truncation tail of a series with ||v1|| = ``v1_norm`` cut after
+    ``j_max`` orders: inside the certified region
+    |t| < ``radius_lower_bound(v1_norm)`` the majorant sum
+    sum_{j>j_max} |t|^{j-1} B_j, otherwise ``None``. A vanishing v1 has a
+    vanishing tail.
 
     The majorant terms are advanced through the coefficient ratio
     B_{j+1}/B_j = (2(2j-1)/(j+1)) B_1/a, which stays below 4 B_1/a, so
     neither the coefficients nor the powers are formed past B_{j_max+1}.
     """
+    if v1_norm <= 0:
+        return 0.0
     t = abs(t)
     rho = 4.0 * v1_norm * t / MAJORANT_A
-    if rho < 1.0:
-        j = j_max + 1
-        term = t ** (j - 1) * majorants(v1_norm, j)[-1]
-        total = 0.0
-        while True:
-            total += term
-            rest = term * rho / (1.0 - rho)
-            if rest <= 1e-300 + 1e-16 * total:
-                return total + rest, True
-            term *= 2.0 * (2 * j - 1) / (j + 1) * v1_norm / MAJORANT_A * t
-            j += 1
-    if j_max < 2:
-        raise ConvergenceError(
-            "coupling outside certified convergence region and j_max < 2 "
-            "leaves nothing to extrapolate a tail from"
-        )
-    tau = [t ** (j - 1) * nrm for j, nrm in enumerate(term_norms, start=1)]
-    nonzero = [(j, v) for j, v in enumerate(tau, start=1) if v > 1e-300]
-    if len(nonzero) <= 1:
-        # every computed higher order vanished identically
-        return 0.0, True
-    window = nonzero[-5:]
-    ratios = []
-    for (ja, va), (jb, vb) in zip(window, window[1:]):
-        ratios.append((vb / va) ** (1.0 / (jb - ja)))
-    r = max(ratios)
-    if r >= 1.0:
-        raise ConvergenceError(
-            "coupling outside certified convergence region: step series terms "
-            f"are not decaying (observed ratio {r:.3g} at t={t})"
-        )
-    j_last, tau_last = window[-1]
-    gap_to_tail = j_max + 1 - j_last
-    tail = tau_last * r**gap_to_tail / (1.0 - r) * EMPIRICAL_TAIL_SAFETY
-    return tail, False
+    if not rho < 1.0:
+        return None
+    j = j_max + 1
+    term = t ** (j - 1) * majorants(v1_norm, j)[-1]
+    total = 0.0
+    while True:
+        total += term
+        rest = term * rho / (1.0 - rho)
+        if rest <= 1e-300 + 1e-16 * total:
+            return total + rest
+        term *= 2.0 * (2 * j - 1) / (j + 1) * v1_norm / MAJORANT_A * t
+        j += 1
 
 
 def generator_exponential(x: np.ndarray) -> np.ndarray:
@@ -477,9 +455,9 @@ def series_stack(
     A G that does not fix the vacuum is refused with ``GapError``, as
     ``assemble_g`` refuses it.
 
-    Nothing here warns or judges a step: the gap warning, the truncation
-    tail and its convergence verdict are ``lie_schwinger_series``'s, per
-    step.
+    Nothing here warns or judges a step: the gap warning is
+    ``lie_schwinger_series``'s, and the flow judges the gap and the step
+    defect.
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
@@ -606,21 +584,18 @@ def _run_stack(
             term_norms=[v1_norms[i], *term_norms[i]],
             od_residual=float(od_residuals[i]),
             step_defect=float(defects[i]),
+            tail_bound=_series_tail(t, v1_norms[i], j_max),
         )
         for i, (J, g, v1) in enumerate(zip(rects, gs, v1s))
     ]
 
 
-def lie_schwinger_series(ops: StepOperators, t: float) -> StepOperators:
-    """Judge one step's ``series_stack`` output ``ops`` at coupling ``t``:
-    warn about its gap, then add the truncation certificate of its
-    j_max = len(ops.generators) orders, the majorants and the tail bound."""
+def lie_schwinger_series(ops: StepOperators) -> StepOperators:
+    """Warn about the gap of one step's ``series_stack`` output ``ops``,
+    and return it."""
     if ops.g_gap < GAP_WARN:
         warnings.warn(
             f"gap degradation on {ops.rect}: excited block starts {ops.g_gap:.3g} above the "
             "vacuum energy"
         )
-    if ops.v1_norm <= 0:
-        return replace(ops, tail_bound=0.0, tail_certified=True)
-    tail_bound, certified = _series_tail(ops.term_norms, t, ops.v1_norm, len(ops.generators))
-    return replace(ops, tail_bound=tail_bound, tail_certified=certified)
+    return ops

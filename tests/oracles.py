@@ -426,9 +426,6 @@ def dense_step_series(J, g, e0, v1, t, j_max=12):
         s_terms.append(x - x.conj().T)
         v_diag += t ** (j - 1) * diag_part(vj)
         s_total += t**j * s_terms[-1]
-    tail_bound, certified = (
-        _series_tail(term_norms, t, v1_norm, j_max) if v1_norm > 0 else (0.0, True)
-    )
     unitary = expm(s_total)
     local = G + t * v1.matrix
     conj = unitary @ local @ unitary.conj().T
@@ -438,8 +435,7 @@ def dense_step_series(J, g, e0, v1, t, j_max=12):
         g_gap=gap,
         v1_norm=v1_norm,
         s_norm=op_norm(s_total),
-        tail_bound=tail_bound,
-        tail_certified=certified,
+        tail_bound=_series_tail(t, v1_norm, j_max),
         term_norms=term_norms,
         generator=s_total[:, 0],
         plane=rotation_plane(s_total[:, 0]),

@@ -161,10 +161,16 @@ class TestCriterion6:
                     closed = catalan * rec.v1_norm**j / a ** (j - 1)
                     assert bj == pytest.approx(closed, rel=1e-8)
                 # the off-block residual of the conjugated local operator is
-                # inside the certificate; 1e-12 covers dense-algebra noise
-                assert rec.od_residual <= t * rec.tail_bound + 1e-12
+                # inside the certified tail (1e-12 covers dense-algebra
+                # noise); elsewhere inside the step defect, which holds it
+                # as a Frobenius norm of a superset of its entries, and which
+                # the truncation clause holds to the tolerance
                 if rec.tail_certified:
+                    assert rec.od_residual <= t * rec.tail_bound + 1e-12
                     checked_tail += 1
+                else:
+                    assert rec.od_residual <= rec.step_defect * (1 + 1e-12)
+                    assert rec.step_defect <= state.tolerances.consistency
         assert checked_tail > 0
         announce(6, "series majorants")
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gapflow import cli, tensor, verify
@@ -344,10 +345,59 @@ class TestRun:
         assert len(lines) == 1 and lines[0].startswith("error: [Errno 2] "), lines
         assert not report.exists()
 
-    def test_diverging_coupling_exit_two(self, tmp_path):
+    def test_diverging_coupling_exit_two(self, tmp_path, capsys):
         payload = {"d": 1, "N": 2, "t": 3.0, "seed": 1}
         rc = main(["--config", write_config(tmp_path, payload)])
         assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: truncation: step defect "), lines
+
+    def test_overflowing_coupling_fails_truncation(self, tmp_path, capsys):
+        # at t = 1e30 the series overflows and its step defect is NaN, which
+        # the truncation clause fails: apart from numpy's own overflow
+        # warnings, one error line, no traceback, no report
+        report = tmp_path / "report.json"
+        payload = {"d": 1, "N": 3, "t": 1e30, "seed": 1, "output": {"report": str(report)}}
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["--config", write_config(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: truncation: step defect nan at step Rect(k=(1,), q=(1,)), "
+            "above tolerance 1e-08"
+        ]
+        assert "Traceback" not in captured.err + captured.out
+        assert not report.exists()
+
+    def test_uncertified_tail_is_a_blank_csv_cell(self, tmp_path):
+        # t = 0.05 is outside the certified radius of every edge: those
+        # steps report a null tail, which the CSV writes as an empty cell,
+        # as it writes an unchecked residual
+        report, csv_path = tmp_path / "report.json", tmp_path / "steps.csv"
+        payload = {
+            "d": 1,
+            "N": 3,
+            "t": 0.05,
+            "seed": 1,
+            "checks": {"consistency": "final"},
+            "output": {"report": str(report), "csv": str(csv_path)},
+        }
+        assert main(["--config", write_config(tmp_path, payload)]) == 0
+        steps = json.loads(report.read_text())["steps"]
+        with open(csv_path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["tail_bound"] == "" for row in rows] == [
+            step["tail_bound"] is None for step in steps
+        ]
+        assert [row["residual"] == "" for row in rows] == [
+            step["residual"] is None for step in steps
+        ]
+        for row, step in zip(rows, steps):
+            assert step["tail_certified"] == (step["tail_bound"] is not None)
+            if step["tail_certified"]:
+                assert float(row["tail_bound"]) == step["tail_bound"]
+        uncertified = [step for step in steps if not step["tail_certified"]]
+        assert uncertified and len(uncertified) < len(steps)
+        assert all(step["circumference"] == 1 for step in uncertified)
 
     def test_nearly_hermitian_potential_refused_with_one_error_line(self, tmp_path, capsys):
         # ||A - A^+||_2 = 5e-11 passes a 2-norm test at rtol 1e-10, but not

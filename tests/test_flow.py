@@ -66,6 +66,16 @@ def sxsx_chain(N, t):
     return ModelSpec(lat, 2, default_onsite(2), pots, t)
 
 
+def truncation_budget(ops, t):
+    """What a step's truncation may leave off the block diagonal of a stored
+    potential: its tail where certified, else its measured step defect
+    (which is in units of the local operator) over |t|; 0 for a skipped
+    step."""
+    if ops is None:
+        return 0.0
+    return ops.tail_bound if ops.tail_certified else ops.step_defect / abs(t)
+
+
 class TestInteractionMap:
     def test_prunes_tiny_entries(self):
         edge = Rect((1,), (1,))
@@ -196,8 +206,7 @@ class TestApplyStep:
             state, ops = apply_step(state)
             entry = state.interactions.get(J)
             if entry is not None:
-                tail = ops.tail_bound if ops is not None else 0.0
-                assert offdiag_norm(entry.matrix) <= tail + 1e-13
+                assert offdiag_norm(entry.matrix) <= truncation_budget(ops, spec.t) + 1e-13
 
     def test_monotone_diagonalization(self):
         # every entry at or before the current step stays block-diagonal
@@ -207,7 +216,7 @@ class TestApplyStep:
         budget = 0.0
         for J in enumerate_steps(spec.lat):
             state, ops = apply_step(state)
-            budget += (ops.tail_bound if ops is not None else 0.0) + 1e-13
+            budget += truncation_budget(ops, spec.t) + 1e-13
             for key, op in state.interactions.items():
                 if key.circumference >= 1 and compare_step(key, J) <= 0:
                     assert offdiag_norm(op.matrix) <= budget
@@ -255,8 +264,8 @@ class TestRecordSeriesContract:
 
     @pytest.mark.parametrize("d, N, t", [(1, 6, 0.05), (3, 2, 0.02)])
     def test_record_holds_its_judged_series(self, monkeypatch, d, N, t):
-        # each series step's record holds its judged StepOperators' values,
-        # bit for bit, stacked steps and stacks of one alike
+        # each series step's record holds its StepOperators' values, bit
+        # for bit, stacked steps and stacks of one alike
         judged = []
         real = flow.apply_step
 
@@ -555,9 +564,11 @@ def assert_flow_matches_dense_path(spec, **kwargs):
     fast = run_flow(spec, **kwargs)
     routed = []
 
-    def dense_series(ops, t):
+    def dense_series(ops):
         routed.append(ops.rect)
-        return dense_step_series(ops.rect, ops.g, ops.e0, ops.v1, t, j_max=len(ops.generators))
+        return dense_step_series(
+            ops.rect, ops.g, ops.e0, ops.v1, spec.t, j_max=len(ops.generators)
+        )
 
     with mock.patch.object(flow, "lie_schwinger_series", dense_series):
         dense = run_flow(spec, **kwargs)
@@ -752,6 +763,90 @@ class TestOnePlanePerStep:
         assert len(built) == len(series) == series_steps
         for x, rec in zip(built, series):
             assert np.array_equal(x, rec.generator)
+
+
+def truncation_clauses(state):
+    return [clause for clause in state.failures if clause.startswith("truncation:")]
+
+
+class TestTruncationClause:
+    @pytest.mark.parametrize("mode", ["never", "final"])
+    def test_short_series_fails_in_every_mode(self, mode):
+        # at j_max = 4 seven edge steps leave step defects above 1e-8, the
+        # largest 1.56e-7 on the third edge; final mode's oracle sees only
+        # the whole-lattice step (residual 4.4e-21), so only this clause
+        # sees them, at any lattice size
+        spec = random_model(LatticeSpec(1, 8), 2, 0.05, seed=1)
+        with pytest.raises(RuntimeError) as err:
+            run_flow(spec, j_max=4, check_consistency=mode)
+        assert not isinstance(err.value, GapError)
+        assert str(err.value) == (
+            "truncation: step defect 4.18e-08 at step Rect(k=(1,), q=(1,)), "
+            "above tolerance 1e-08"
+        )
+        state = run_flow(spec, j_max=4, check_consistency=mode, force=True)
+        clauses = truncation_clauses(state)
+        assert len(clauses) == 7
+        assert "truncation: step defect 1.56e-07 at step Rect(k=(1,), q=(3,))" in clauses
+        assert state.failures == clauses
+        assert verify_main_theorem(state)["status"] == "fail"
+
+    def test_default_order_fails_at_large_coupling(self):
+        # at t = 0.5 no step is certified and twelve orders leave a step
+        # defect of 6.95e-5 on the third edge
+        spec = random_model(LatticeSpec(1, 4), 2, 0.5, seed=1)
+        with pytest.raises(RuntimeError, match="^truncation: step defect "):
+            run_flow(spec)
+        state = run_flow(spec, force=True)
+        assert not any(rec.tail_certified for rec in state.history if not rec.skipped)
+        assert "truncation: step defect 6.95e-05 at step Rect(k=(1,), q=(3,))" in (
+            truncation_clauses(state)
+        )
+
+    def test_nan_fails_every_step_claim(self):
+        rect = Rect((1,), (1,))
+        nan = float("nan")
+        rec = StepRecord(rect, g_gap=nan, e0=0.0, step_defect=nan, residual=nan)
+        assert flow._step_failures(rec, Tolerances()) == [
+            f"step-gap: gap nan below 1/2 at step {rect}",
+            f"truncation: step defect nan at step {rect}",
+            f"consistency: residual nan at step {rect}",
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        N=st.integers(2, 4),
+        M=st.sampled_from([2, 3]),
+        j_max=st.integers(1, 12),
+        t=st.one_of(st.floats(-0.01, 0.01), st.floats(-0.5, 0.5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_clause_iff_defect_above_tolerance(self, N, M, j_max, t, seed):
+        # a step fails the clause exactly when its step defect exceeds the
+        # tolerance; where its tail is certified the defect stays under
+        # sqrt(n) |t| tail plus rounding
+        steps = []
+
+        def series(ops):
+            steps.append(ops)
+            return ops
+
+        with warnings.catch_warnings(), mock.patch.object(flow, "lie_schwinger_series", series):
+            # a negative coupling's warning, and the gap warning of a forced run
+            warnings.simplefilter("ignore")
+            spec = random_model(LatticeSpec(1, N), M, t, seed=seed)
+            state = run_flow(spec, j_max=j_max, check_consistency="never", force=True)
+        tol = state.tolerances.consistency
+        failing = [rec for rec in state.history if rec.step_defect > tol]
+        assert truncation_clauses(state) == [
+            f"truncation: step defect {rec.step_defect:.3g} at step {rec.rect}" for rec in failing
+        ]
+        assert [ops.rect for ops in steps] == [rec.rect for rec in state.history if not rec.skipped]
+        for ops in steps:
+            if ops.tail_certified:
+                local = ops.g.matrix + t * ops.v1.matrix
+                bound = np.sqrt(ops.g.dim) * abs(t) * ops.tail_bound
+                assert ops.step_defect <= bound + 1e-14 * np.linalg.norm(local)
 
 
 class TestFlowMemory:

@@ -18,7 +18,6 @@ from gapflow.model import ModelSpec, default_onsite, initial_interactions, rando
 from gapflow.schwinger import (
     MAJORANT_A,
     STACK_TABLE_BYTES,
-    ConvergenceError,
     GapError,
     RotationPlane,
     _rotation_border,
@@ -77,9 +76,10 @@ def edge_model(t, v=None, seed=None):
 
 
 def one_step(J, g, v1, t, j_max=12):
-    """One step's series, run as a stack of one and judged: what
-    ``apply_step`` does for a step without stacked terms."""
-    return lie_schwinger_series(series_stack([(J, g, v1)], t, j_max)[0], t)
+    """One step's series, run as a stack of one and handed to
+    ``lie_schwinger_series``: what ``apply_step`` does for a step without
+    stacked terms."""
+    return lie_schwinger_series(series_stack([(J, g, v1)], t, j_max)[0])
 
 
 def edge_series(t, v=None, seed=None, j_max=10):
@@ -211,7 +211,10 @@ class TestSeries:
         ops, g, v1 = edge_series(0.1, v=v)
         assert op_norm(dense_generator(ops.generator)) < 1e-15
         assert np.allclose(ops.v_diag_total.matrix, v)
-        assert ops.tail_bound == 0.0 or ops.tail_certified
+        # t = 0.1 is outside the certified radius, so no tail; the step
+        # stores its local operator exactly
+        assert ops.tail_bound is None
+        assert ops.step_defect == 0.0
 
     def test_first_generator_closed_form(self):
         # the flip-both potential couples only the vacuum to the doubly
@@ -251,11 +254,15 @@ class TestSeries:
             assert np.linalg.norm(sj, 2) <= 4 * np.linalg.norm(vj, 2) + 1e-14
 
     def test_conjugation_block_diagonalizes(self):
-        for t in (0.02, 0.05):
+        # within the tail where it is certified (t = 0.002), within the
+        # measured step defect elsewhere
+        for t in (0.002, 0.02, 0.05):
             ops, g, v1 = edge_series(t, seed=11, j_max=12)
+            assert ops.tail_certified == (t < radius_lower_bound(ops.v1_norm))
             u = expm(dense_generator(ops.generator))
             conj = u @ (g.matrix + t * v1.matrix) @ u.conj().T
-            assert offdiag_norm(conj) <= t * ops.tail_bound + 1e-13
+            bound = t * ops.tail_bound if ops.tail_certified else ops.step_defect
+            assert offdiag_norm(conj) <= bound + 1e-13
 
     def test_spectrum_preserved(self):
         # the conjugated local operator, from the rotation kernel, keeps the
@@ -374,9 +381,15 @@ class TestSeries:
             rest = sum(t**j * s_terms[j - 1] for j in range(2, len(s_terms) + 1))
             assert np.linalg.norm(rest, 2) <= C_REF * t**2 * ops.v1_norm**2
 
-    def test_diverging_coupling_raises(self):
-        with pytest.raises(ConvergenceError, match="convergence"):
-            edge_series(3.0, seed=14, j_max=12)
+    def test_diverging_coupling_fails_truncation(self):
+        # at t = 3 the series diverges: no tail is certified, and the flow
+        # aborts on the measured step defect, not on the gap
+        ops, *_ = edge_series(3.0, seed=14, j_max=12)
+        assert ops.tail_bound is None
+        assert ops.step_defect == pytest.approx(346.4, rel=1e-3)
+        with pytest.raises(RuntimeError, match=r"^truncation: step defect 346 at step") as err:
+            flow.run_flow(edge_model(3.0, seed=14), j_max=12)
+        assert not isinstance(err.value, GapError)
 
 
     @settings(max_examples=60, deadline=None)
@@ -456,8 +469,9 @@ class TestStepDefect:
     )
     def test_bounded_by_tail_and_rounding(self, monkeypatch, d, N, t):
         # ||u L u^+ - (G + t v_diag)||_F <= sqrt(n) |t| tail + rounding on
-        # every series step of a flow: the truncated orders, in operator
-        # norm, widened to Frobenius, plus 1e-14 of ||L||_F
+        # every certified series step of a flow: the truncated orders, in
+        # operator norm, widened to Frobenius, plus 1e-14 of ||L||_F. An
+        # uncertified step is held to the tolerance by the truncation clause
         steps = []
 
         def series(*args, **kwargs):
@@ -465,12 +479,17 @@ class TestStepDefect:
             return steps[-1]
 
         monkeypatch.setattr(flow, "lie_schwinger_series", series)
-        flow.run_flow(random_model(LatticeSpec(d, N), 2, t, seed=1), check_consistency="never")
+        state = flow.run_flow(
+            random_model(LatticeSpec(d, N), 2, t, seed=1), check_consistency="never"
+        )
         assert steps
         for ops in steps:
-            local = ops.g.matrix + t * ops.v1.matrix
-            bound = np.sqrt(ops.g.dim) * abs(t) * ops.tail_bound
-            assert ops.step_defect <= bound + 1e-14 * np.linalg.norm(local)
+            if ops.tail_certified:
+                local = ops.g.matrix + t * ops.v1.matrix
+                bound = np.sqrt(ops.g.dim) * abs(t) * ops.tail_bound
+                assert ops.step_defect <= bound + 1e-14 * np.linalg.norm(local)
+            else:
+                assert ops.step_defect <= state.tolerances.consistency
 
 
 class TestGeneratorExponential:
@@ -708,7 +727,7 @@ class TestMajorants:
         radius, b_last, tail = (float.fromhex(h) for h in MAJORANTS_BEFORE_PIN[v1_norm, j_max])
         assert radius_lower_bound(v1_norm) == radius
         assert b[j_max] == b_last
-        assert _series_tail([], 0.3 * radius, v1_norm, j_max) == (tail, True)
+        assert _series_tail(0.3 * radius, v1_norm, j_max) == tail
         # a longer list continues the same recurrence
         assert majorants(v1_norm, j_max + 4)[: j_max + 1] == b
 
@@ -754,22 +773,22 @@ class TestMajorants:
                     num, den = num * x.numerator, den * x.denominator
                 for j_max in j_maxes:
                     exact = v1_norm * fsum(terms[j_max:])
-                    tail, certified = _series_tail([], t, v1_norm, j_max)
-                    assert certified
+                    tail = _series_tail(t, v1_norm, j_max)
                     assert tail == pytest.approx(exact, rel=1e-13), (v1_norm, rho, j_max)
 
     def test_tail_outside_radius_uncertified(self):
-        # outside the certified region the tail extrapolates the computed
-        # terms and says so
-        tail, certified = _series_tail([1.0] * 6, 2 * radius_lower_bound(1.0), 1.0, 6)
-        assert not certified
-        assert np.isfinite(tail) and tail > 0
+        # at and outside the certified radius there is no tail, whatever the
+        # sign of t; a vanishing v1 has a vanishing one at any coupling
+        radius = radius_lower_bound(1.0)
+        for t in (radius, 2 * radius, -2 * radius, 3.0, 1e30):
+            assert _series_tail(t, 1.0, 6) is None
+        assert _series_tail(-0.5 * radius, 1.0, 6) == _series_tail(0.5 * radius, 1.0, 6)
+        assert _series_tail(3.0, 0.0, 6) == 0.0
 
     def test_tail_finite_near_radius(self):
         # slow geometric decay must not overflow the coefficient recursion
         t = 0.999 * radius_lower_bound(1.0)
-        tail, certified = _series_tail([], t, 1.0, 12)
-        assert certified
+        tail = _series_tail(t, 1.0, 12)
         assert np.isfinite(tail) and tail > 0
         assert tail >= t**12 * majorants(1.0, 13)[12]
 
