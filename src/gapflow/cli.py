@@ -245,8 +245,9 @@ def write_report(report: dict, path: str) -> None:
 
 def run(config: RunConfig, force: bool = False) -> int:
     """Execute the flow and verify it; 0 pass, 1 check failure,
-    2 configuration or output error, flow abort, or a lattice whose
-    verification cannot fit in physical memory (refused before the flow)."""
+    2 configuration or output error, flow abort, a forced run whose map
+    stops being Hermitian, or a lattice whose verification cannot fit in
+    physical memory (refused before the flow)."""
     outputs = [path for path in (config.report_path, config.csv_path) if path is not None]
     for path in outputs:
         if not (path and os.path.isdir(os.path.dirname(path) or ".")):
@@ -283,11 +284,13 @@ def run(config: RunConfig, force: bool = False) -> int:
             check_consistency=config.consistency_mode,
             force=force,
         )
-    except RuntimeError as exc:
+        report = verify_main_theorem(state)
+    except (RuntimeError, ValueError) as exc:
+        # a forced run whose map went non-finite fails the Hermiticity check
+        # of the first norm it takes, in the flow or in verification
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    report = verify_main_theorem(state)
     report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
 
     try:

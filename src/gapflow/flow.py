@@ -98,7 +98,6 @@ class StepRecord:
     tail_bound: float | None = 0.0
     od_residual: float = 0.0
     step_defect: float = 0.0
-    term_norms: list[float] = field(default_factory=list)
     v_diag_total: LocalOp | None = None
     generator: np.ndarray | None = None
     residual: float | None = None
@@ -192,7 +191,7 @@ def _transform_map(
     interactions: dict[Rect, LocalOp], J: Rect, ops: StepOperators
 ) -> dict[Rect, LocalOp]:
     """The map after the step on ``J``, as described in the module docstring."""
-    M = ops.v1.M
+    M = ops.v_diag_total.M
     new_map = dict(interactions)
     set_entry(new_map, J, ops.v_diag_total)
 

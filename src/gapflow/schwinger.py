@@ -37,8 +37,8 @@ of Z. In those coordinates [S, T] = W + W^+ with W = c (e0^+ T) - e0 (c^+ T)
 for x = Z c, so one batched commutator gives every chain length of an order.
 Per order the only O(n^2) work is one matvec with V and one with the
 resolvent, inverted once per step; the rest costs O(n j_max) for the basis
-and O(j_max^2 D^2) for the table. The term norms come from one stacked
-D x D eigenvalue solve.
+and O(j_max^2 D^2) for the table. The basis and the coordinate terms stay
+inside the run: a step hands back only what the flow reads.
 
 ``series_stack`` runs this for several steps of one dimension at once,
 with a leading stack axis on every array: a step with n <= 2 j_max + 1
@@ -108,42 +108,35 @@ def radius_lower_bound(v1_norm: float) -> float:
 class StepOperators:
     """Everything produced by one local block-diagonalization step.
 
-    ``series_stack`` makes the series up to its truncation certificate.
-    ``generators`` holds the vectors x_j of S_j = x_j e0^+ - e0 x_j^+, and
-    ``generator`` the vector X = sum_j t^j x_j of the step generator
-    S = X e0^+ - e0 X^+; ``generator_exponential(generator)`` is exp(S),
-    and ``plane`` its ``RotationPlane``, built once for every rotation by
-    the step.
-    ``basis`` is an orthonormal basis Z of
-    span(e0, V e0, x_r, V x_r : r < j_max) for V = ``v1``, with
-    Z[:, 0] = e0: all of C^n for a support dimension n <= 2 j_max + 1,
-    otherwise at most 2 j_max columns wide, built without any product with
-    G = ``g`` (see the module docstring). ``v_coords``
-    holds the coefficients v_j for j >= 2 as Hermitian coordinate matrices
-    v = Z^+ v_j Z against its first len(v) columns, so v_j = Z v Z^+; v_1 is
-    ``v1`` itself. ``od_residual`` is the off-block norm of the conjugated
-    local operator u L u^+ (u = exp(S), L = G + t V), and ``step_defect``
-    its Frobenius distance ||u L u^+ - (G + t v_diag)||_F to what the step
-    stores: the series truncation plus rounding, taken in O(n^2).
-    ``tail_bound`` is the majorant tail of the truncated orders (see
-    ``_series_tail``) inside the certified radius |t| < a/(4 ||v1||), and
-    ``None`` outside it, where only ``step_defect`` measures the truncation.
+    ``series_stack`` makes the series up to its truncation certificate;
+    a step keeps only what the flow, its record or a tracer reads. ``g``
+    is the step's already-diagonal local operator G and ``e0`` its vacuum
+    energy. ``generators`` holds the vectors x_j of
+    S_j = x_j e0^+ - e0 x_j^+, and ``generator`` the vector
+    X = sum_j t^j x_j of the step generator S = X e0^+ - e0 X^+;
+    ``generator_exponential(generator)`` is exp(S), and ``plane`` its
+    ``RotationPlane``, built once for every rotation by the step.
+    ``v_diag_total`` is the block-diagonal potential the step stores.
+    ``od_residual`` is the off-block norm of the conjugated local operator
+    u L u^+ (u = exp(S), L = G + t V for the step potential V), and
+    ``step_defect`` its Frobenius distance ||u L u^+ - (G + t v_diag)||_F
+    to what the step stores: the series truncation plus rounding, taken in
+    O(n^2). ``tail_bound`` is the majorant tail of the truncated orders
+    (see ``_series_tail``) inside the certified radius |t| < a/(4 ||V||),
+    ||V|| = ``v1_norm``, and ``None`` outside it, where only
+    ``step_defect`` measures the truncation.
     """
 
     rect: Rect
     g: LocalOp
-    v1: LocalOp
     e0: float
     generators: list[np.ndarray]
     generator: np.ndarray
     plane: RotationPlane
-    basis: np.ndarray
-    v_coords: list[np.ndarray]
     v_diag_total: LocalOp
     g_gap: float
     v1_norm: float
     s_norm: float
-    term_norms: list[float]
     od_residual: float
     step_defect: float
     tail_bound: float | None
@@ -425,10 +418,6 @@ class _SeriesBasis:
         w = self.width
         return np.matmul(self.q[:, :, :w] @ t[:, :w, :w], self.qh[:, :w], out=out)
 
-    def columns(self, i: int) -> np.ndarray:
-        """The built columns of step i's basis."""
-        return np.eye(self.width, dtype=complex) if self.full else self.q[i, :, : self.width]
-
 
 def _stacked(mats: list[np.ndarray]) -> np.ndarray:
     """The matrices along a new leading axis (a view for a single one)."""
@@ -475,6 +464,9 @@ def series_stack(
     return out
 
 
+# a series that overflows ends in a NaN step defect, which the flow's
+# truncation clause reports; numpy need not warn on the way
+@np.errstate(over="ignore", invalid="ignore")
 def _run_stack(
     steps: list[tuple[Rect, LocalOp, LocalOp]], t: float, j_max: int
 ) -> list[StepOperators]:
@@ -536,11 +528,6 @@ def _run_stack(
             tab[:, 1, j + 1] = _ad_first(cx, v0, vx)
 
     del resolvent, tab
-    # zero padding to the final width adds only zero eigenvalues, so each
-    # largest |eigenvalue| is the term's norm
-    width = basis.width
-    term_norms = np.abs(np.linalg.eigvalsh(vs[:, :, :width, :width])).max(-1).tolist()
-
     powers = float(t) ** np.arange(1, j_max + 1)
     X = powers @ xs  # sum_j t^j x_j
     rest = np.tensordot(vs, powers[:-1], axes=(1, 0))  # sum_{j>=2} t^{j-1} v_j
@@ -570,18 +557,14 @@ def _run_stack(
         StepOperators(
             rect=J,
             g=g,
-            v1=v1,
             e0=float(e0[i]),
             generators=list(xs[i]),
             generator=X[i],
             plane=planes[i],
-            basis=basis.columns(i),
-            v_coords=list(vs[i, :, :width, :width]),
             v_diag_total=LocalOp(J, v_diag[i], v1.M),
             g_gap=float(gaps[i]),
             v1_norm=v1_norms[i],
             s_norm=float(np.linalg.norm(X[i])),
-            term_norms=[v1_norms[i], *term_norms[i]],
             od_residual=float(od_residuals[i]),
             step_defect=float(defects[i]),
             tail_bound=_series_tail(t, v1_norms[i], j_max),

@@ -32,7 +32,8 @@ class LocalOp:
     ``matrix`` may also hold a stack of operators on one support along
     leading axes: the leg kernels (``embed``, ``add_embedded``,
     ``permute_legs`` and the rotation kernels) act on each one alike. The
-    cached norms are those of a single operator.
+    cached norms are those of a single operator. The matrix is made
+    read-only when the operator is built, so an in-place write raises.
     """
 
     support: Rect
@@ -41,6 +42,7 @@ class LocalOp:
 
     def __post_init__(self) -> None:
         self.matrix = np.asarray(self.matrix, dtype=complex)
+        self.matrix.flags.writeable = False
         dim = self.M ** self.support.n_sites
         if self.matrix.ndim < 2 or self.matrix.shape[-2:] != (dim, dim):
             raise ValueError(

@@ -131,20 +131,25 @@ def dense_generator(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def dense_terms(ops) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """A step's generators S_j and coefficients v_j as dense matrices."""
-    v_terms = [ops.v1.matrix]
-    for c in ops.v_coords:
-        z = ops.basis[:, : len(c)]
-        v_terms.append(z @ c @ z.conj().T)
-    return [dense_generator(x) for x in ops.generators], v_terms
+def series_span(generators: list[np.ndarray], v1: LocalOp) -> np.ndarray:
+    """An orthonormal basis Q, with Q[:, 0] = e0, of
+    span(e0, V e0, x_r, V x_r) over the given generator vectors x_r, for
+    V = ``v1``. The spanning vectors are normalized, projected off e0 and
+    taken to their left singular vectors above 1e-12 of the largest."""
+    V = v1.matrix
+    e0 = np.eye(V.shape[0], dtype=complex)[:, 0]
+    vecs = [V[:, 0], *(y for x in generators for y in (x, V @ x))]
+    cols = np.column_stack([y / np.linalg.norm(y) for y in vecs if np.linalg.norm(y) > 0])
+    cols[0] = 0.0
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    return np.column_stack([e0, u[:, s > 1e-12 * s[0]]])
 
 
 def no_skip_transform_map(interactions: dict, J: Rect, ops) -> dict:
     """The flow's map update without the a-priori skip: every target is
     embedded, rotated and handed to ``set_entry``, with the contributions
     summed in the package's order (supersets first)."""
-    M = ops.v1.M
+    M = ops.v_diag_total.M
     new_map = dict(interactions)
     set_entry(new_map, J, ops.v_diag_total)
     inputs = {
@@ -439,7 +444,6 @@ def dense_step_series(J, g, e0, v1, t, j_max=12):
         term_norms=term_norms,
         generator=s_total[:, 0],
         plane=rotation_plane(s_total[:, 0]),
-        v1=v1,
         v_diag_total=LocalOp(J, v_diag, v1.M),
         od_residual=float(np.linalg.norm(offdiag_part(conj), 2)),
         step_defect=float(np.linalg.norm(conj - (G + t * v_diag))),

@@ -7,9 +7,9 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from gapflow import cli, tensor, verify
@@ -354,11 +354,12 @@ class TestRun:
 
     def test_overflowing_coupling_fails_truncation(self, tmp_path, capsys):
         # at t = 1e30 the series overflows and its step defect is NaN, which
-        # the truncation clause fails: apart from numpy's own overflow
-        # warnings, one error line, no traceback, no report
+        # the truncation clause fails: one error line, no numpy warning (an
+        # error here), no traceback, no report
         report = tmp_path / "report.json"
         payload = {"d": 1, "N": 3, "t": 1e30, "seed": 1, "output": {"report": str(report)}}
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["--config", write_config(tmp_path, payload)]) == 2
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
@@ -366,6 +367,20 @@ class TestRun:
             "above tolerance 1e-08"
         ]
         assert "Traceback" not in captured.err + captured.out
+        assert not report.exists()
+
+    def test_forced_overflowing_coupling_exits_two(self, tmp_path, capsys):
+        # forced past the NaN truncation clauses, the flow stores a
+        # non-finite entry whose norm refuses it as not Hermitian: one error
+        # line, exit 2, no traceback, no report
+        report = tmp_path / "report.json"
+        payload = {"d": 1, "N": 3, "t": 1e30, "seed": 1, "output": {"report": str(report)}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", write_config(tmp_path, payload), "--force"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: operator is not Hermitian within tolerance"]
+        assert captured.out == ""
         assert not report.exists()
 
     def test_uncertified_tail_is_a_blank_csv_cell(self, tmp_path):

@@ -27,7 +27,14 @@ from gapflow.flow import (
     set_entry,
     verdict,
 )
-from gapflow.geometry import LatticeSpec, Rect, all_rects, compare_step, enumerate_steps
+from gapflow.geometry import (
+    LatticeSpec,
+    Rect,
+    all_rects,
+    compare_step,
+    enumerate_steps,
+    step_sort_key,
+)
 from gapflow.model import ModelSpec, build_hamiltonian, default_onsite, random_model
 from gapflow.schwinger import (
     GapError,
@@ -164,6 +171,19 @@ class TestInteractionMap:
                     assert not hermitian and "not Hermitian" in str(exc)
                     continue
                 assert (rect in imap) == (np.linalg.norm(op.matrix, 2) > PRUNE_THRESHOLD)
+
+    def test_stored_entries_are_read_only(self):
+        # the cached norms, the maps that share an entry and the expander's
+        # memo rely on entries never being mutated: an in-place write into
+        # one, after the flow, is refused
+        state = run_flow(random_model(LatticeSpec(1, 4), 2, 0.05, seed=1))
+        entries = [*state.interactions.values(), *state.initial_map.values()]
+        entries += [rec.v_diag_total for rec in state.history if not rec.skipped]
+        for op in entries:
+            with pytest.raises(ValueError, match="read-only"):
+                op.matrix[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                op.matrix *= 2.0
 
 
 class TestApplyStep:
@@ -564,16 +584,21 @@ def assert_flow_matches_dense_path(spec, **kwargs):
     fast = run_flow(spec, **kwargs)
     routed = []
 
-    def dense_series(ops):
-        routed.append(ops.rect)
-        return dense_step_series(
-            ops.rect, ops.g, ops.e0, ops.v1, spec.t, j_max=len(ops.generators)
-        )
+    def dense_series(steps, t, j_max):
+        routed.extend(J for J, _, _ in steps)
+        return [
+            dense_step_series(J, g, float(g.matrix[0, 0].real), v1, t, j_max)
+            for J, g, v1 in steps
+        ]
 
-    with mock.patch.object(flow, "lie_schwinger_series", dense_series):
+    with mock.patch.object(flow, "series_stack", dense_series):
         dense = run_flow(spec, **kwargs)
-    # every series step, stacked or not, went through the dense path
-    assert routed and routed == [rec.rect for rec in dense.history if not rec.skipped]
+    # every series step, stacked (a level's stacks run by dimension) or
+    # not, went through the dense path once
+    assert routed
+    assert sorted(routed, key=step_sort_key) == [
+        rec.rect for rec in dense.history if not rec.skipped
+    ]
     assert (fast.status, fast.failures) == (dense.status, dense.failures)
     assert len(fast.history) == len(dense.history)
     for a, b in zip(fast.history, dense.history):
@@ -736,7 +761,6 @@ class TestMapUpdateSkip:
         contributor = LocalOp(key, scale * np.diag([1.0, 0.0, -1.0, 0.0]), 2)
         plane = rotation_plane(x)
         ops = SimpleNamespace(
-            v1=LocalOp(J, np.zeros((4, 4)), 2),
             v_diag_total=LocalOp(J, np.diag([0.0, 1.0, 1.0, 2.0]), 2),
             plane=plane,
         )
@@ -826,12 +850,14 @@ class TestTruncationClause:
         # tolerance; where its tail is certified the defect stays under
         # sqrt(n) |t| tail plus rounding
         steps = []
+        real = schwinger.series_stack
 
-        def series(ops):
-            steps.append(ops)
-            return ops
+        def series(group, *args, **kwargs):
+            out = real(group, *args, **kwargs)
+            steps.extend(zip(group, out))
+            return out
 
-        with warnings.catch_warnings(), mock.patch.object(flow, "lie_schwinger_series", series):
+        with warnings.catch_warnings(), mock.patch.object(flow, "series_stack", series):
             # a negative coupling's warning, and the gap warning of a forced run
             warnings.simplefilter("ignore")
             spec = random_model(LatticeSpec(1, N), M, t, seed=seed)
@@ -841,10 +867,12 @@ class TestTruncationClause:
         assert truncation_clauses(state) == [
             f"truncation: step defect {rec.step_defect:.3g} at step {rec.rect}" for rec in failing
         ]
-        assert [ops.rect for ops in steps] == [rec.rect for rec in state.history if not rec.skipped]
-        for ops in steps:
+        assert [ops.rect for _, ops in steps] == [
+            rec.rect for rec in state.history if not rec.skipped
+        ]
+        for (_, g, v1), ops in steps:
             if ops.tail_certified:
-                local = ops.g.matrix + t * ops.v1.matrix
+                local = g.matrix + t * v1.matrix
                 bound = np.sqrt(ops.g.dim) * abs(t) * ops.tail_bound
                 assert ops.step_defect <= bound + 1e-14 * np.linalg.norm(local)
 
