@@ -104,11 +104,13 @@ def _number(mapping: dict, key: str, default, kind: type, minimum=None, where: s
 
 def parse_config(path: str) -> RunConfig:
     """Read and validate a JSON run configuration."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}: not valid JSON ({exc.msg})") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     _reject_unknown(raw, _TOP_KEYS, "the top level")
@@ -247,7 +249,7 @@ def run(config: RunConfig, force: bool = False) -> int:
     """Execute the flow and verify it; 0 pass, 1 check failure,
     2 configuration or output error, flow abort, a forced run whose map
     stops being Hermitian, or a lattice whose verification cannot fit in
-    physical memory (refused before the flow)."""
+    physical memory (refused before the model is built)."""
     outputs = [path for path in (config.report_path, config.csv_path) if path is not None]
     for path in outputs:
         if not (path and os.path.isdir(os.path.dirname(path) or ".")):
@@ -260,20 +262,20 @@ def run(config: RunConfig, force: bool = False) -> int:
             continue
         print(f"error: cannot write output {path!r}: {problem}", file=sys.stderr)
         return 2
-    try:
-        spec = build_model(config)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    dim = spec.M**spec.lat.n_sites
-    need = verification_bytes(spec)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        print(
-            f"error: verification forms three {dim} x {dim} complex matrices, {need} bytes, "
-            f"more than the {have} bytes of physical memory",
-            file=sys.stderr,
-        )
+    try:
+        # refused from d, N and M alone, before the model is drawn
+        lat = LatticeSpec(config.d, config.N)
+        need = verification_bytes(lat, config.M)
+        if need > have:
+            dim = config.M**lat.n_sites
+            raise ConfigError(
+                f"verification forms three {dim} x {dim} complex matrices, {need} bytes, "
+                f"more than the {have} bytes of physical memory"
+            )
+        spec = build_model(config)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     try:
@@ -331,7 +333,9 @@ def main(argv: list[str] | None = None) -> int:
         "--check-consistency",
         choices=CONSISTENCY_MODES,
         default=None,
-        help="when to compare the map update against the honest conjugation",
+        help="when to compare the map update against the honest conjugation: auto, "
+        "never or every-step; auto, the config default, is every-step for N <= 3 and "
+        "never otherwise",
     )
     parser.add_argument("--emit-csv", default=None, help="write per-step diagnostics CSV here")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")

@@ -50,7 +50,7 @@ from .tensor import LocalOp, conjugate_on_legs, embed, embedded_sum
 
 PRUNE_THRESHOLD = 1e-14
 # when ``run_flow`` runs the consistency oracle
-CONSISTENCY_MODES = ("auto", "never", "final", "every-step")
+CONSISTENCY_MODES = ("auto", "never", "every-step")
 
 
 def set_entry(interactions: dict[Rect, LocalOp], key: Rect, op: LocalOp) -> None:
@@ -345,62 +345,40 @@ def run_flow(
     it shows in ``state.failures`` and makes ``state.status``
     ``hypothesis-violated``.
 
-    ``check_consistency``: one of ``CONSISTENCY_MODES``
-    (auto = every step for N <= 3, final otherwise). Either mode checks only
-    steps that ran a series: a skipped step conjugates nothing, so its
-    residual would be zero by construction.
+    ``check_consistency``: one of ``CONSISTENCY_MODES`` (auto = every-step
+    for N <= 3, never otherwise). Every-step runs the consistency oracle on
+    each step that ran a series (a skipped step conjugates nothing, so its
+    residual would be zero by construction) and, unless ``force``, raises a
+    RuntimeError when a residual fails. In every mode the truncation clause
+    judges each series step's measured step defect.
     """
     if check_consistency not in CONSISTENCY_MODES:
         raise ValueError(f"unknown consistency mode {check_consistency!r}")
     if check_consistency == "auto":
-        check_consistency = "every-step" if spec.lat.N <= 3 else "final"
+        check_consistency = "every-step" if spec.lat.N <= 3 else "never"
 
     state = initial_state(spec, keep_history, j_max, tolerances)
     steps = enumerate_steps(spec.lat)
     # full-lattice operator before the next checked step; each check hands
     # back the one it assembled after its step
-    before = None
-    # final mode: the states around the last step that ran a series (maps
-    # are never mutated, so holding them is safe)
-    last_series = None
+    before = assemble_hamiltonian(state) if check_consistency == "every-step" else None
     level: dict[Rect, StepOperators] = {}
     for i, J in enumerate(steps):
         if i == 0 or J.circumference != steps[i - 1].circumference:
             level = level_series(state)
-        if check_consistency == "every-step" and before is None:
-            before = assemble_hamiltonian(state)
-        prev = state
-        state, ops = apply_step(state, force=force, terms=level.pop(J, None))
-        if ops is None:
+        # drop the step's operators (G and the replaced V among them) at
+        # once, before the oracle or the next level's series
+        state = apply_step(state, force=force, terms=level.pop(J, None))[0]
+        rec = state.history[-1]
+        if before is None or rec.skipped:
             continue
-        # hold neither the step's operators (G and the replaced V among
-        # them) nor, outside final mode, the previous state across the oracle
-        del ops
-        if check_consistency == "final":
-            last_series = prev, state
-        del prev
-        if check_consistency == "every-step":
-            before = _check_step(before, state, force)
-    if last_series is not None:
-        prev, after = last_series
-        before = assemble_hamiltonian(prev)
-        del prev, last_series  # the check needs only its operator
-        _check_step(before, after, force)
+        rec.residual, before = consistency_check(before, state)
+        # apply_step has passed the gap and the truncation, so only the
+        # residual can fail
+        failed = _step_failures(rec, state.tolerances)
+        if failed and not force:
+            raise _abort(failed[0], state.tolerances)
     return state
-
-
-def _check_step(before: LocalOp, state: FlowState, force: bool) -> LocalOp:
-    """Run the consistency oracle on the last step of ``state`` and record
-    its residual; unless ``force``, a RuntimeError when the residual fails.
-    Returns the operator assembled after the step."""
-    rec = state.history[-1]
-    rec.residual, after = consistency_check(before, state)
-    # apply_step has passed the gap and the truncation, so only the
-    # residual can fail
-    failed = _step_failures(rec, state.tolerances)
-    if failed and not force:
-        raise _abort(failed[0], state.tolerances)
-    return after
 
 
 def _abort(clause: str, tolerances: Tolerances) -> RuntimeError:

@@ -67,11 +67,11 @@ def _step_dict(index: int, rec, full: Rect) -> dict:
     }
 
 
-def verification_bytes(spec: ModelSpec) -> int:
+def verification_bytes(lat: LatticeSpec, M: int) -> int:
     """The bytes of the matrices ``verify_main_theorem`` forms: K, Kt and
     Kt's eigenvectors, three dense n x n complex matrices, 48 n^2 bytes for
     n = M^sites."""
-    return 48 * (spec.M**spec.lat.n_sites) ** 2
+    return 48 * (M**lat.n_sites) ** 2
 
 
 def verify_main_theorem(state: FlowState) -> dict:

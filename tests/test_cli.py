@@ -92,6 +92,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="broken.json:2"):
             parse_config(str(path))
 
+    def test_non_utf8_config_exit_two(self, tmp_path, capsys):
+        # a UTF-16 byte-order mark is not UTF-8: one error line naming the
+        # file, no traceback
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + '{"d": 1, "N": 2, "t": 0.05}'.encode("utf-16-le"))
+        assert main(["--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {path}: not valid UTF-8 (byte 0)"]
+        assert captured.out == ""
+
     def test_overlarge_potential_rejected(self, tmp_path, capsys):
         payload = {
             "d": 1,
@@ -308,15 +318,22 @@ class TestRun:
         assert len(lines) == 1 and lines[0].startswith("error: cannot write output"), lines
 
     def test_oversized_lattice_refused_before_the_flow(self, tmp_path, capsys, monkeypatch):
-        # d=2 N=6: verification would form three 2^36 x 2^36 complex matrices
-        monkeypatch.setattr(cli, "run_flow", lambda *a, **k: pytest.fail("the flow ran"))
-        payload = {"d": 2, "N": 6, "t": 0.02}
-        assert main(["--config", write_config(tmp_path, payload)]) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: verification forms"), lines
-        need = 48 * 2**72
+        # verification would form three n x n complex matrices: n = 2^36 at
+        # d=2 N=6, 40^3 at M=40 N=3 and 10^10 at M=100000 N=2, whose model
+        # alone would take seconds to draw or fail to allocate its on-site
+        # matrix; each is refused from d, N and M before the model is built
+        monkeypatch.setattr(cli, "build_model", lambda *a, **k: pytest.fail("model built"))
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        assert f" {need} bytes" in lines[0] and f" {have} bytes" in lines[0]
+        for payload, n in [
+            ({"d": 2, "N": 6, "t": 0.02}, 2**36),
+            ({"d": 1, "N": 3, "M": 40, "t": 0.02}, 40**3),
+            ({"d": 1, "N": 2, "M": 100000, "t": 0.02}, 10**10),
+        ]:
+            assert main(["--config", write_config(tmp_path, payload)]) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: verification forms"), lines
+            assert f" {n} x {n} " in lines[0]
+            assert f" {48 * n**2} bytes" in lines[0] and f" {have} bytes" in lines[0]
 
     def test_write_error_exit_two(self, tmp_path, capsys):
         # the directory exists, but the report path names a directory
@@ -384,16 +401,18 @@ class TestRun:
         assert not report.exists()
 
     def test_uncertified_tail_is_a_blank_csv_cell(self, tmp_path):
-        # t = 0.05 is outside the certified radius of every edge: those
-        # steps report a null tail, which the CSV writes as an empty cell,
-        # as it writes an unchecked residual
+        # only the first edge carries a potential, sx (x) sx, and t = 0.05
+        # is outside its certified radius: that step reports a null tail,
+        # which the CSV writes as an empty cell, as it writes the unchecked
+        # residual of each later step, which is skipped
         report, csv_path = tmp_path / "report.json", tmp_path / "steps.csv"
+        sxsx = [[float(i + j == 3) for j in range(4)] for i in range(4)]
         payload = {
             "d": 1,
             "N": 3,
             "t": 0.05,
-            "seed": 1,
-            "checks": {"consistency": "final"},
+            "potentials": [{"k": [1], "q": [1], "matrix": sxsx}],
+            "checks": {"consistency": "every-step"},
             "output": {"report": str(report), "csv": str(csv_path)},
         }
         assert main(["--config", write_config(tmp_path, payload)]) == 0
@@ -410,9 +429,8 @@ class TestRun:
             assert step["tail_certified"] == (step["tail_bound"] is not None)
             if step["tail_certified"]:
                 assert float(row["tail_bound"]) == step["tail_bound"]
-        uncertified = [step for step in steps if not step["tail_certified"]]
-        assert uncertified and len(uncertified) < len(steps)
-        assert all(step["circumference"] == 1 for step in uncertified)
+        assert [step["tail_certified"] for step in steps] == [False, True, True]
+        assert [step["residual"] is None for step in steps] == [False, True, True]
 
     def test_nearly_hermitian_potential_refused_with_one_error_line(self, tmp_path, capsys):
         # ||A - A^+||_2 = 5e-11 passes a 2-norm test at rtol 1e-10, but not

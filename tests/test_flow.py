@@ -464,32 +464,10 @@ class TestRunFlow:
         report = verify_main_theorem(state)
         assert not [c for c in report["failed_clauses"] if c.startswith("step-gap")]
 
-    def test_final_mode_checks_the_last_series_step(self):
-        # only the first edge carries a potential, so the last step is
-        # skipped; its residual would be zero by construction
-        pots = [(Rect((1,), (1,)), np.kron(SX, SX))]
-        spec = ModelSpec(LatticeSpec(1, 3), 2, default_onsite(2), pots, 0.05)
-        state = run_flow(spec, check_consistency="final")
-        assert [rec.skipped for rec in state.history] == [False, True, True]
-        assert [rec.residual is not None for rec in state.history] == [True, False, False]
-        assert state.history[0].residual <= state.tolerances.consistency
-
-    @pytest.mark.parametrize(
-        "d, N, t", [(1, 8, 0.05), (3, 2, 0.02)], ids=["chain_d1n8", "cube_d3n2"]
-    )
-    def test_final_mode_residual_is_the_whole_lattice_step_defect(self, d, N, t):
-        # the last series step of each benchmark flow at seed 7 is the whole
-        # lattice, whose map update writes only its own entry, so the final
-        # residual recomputes that step's defect with the dense unitary
-        spec = random_model(LatticeSpec(d, N), 2, t, seed=7)
-        state = run_flow(spec, check_consistency="final")
-        (rec,) = [rec for rec in state.history if rec.residual is not None]
-        assert rec.rect == spec.lat.full_rect()
-        assert abs(rec.residual - rec.step_defect) <= 1e-13
-
     def test_every_step_mode_checks_only_series_steps(self):
-        # the same flow in every-step mode: the skipped steps make no oracle
-        # call and keep no residual, as in final mode
+        # only the first edge carries a potential, so the later steps are
+        # skipped: they make no oracle call and keep no residual, which
+        # would be zero by construction
         pots = [(Rect((1,), (1,)), np.kron(SX, SX))]
         spec = ModelSpec(LatticeSpec(1, 3), 2, default_onsite(2), pots, 0.05)
         with mock.patch.object(flow, "consistency_check", wraps=flow.consistency_check) as oracle:
@@ -527,7 +505,7 @@ class TestRunFlow:
 
     def test_three_dimensional_lattice(self):
         spec = random_model(LatticeSpec(3, 2), 2, 0.02, seed=60)
-        state = run_flow(spec, check_consistency="final")
+        state = run_flow(spec)
         w0 = hermitian_spectrum(build_hamiltonian(spec))
         w1 = hermitian_spectrum(assemble_hamiltonian(state))
         assert np.max(np.abs(w0 - w1)) < 1e-8
@@ -794,12 +772,11 @@ def truncation_clauses(state):
 
 
 class TestTruncationClause:
-    @pytest.mark.parametrize("mode", ["never", "final"])
+    @pytest.mark.parametrize("mode", ["never", "auto"])
     def test_short_series_fails_in_every_mode(self, mode):
         # at j_max = 4 seven edge steps leave step defects above 1e-8, the
-        # largest 1.56e-7 on the third edge; final mode's oracle sees only
-        # the whole-lattice step (residual 4.4e-21), so only this clause
-        # sees them, at any lattice size
+        # largest 1.56e-7 on the third edge; auto runs no oracle at N = 8,
+        # so only this clause sees them, at any lattice size
         spec = random_model(LatticeSpec(1, 8), 2, 0.05, seed=1)
         with pytest.raises(RuntimeError) as err:
             run_flow(spec, j_max=4, check_consistency=mode)
@@ -814,6 +791,26 @@ class TestTruncationClause:
         assert "truncation: step defect 1.56e-07 at step Rect(k=(1,), q=(3,))" in clauses
         assert state.failures == clauses
         assert verify_main_theorem(state)["status"] == "fail"
+
+    def test_scaled_rotation_plane_fails_only_this_clause(self, monkeypatch):
+        # every step rotates through the plane of x (1 + 1e-6) instead of
+        # its generator x: each rotation is still unitary, so the map keeps
+        # the spectrum and every dense clause passes, and only the step
+        # defects of five edge steps see the wrong rotation
+        real = schwinger.rotation_plane
+        monkeypatch.setattr(schwinger, "rotation_plane", lambda x: real(x * (1 + 1e-6)))
+        spec = random_model(LatticeSpec(1, 6), 2, 0.05, seed=1)
+        with pytest.raises(RuntimeError) as err:
+            run_flow(spec)
+        assert not isinstance(err.value, GapError)
+        assert str(err.value) == (
+            "truncation: step defect 4.39e-08 at step Rect(k=(1,), q=(1,)), "
+            "above tolerance 1e-08"
+        )
+        state = run_flow(spec, force=True)
+        clauses = truncation_clauses(state)
+        assert len(clauses) == 5
+        assert verify_main_theorem(state)["failed_clauses"] == state.failures == clauses
 
     def test_default_order_fails_at_large_coupling(self):
         # at t = 0.5 no step is certified and twelve orders leave a step
@@ -879,15 +876,15 @@ class TestTruncationClause:
 
 class TestFlowMemory:
     @pytest.mark.parametrize(
-        "d, N, t, mode", [(3, 2, 0.02, "every-step"), (1, 8, 0.05, "final")]
+        "d, N, t, mode", [(3, 2, 0.02, "every-step"), (1, 8, 0.05, "auto")]
     )
     def test_peak_in_whole_lattice_buffers(self, d, N, t, mode):
         # the cube_d3n2 and chain_d1n8 flows at seed 7 (n = 256): each
         # full-lattice buffer is released at its last use, so the traced
-        # peak is about 7.0 and 7.7 n x n buffers (the face steps' stacked
+        # peak is about 7.0 and 6.4 n x n buffers (the face steps' stacked
         # series on the cube, the whole-lattice series on the chain);
-        # holding the resolvent, the chain table, the step's operators and
-        # the previous state across the oracle read 10.3 and 11.6
+        # holding the resolvent, the chain table and the step's operators
+        # across the oracle read 10.3 on the cube
         spec = random_model(LatticeSpec(d, N), 2, t, seed=7)
         buffer = 16 * (2**spec.lat.n_sites) ** 2
         tracemalloc.start()

@@ -190,6 +190,19 @@ class TestVerifyMainTheorem:
         failed = clauses_after_perturbing(whole_lattice, couple_vacuum(1e-3))
         assert failed == ["block-diagonal", "spectrum", "gap-invariance", "ground-vector"]
 
+    def test_spectrum_clause_sees_dropped_overlap_contributions(self, monkeypatch):
+        # a map update in which no stored entry overlaps the step rectangle
+        # drops every commutator contribution but still stores each step's
+        # block-diagonal potential, so no step claim fails; with no oracle
+        # in never mode, the dense clauses see the lost terms
+        spec = random_model(LatticeSpec(1, 6), 2, 0.05, seed=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(Rect, "overlaps", lambda a, b: False)
+            state = run_flow(spec, check_consistency="never")
+        assert state.failures == []
+        failed = [clause.split(":")[0] for clause in verify_main_theorem(state)["failed_clauses"]]
+        assert failed == ["spectrum", "gap-invariance", "vacuum-energy"]
+
     def test_non_hermitian_final_map_refused(self):
         # eigh reads one triangle of Kt, so an entry bumped above its
         # diagonal alone would pass unseen; Kt gets K's Hermiticity refusal
